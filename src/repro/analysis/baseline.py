@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .findings import Finding
 
 #: the rules whose findings participate in the race baseline
-RACE_RULE_IDS = ("RPR008", "RPR009", "RPR010", "RPR011")
+RACE_RULE_IDS = ("RPR008", "RPR009", "RPR010")
 #: the dynamic sanitizer's rule id (same baseline, same fingerprints)
 RACE_SANITIZER_ID = "SAN005"
 

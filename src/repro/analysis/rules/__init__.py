@@ -14,13 +14,11 @@ RPR008    cross-lane shared attribute written outside MemoryPort/barrier paths
 RPR009    unsynchronized container mutation on an object reachable from ≥2 cores
 RPR010    barrier-only kernel API (``request_update``, immediate ``notify``)
           called from a simulate-leg path
-RPR011    ambient-kernel access (``current_kernel``) or trace/time-hook
-          rewiring from a simulate-leg path
 RPR012    non-serializable state (open handles, lambdas, threading objects)
           on a snapshot-visible Module attribute
 ========  =====================================================================
 
-RPR008–RPR011 (the race rules, see :mod:`.crosslane`) are *non-default*:
+RPR008–RPR010 (the race rules, see :mod:`.crosslane`) are *non-default*:
 they run through ``python -m repro.analysis --race`` (baseline-gated) or an
 explicit ``--select``, not in the plain lint pass.  RPR012 (see
 :mod:`.snapshotable`) is likewise opt-in via ``--select RPR012``.

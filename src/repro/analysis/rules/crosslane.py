@@ -1,8 +1,9 @@
-"""RPR008–RPR011 — cross-lane race candidates for the parallel quantum kernel.
+"""RPR008–RPR010 — cross-lane race candidates between per-core simulate legs.
 
 These rules consume the :class:`repro.analysis.lanes.LaneModel` built during
-prescan and flag state mutations that would become data races the moment
-per-core ``simulate(cycles)`` legs run on real threads:
+prescan and flag state mutations that would become data races if per-core
+``simulate(cycles)`` legs ran on real threads (today every leg runs inline
+on the kernel's thread; see DESIGN §15):
 
 * **RPR008** — a plain attribute write (``self.x = …`` / ``self.x += …``)
   on a *cross-lane-shared* class, in code reachable from a simulate leg.
@@ -21,16 +22,8 @@ per-core ``simulate(cycles)`` legs run on real threads:
   delta/runnable scheduling) called from code reachable from a simulate
   leg.  The scheduler's bookkeeping is single-threaded by design; parallel
   legs must queue such effects to the quantum barrier instead.
-* **RPR011** — ambient-kernel access (``current_kernel()`` /
-  ``set_ambient_kernel()``, or the retired ``_current_kernel`` global) or
-  kernel observation-hook mutation (``trace_hook``/``time_hook`` stores,
-  ``add_trace_hook``/``remove_trace_hook``) from code reachable from a
-  simulate leg.  Worker lanes carry their own thread-local kernel context;
-  leg code must use the kernel reference it was constructed with, and hook
-  rewiring is an attach/detach-time operation that races with concurrent
-  dispatch if done mid-leg.
 
-All four participate in the committed race baseline
+All three participate in the committed race baseline
 (``benchmarks/race_baseline.json``): known findings are suppressed by
 fingerprint so ``python -m repro.analysis --race`` runs clean while the
 migration to sanctioned channels proceeds, and the baseline can only
@@ -259,79 +252,4 @@ class BarrierOnlyKernelApiRule(_LaneRuleBase):
                     f"notification) instead",
                     context=f"lane path: {self._chain_text(model, fn)}",
                     fingerprint=self._fingerprint(module, fn, api),
-                )
-
-
-#: ambient-kernel entry points (and the retired module global): leg code
-#: must carry its own kernel reference instead of asking the environment
-_AMBIENT_KERNEL_NAMES = {"current_kernel", "set_ambient_kernel",
-                         "_current_kernel"}
-#: kernel observation hooks that may only be rewired at attach/detach time
-_OBSERVATION_HOOKS = {"trace_hook", "time_hook"}
-#: hook (un)registration APIs, same attach/detach-time restriction
-_HOOK_REGISTRATION_API = {"add_trace_hook", "remove_trace_hook"}
-
-
-@register
-class AmbientKernelAccessRule(_LaneRuleBase):
-    rule_id = "RPR011"
-    title = "ambient-kernel access or hook rewiring from a simulate-leg path"
-    severity = Severity.ERROR
-
-    def check(self, ctx: LintContext, module: SourceModule) -> Iterator[Finding]:
-        if module.in_package_dir("systemc", "analysis"):
-            return
-        model = LaneModel.of(ctx)
-        for class_info, fn in self._lane_methods(model, module):
-            for node in ast.walk(fn.node):
-                subject = reason = None
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = None
-                    if isinstance(func, ast.Name):
-                        name = func.id
-                    elif isinstance(func, ast.Attribute):
-                        name = func.attr
-                    if name in _AMBIENT_KERNEL_NAMES:
-                        subject = f"{name}()"
-                        reason = (
-                            "resolves the ambient (thread-local) kernel; on "
-                            "a worker lane this is the lane's view, not "
-                            "necessarily the kernel that owns this module — "
-                            "use the kernel reference captured at "
-                            "construction time")
-                    elif name in _HOOK_REGISTRATION_API:
-                        subject = f"{name}()"
-                        reason = (
-                            "rewires the kernel trace-hook chain while "
-                            "other lanes may be dispatching through it; "
-                            "hook registration is an attach/detach-time "
-                            "operation")
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (node.targets if isinstance(node, ast.Assign)
-                               else [node.target])
-                    for target in targets:
-                        if (isinstance(target, ast.Attribute)
-                                and target.attr in _OBSERVATION_HOOKS):
-                            subject = f"{target.attr} ="
-                            reason = (
-                                "stores a kernel observation hook while "
-                                "other lanes may be dispatching through "
-                                "it; hooks are rewired at attach/detach "
-                                "time, never mid-leg")
-                            break
-                elif (isinstance(node, ast.Name) and node.id == "_current_kernel"
-                        and isinstance(node.ctx, ast.Load)):
-                    subject = "_current_kernel"
-                    reason = ("reads the retired process-wide kernel global; "
-                              "use the kernel reference captured at "
-                              "construction time")
-                if subject is None:
-                    continue
-                yield self.finding(
-                    module, node,
-                    f"{subject} in a simulate-leg path ({fn.qualname}); "
-                    f"{reason}",
-                    context=f"lane path: {self._chain_text(model, fn)}",
-                    fingerprint=self._fingerprint(module, fn, subject),
                 )

@@ -143,22 +143,29 @@ class ElfLite:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ElfLite":
         stream = io.BytesIO(blob)
-        if stream.read(5) != MAGIC:
+
+        def take(count: int) -> bytes:
+            chunk = stream.read(count)
+            if len(chunk) != count:
+                raise ValueError(
+                    f"truncated ELF-lite image: wanted {count} bytes at offset "
+                    f"{stream.tell() - len(chunk)}, {len(blob)} bytes total")
+            return chunk
+
+        if take(5) != MAGIC:
             raise ValueError("not an ELF-lite image (bad magic)")
-        version, _flags, entry = struct.unpack("<HHQ", stream.read(12))
+        version, _flags, entry = struct.unpack("<HHQ", take(12))
         if version != VERSION:
             raise ValueError(f"unsupported ELF-lite version {version}")
-        section_count, symbol_count = struct.unpack("<II", stream.read(8))
+        section_count, symbol_count = struct.unpack("<II", take(8))
         sections, symbols = [], []
         for _ in range(section_count):
-            name_len, address, data_len = struct.unpack("<HQI", stream.read(14))
-            name = stream.read(name_len).decode()
-            data = stream.read(data_len)
-            sections.append(Section(name, address, data))
+            name_len, address, data_len = struct.unpack("<HQI", take(14))
+            name = take(name_len).decode()
+            sections.append(Section(name, address, take(data_len)))
         for _ in range(symbol_count):
-            name_len, address = struct.unpack("<HQ", stream.read(10))
-            name = stream.read(name_len).decode()
-            symbols.append(Symbol(name, address))
+            name_len, address = struct.unpack("<HQ", take(10))
+            symbols.append(Symbol(take(name_len).decode(), address))
         return cls(entry, sections, symbols)
 
     def __repr__(self) -> str:

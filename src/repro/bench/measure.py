@@ -57,13 +57,7 @@ def run_workload(
     if stop_on_boot:
         vp.simctl.on_boot_done = lambda _t: vp.sim.stop()
     started = wall_clock()
-    try:
-        end_time = vp.run(SimTime.seconds(max_sim_seconds))
-    finally:
-        # Tear down parallel executor lanes even when the run raises, so a
-        # crashed leg never leaves worker threads parked on a queue.
-        if vp.executor is not None:
-            vp.executor.shutdown()
+    end_time = vp.run(SimTime.seconds(max_sim_seconds))
     py_runtime = elapsed_since(started)
     finished = (vp.all_halted or vp.simctl.shutdown_requested
                 or (stop_on_boot and vp.simctl.boot_done_at is not None))

@@ -83,11 +83,6 @@ def main(argv: List[str] = None) -> int:
                         metavar="FRACTION",
                         help="allowed fractional MIPS regression for "
                              "--history-check (default 0.25)")
-    parser.add_argument("--exec", dest="exec_backend", default=None,
-                        metavar="BACKEND",
-                        help="quantum executor backend for every platform "
-                             "built by the experiments (serial, threads; "
-                             "default: legacy inline loop / REPRO_EXEC)")
     parser.add_argument("--snapshot-at", type=float, default=None, metavar="MS",
                         help="boot the Linux workload to MS simulated "
                              "milliseconds, capture a repro.snapshot and "
@@ -132,12 +127,6 @@ def main(argv: List[str] = None) -> int:
 
     if args.history_check and args.history is None:
         parser.error("--history-check requires --history")
-    if args.exec_backend is not None:
-        # Experiments build their own VpConfigs; the env var is the one
-        # channel that reaches every platform they construct.
-        from ..vp.config import normalize_exec_backend
-        normalize_exec_backend(args.exec_backend)   # fail fast on typos
-        os.environ["REPRO_EXEC"] = args.exec_backend
     for directory in (args.telemetry_dir, args.profile_dir, args.ledger_dir,
                       args.obs_dir):
         if directory is not None:

@@ -57,14 +57,9 @@ def snapshot_boot(out_path: str, at_ms: float, kind: str, cores: int,
                 "quantum_us": quantum_us}
     software = _software(scenario)
     vp = build_platform(kind, _config(cores, quantum_us, parallel), software)
-    try:
-        with TraceRecorder() as recorder:
-            vp.run(SimTime.ms(at_ms))
-        snapshot = capture_platform(vp, trace=recorder.entries,
-                                    scenario=scenario)
-    finally:
-        if vp.executor is not None:
-            vp.executor.shutdown()
+    with TraceRecorder() as recorder:
+        vp.run(SimTime.ms(at_ms))
+    snapshot = capture_platform(vp, trace=recorder.entries, scenario=scenario)
     written = snapshot.save(out_path)
     if emit_json:
         print(json.dumps({
@@ -158,20 +153,11 @@ def run_matrix(snapshot_path: str, matrix: List[float], verify_cold: bool,
 
 
 def _resume(child, software, remaining: SimTime) -> None:
-    vp = child.restore(software)
-    try:
-        vp.run(remaining)
-    finally:
-        if vp.executor is not None:
-            vp.executor.shutdown()
+    child.restore(software).run(remaining)
 
 
 def _cold_run(snapshot, scenario: dict, duration_ms: float) -> None:
     from ..snapshot import config_from_manifest
     config = config_from_manifest(snapshot.manifest["config"])
-    vp = build_platform(snapshot.kind, config, _software(scenario))
-    try:
-        vp.run(SimTime.ms(duration_ms))
-    finally:
-        if vp.executor is not None:
-            vp.executor.shutdown()
+    build_platform(snapshot.kind, config, _software(scenario)).run(
+        SimTime.ms(duration_ms))

@@ -15,10 +15,6 @@ Subcommands:
   two paths must produce bit-identical dispatch streams; on mismatch the
   divergence is zoom-localized and (with ``--bundle-dir``) packaged as a
   divergence bundle.  This is the CI determinism canary.
-* ``execcheck`` — the parallel-kernel A/B canary: the same scenario under
-  the serial reference executor vs the thread-pool backend
-  (:mod:`repro.systemc.parallel`).  Bit-identical dispatch streams are the
-  barrier-merge contract; bundles on mismatch like ``selfcheck``.
 
 ``divergence/`` is a simulation package, so this module reports through
 ``sys.stdout.write`` rather than ``print`` (RPR006); everything a script
@@ -132,8 +128,7 @@ def _cmd_selfcheck(args) -> int:
     from ..workloads.dhrystone import DhrystoneParams, dhrystone_software
 
     def scenario():
-        config = make_config(args.cores, args.quantum_us, parallel=False,
-                             exec_backend=args.exec_backend)
+        config = make_config(args.cores, args.quantum_us, parallel=False)
         software = dhrystone_software(
             args.cores, DhrystoneParams(args.iterations))
         run_workload("aoa", config, software)
@@ -159,47 +154,6 @@ def _cmd_selfcheck(args) -> int:
         _out(json.dumps(doc, indent=2, sort_keys=True))
     else:
         _out("A/B selfcheck: fabric vs legacy_memory_path, "
-             f"{args.cores}-core dhrystone ({args.iterations} iterations, "
-             f"{args.quantum_us}us quantum)")
-        _out(report.describe())
-    return 0 if report.identical else 1
-
-
-def _cmd_execcheck(args) -> int:
-    """A/B canary for the parallel quantum kernel: serial vs threads.
-
-    Runs the same multicore Dhrystone scenario once under the serial
-    reference executor and once under the thread-pool backend.  The
-    barrier-merge protocol promises bit-identical dispatch streams; a
-    mismatch here means a cross-lane effect escaped the effect queue.
-    """
-    from ..bench.measure import make_config, run_workload
-    from ..workloads.dhrystone import DhrystoneParams, dhrystone_software
-
-    def scenario(backend):
-        config = make_config(args.cores, args.quantum_us, parallel=True,
-                             exec_backend=backend)
-        software = dhrystone_software(
-            args.cores, DhrystoneParams(args.iterations))
-        run_workload("aoa", config, software)
-
-    with contextlib.redirect_stdout(io.StringIO()) as captured:
-        report = localize_divergence(
-            lambda: scenario("serial"), lambda: scenario("threads"),
-            window=_window_ps(args),
-            meta_a={"exec": "serial"}, meta_b={"exec": "threads"},
-            bundle_dir=args.bundle_dir,
-            labels=("serial", "threads"))
-    if captured.getvalue():
-        sys.stderr.write(captured.getvalue())
-    if args.json:
-        doc = report.comparison.to_json()
-        doc["bundle"] = report.bundle_path
-        doc["event_diff"] = (report.event_diff.describe()
-                             if report.event_diff is not None else None)
-        _out(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _out("A/B execcheck: serial vs threads quantum executor, "
              f"{args.cores}-core dhrystone ({args.iterations} iterations, "
              f"{args.quantum_us}us quantum)")
         _out(report.describe())
@@ -246,23 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     selfcheck.add_argument("--json", action="store_true", help="JSON output")
     selfcheck.add_argument("--bundle-dir", default=None,
                            help="write a divergence bundle here on mismatch")
-    selfcheck.add_argument("--exec", dest="exec_backend", default=None,
-                           help="quantum executor backend for both legs "
-                           "(serial, threads; default: legacy inline loop)")
     selfcheck.set_defaults(func=_cmd_selfcheck)
-
-    execcheck = sub.add_parser(
-        "execcheck", help="A/B canary: serial vs threads quantum executor")
-    execcheck.add_argument("--cores", type=int, default=2)
-    execcheck.add_argument("--iterations", type=int, default=20_000,
-                           help="dhrystone iterations per core")
-    execcheck.add_argument("--quantum-us", type=float, default=100.0)
-    execcheck.add_argument("--window-us", type=float, default=1.0,
-                           help="ledger window in simulated microseconds")
-    execcheck.add_argument("--json", action="store_true", help="JSON output")
-    execcheck.add_argument("--bundle-dir", default=None,
-                           help="write a divergence bundle here on mismatch")
-    execcheck.set_defaults(func=_cmd_execcheck)
 
     args = parser.parse_args(argv)
     try:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, NamedTuple, Optional, Set
 
-from ..systemc.kernel import enter_shared_section
 from ..systemc.time import SimTime
 from ..tlm.dmi import DmiManager, DmiRegion
 from ..tlm.payload import ResponseStatus
@@ -148,11 +147,6 @@ class MemoryPort:
     def read(self, address: int, length: int,
              delay: Optional[SimTime] = None) -> AccessResult:
         """Timed read: DMI fast path, else pooled blocking transport."""
-        # Cross-lane shared from here on (DMI tables, targets, the pool):
-        # inside a parallel simulate leg this takes the lane-ordered commit
-        # token, which serializes all fabric traffic into the exact order
-        # the serial reference produces.  Barrier context: no-op.
-        enter_shared_section()
         if not self._invalidation_registered:
             self._ensure_invalidation()
         self.num_reads += 1
@@ -192,7 +186,6 @@ class MemoryPort:
     def write(self, address: int, data: bytes,
               delay: Optional[SimTime] = None) -> AccessResult:
         """Timed write: DMI fast path, else pooled blocking transport."""
-        enter_shared_section()
         if not self._invalidation_registered:
             self._ensure_invalidation()
         self.num_writes += 1
@@ -229,7 +222,6 @@ class MemoryPort:
     # -- debug access ------------------------------------------------------------
     def dbg_read(self, address: int, length: int) -> Optional[bytes]:
         """Side-effect-free read; returns None unless all bytes transferred."""
-        enter_shared_section()
         self._ensure_invalidation()
         self.num_debug_accesses += 1
         region = self.dmi.lookup(address, length, write=False)
@@ -247,7 +239,6 @@ class MemoryPort:
 
     def dbg_write(self, address: int, data: bytes) -> int:
         """Side-effect-free write; returns the number of bytes transferred."""
-        enter_shared_section()
         self._ensure_invalidation()
         self.num_debug_accesses += 1
         region = self.dmi.lookup(address, len(data), write=True)

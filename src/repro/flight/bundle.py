@@ -122,16 +122,6 @@ class CrashBundler:
     def trigger(self, vp, reason: str, detail: str = "",
                 payload=None) -> Optional[str]:
         """Dump one bundle; returns its path (None when capped/re-entered)."""
-        from ..systemc.kernel import current_leg
-        leg = current_leg()
-        if leg is not None:
-            # Mid-leg wreck under a quantum executor: the leg's host-time
-            # billing is still deferred in its lane log, so a bundle written
-            # right now would snapshot an empty attribution fold.  Replay
-            # the dump at the barrier merge instead — it lands *after* the
-            # billing thunks captured earlier in the same lane log.
-            leg.capture(lambda: self.trigger(vp, reason, detail, payload))
-            return None
         if self._dumping:
             # A probe fired while we were dumping (e.g. a sanitizer finding
             # during a debug read): one wreck, one bundle.

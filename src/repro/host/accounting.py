@@ -161,56 +161,3 @@ class HostLedger:
             f"HostLedger(windows={len(self._windows)}, parallel={self.parallel}, "
             f"wall={self.wall_time_seconds():.6f}s)"
         )
-
-
-class MeasuredLedger:
-    """Real wall-clock measurements from the parallel quantum executor.
-
-    The :class:`HostLedger` above *models* host time; this ledger records
-    what the executor actually measured: per-leg wall time (summed into the
-    serialized total — what a one-lane host would have paid) and per-round
-    wall time (what the backend's concurrent round actually took, including
-    dispatch/join overhead).  ``speedup()`` is the measured counterpart of
-    the attribution report's projected Σbusy/max-busy figure; on a
-    GIL-bound interpreter it hovers near (or below) 1.0 by construction,
-    which is exactly the honest number to print next to the projection.
-
-    Purely observational: nothing here feeds back into simulation state or
-    the determinism digests.
-    """
-
-    def __init__(self, backend: str):
-        self.backend = backend
-        self.rounds = 0
-        self.legs = 0
-        self.max_lanes = 0
-        self.serialized_ns = 0.0   # Σ individual leg wall times
-        self.wall_ns = 0.0         # Σ per-round elapsed wall time
-
-    def record_round(self, leg_wall_ns, round_wall_ns: float) -> None:
-        self.rounds += 1
-        self.legs += len(leg_wall_ns)
-        self.max_lanes = max(self.max_lanes, len(leg_wall_ns))
-        self.serialized_ns += sum(leg_wall_ns)
-        self.wall_ns += round_wall_ns
-
-    def speedup(self) -> float:
-        """Measured serialized-over-wall ratio (1.0 when nothing ran)."""
-        if self.wall_ns <= 0:
-            return 1.0
-        return self.serialized_ns / self.wall_ns
-
-    def to_json(self) -> dict:
-        return {
-            "backend": self.backend,
-            "rounds": self.rounds,
-            "legs": self.legs,
-            "max_lanes": self.max_lanes,
-            "serialized_ns": self.serialized_ns,
-            "wall_ns": self.wall_ns,
-            "speedup": self.speedup(),
-        }
-
-    def __repr__(self) -> str:
-        return (f"MeasuredLedger({self.backend!r}, rounds={self.rounds}, "
-                f"speedup={self.speedup():.2f}x)")

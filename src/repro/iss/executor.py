@@ -16,8 +16,6 @@ from __future__ import annotations
 import enum
 from typing import List, NamedTuple, Optional, Tuple
 
-from ..systemc.kernel import enter_shared_section
-
 
 class ExitReason(enum.Enum):
     BUDGET = "budget"            # instruction budget exhausted
@@ -113,10 +111,6 @@ class GuestMemoryMap:
         return self.find(address, length) is not None
 
     def read(self, address: int, length: int) -> bytes:
-        # Guest RAM is shared by every core: inside a parallel simulate leg
-        # this takes the lane-ordered commit token (no-op otherwise), so
-        # cross-core flag handshakes observe exactly the serial order.
-        enter_shared_section()
         slot = self.find(address, length)
         if slot is None:
             raise KeyError(f"physical read outside RAM: 0x{address:x}+{length}")
@@ -124,7 +118,6 @@ class GuestMemoryMap:
         return bytes(slot.memory[offset:offset + length])
 
     def write(self, address: int, data: bytes) -> None:
-        enter_shared_section()
         slot = self.find(address, len(data))
         if slot is None:
             raise KeyError(f"physical write outside RAM: 0x{address:x}+{len(data)}")

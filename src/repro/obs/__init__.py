@@ -5,7 +5,7 @@ Layers on top of :mod:`repro.telemetry`:
 * :mod:`.attribution` — fold HostLedger billing into per-lane, per-window
   phases (guest / mmio / irq / kernel / barrier_idle / overhead) that sum
   exactly to ``HostLedger.wall_time_ns()``, plus the projected parallel
-  efficiency the future parallel kernel will be graded against;
+  efficiency that the modeled parallel fold (Fig. 7) is compared with;
 * :mod:`.engine` — ``enable_obs(vp)`` / ``observing()`` non-intrusive
   attachment (digest-neutral by construction);
 * :mod:`.stream` — bounded, drop-accounted snapshot streaming to JSONL

@@ -38,7 +38,7 @@ Attribution lanes are *per-core even in sequential mode*: the recorder
 keeps the lane a billing event would land on under the parallel fold
 (``main`` for main-thread work, ``core<i>`` otherwise), so a serial run
 already produces the per-lane report — and the projected parallel
-efficiency — that the future parallel kernel will be graded against.
+efficiency — that the modeled parallel fold (Fig. 7) is compared with.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ class AttributionSummary:
     dispatches: int = 0
     late_events: int = 0
     notes: Dict[str, object] = field(default_factory=dict)
-    #: measured executor stats (repro.systemc.parallel MeasuredLedger
-    #: to_json), present only when a quantum executor ran the platform
-    measured: Optional[Dict[str, object]] = None
 
     # -- derived figures ----------------------------------------------------
     @property
@@ -212,7 +209,6 @@ class AttributionSummary:
                 "busy_sum_ns": self.busy_sum_ns,
                 "busy_max_ns": self.busy_max_ns,
             },
-            "measured": self.measured,
             "consistent": not self.verify(),
         }
 
@@ -396,13 +392,6 @@ def render_summary(summary: AttributionSummary) -> str:
     lines.append(
         f"projected parallel speedup {summary.projected_parallel_speedup:.2f}x"
         f"  efficiency {summary.projected_parallel_efficiency:.2f}")
-    measured = summary.measured
-    if measured is not None:
-        lines.append(
-            f"measured parallel speedup {measured.get('speedup', 0.0):.2f}x"
-            f"  [{measured.get('backend', '?')} executor, "
-            f"{measured.get('rounds', 0)} rounds, "
-            f"{measured.get('legs', 0)} legs]")
     header = f"{'lane':8s} {'util':>6s}" + "".join(
         f" {phase:>12s}" for phase in PHASES)
     lines.append(header)

@@ -11,7 +11,7 @@ changes, pure observation, fully undoable.  Three taps per platform:
   fold reproduces :meth:`HostLedger.window_span_ns` bit-for-bit) and the
   attribution lane the event would land on under the parallel fold (main
   thread vs. per-core), which is how a sequential run already yields the
-  per-lane report the parallel kernel will be graded against;
+  per-lane report the modeled parallel fold is compared with;
 * the kernel's ``time_hook`` (fired after every simulated-time advance,
   never for delta cycles) closes quantum windows deterministically: when
   simulation reaches time *T*, every window ending before *T* can no
@@ -57,7 +57,6 @@ class _PlatformEntry:
     #: last-known run state, authoritative once the entry is sealed
     cached_instructions: int = 0
     cached_sim_ps: int = 0
-    cached_measured: Optional[dict] = None
     lanes_cache: Dict[int, None] = field(default_factory=dict)
 
     def instructions(self) -> int:
@@ -69,14 +68,6 @@ class _PlatformEntry:
         if self.vp is not None:
             self.cached_sim_ps = self.vp.kernel.now.picoseconds
         return self.cached_sim_ps
-
-    def measured_stats(self) -> Optional[dict]:
-        """Quantum-executor measured ledger (None on the legacy loop)."""
-        if self.vp is not None:
-            executor = getattr(self.vp, "executor", None)
-            if executor is not None:
-                self.cached_measured = executor.measured.to_json()
-        return self.cached_measured
 
 
 class Obs:
@@ -243,7 +234,6 @@ class Obs:
         # Refresh the caches while the platform is still reachable.
         entry.instructions()
         entry.sim_time_ps()
-        entry.measured_stats()
         if entry.fold is not None:
             entry.fold.finalize()
             self.streamer.offer({
@@ -264,15 +254,13 @@ class Obs:
 
     def _summary(self, entry: _PlatformEntry,
                  include_open: bool = False) -> AttributionSummary:
-        summary = entry.fold.summary(
+        return entry.fold.summary(
             platform=entry.key,
             num_cores=entry.num_cores,
             sim_time_ps=entry.sim_time_ps(),
             instructions=entry.instructions(),
             include_open=include_open,
         )
-        summary.measured = entry.measured_stats()
-        return summary
 
     def summaries(self, include_open: bool = False
                   ) -> Dict[str, AttributionSummary]:

@@ -36,9 +36,9 @@ from .format import FORMAT, PAGE_SIZE, SnapshotError, blob_digest, encode_trace,
 from .image import Snapshot, _telemetry_registry
 from .registry import build_registries, owner_paths_by_id
 
-#: park sites a snapshot can represent.  "leg" (a parallel simulate leg in
-#: flight) and "start" (thread never ran) are mid-quantum states; "reset"
-#: never occurs on the shipped platforms (no reset line is bound).
+#: park sites a snapshot can represent.  "start" (thread never ran) is a
+#: mid-quantum state; "reset" never occurs on the shipped platforms (no
+#: reset line is bound).
 _RESTORABLE_PARKS = ("sync", "break_sync", "debug", "wait_irq_sync", "wait_irq")
 
 
@@ -186,7 +186,6 @@ def serialize_config(config: VpConfig) -> dict:
         "timer_frequency_hz": config.timer_frequency_hz,
         "track_host_time": config.track_host_time,
         "unguarded_watchdog": config.unguarded_watchdog,
-        "exec_backend": config.exec_backend,
     }
 
 

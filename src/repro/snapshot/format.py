@@ -118,7 +118,12 @@ def read_container(path: str) -> Tuple[dict, Dict[str, bytes]]:
         return chunk
 
     (zlen,) = struct.unpack(">I", take(4))
-    manifest = json.loads(zlib.decompress(take(zlen)).decode("utf-8"))
+    try:
+        manifest = json.loads(zlib.decompress(take(zlen)).decode("utf-8"))
+    except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotError(f"{path}: corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise SnapshotError(f"{path}: manifest is not a JSON object")
     if manifest.get("format") != FORMAT:
         raise SnapshotError(
             f"{path}: unsupported snapshot format {manifest.get('format')!r} "
@@ -126,9 +131,14 @@ def read_container(path: str) -> Tuple[dict, Dict[str, bytes]]:
     (count,) = struct.unpack(">I", take(4))
     blobs: Dict[str, bytes] = {}
     for _ in range(count):
-        sha = take(64).decode("ascii")
+        sha = take(64).decode("ascii", errors="replace")
         raw_len, zlen = struct.unpack(">II", take(8))
-        blob = zlib.decompress(take(zlen))
+        try:
+            # Inflate at most one byte past the declared size, so a blob
+            # cannot expand without bound before the length check fails.
+            blob = zlib.decompressobj().decompress(take(zlen), raw_len + 1)
+        except zlib.error as exc:
+            raise SnapshotError(f"{path}: blob {sha} is corrupt: {exc}") from exc
         if len(blob) != raw_len or blob_digest(blob) != sha:
             raise SnapshotError(f"{path}: blob {sha} failed integrity check")
         blobs[sha] = blob

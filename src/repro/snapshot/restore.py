@@ -47,27 +47,49 @@ _METHOD_HANDLE_ATTR = {
 }
 
 
+#: JSON type of every config-section key :func:`config_from_manifest` reads
+_CONFIG_TYPES = {
+    "host_custom": bool, "num_cores": int, "quantum_ps": int,
+    "parallel": bool, "wfi_annotations": bool, "vcpu_clock_hz": (int, float),
+    "ram_size": int, "kvm_costs": dict, "iss_costs": dict, "sim_costs": dict,
+    "timer_frequency_hz": (int, float), "track_host_time": bool,
+    "unguarded_watchdog": bool,
+}
+
+
 def config_from_manifest(section: dict) -> VpConfig:
-    if section["host_custom"]:
-        raise SnapshotError(
-            "snapshot was captured with a custom HostMachine; pass the same "
-            "config explicitly to restore()")
-    return VpConfig(
-        num_cores=section["num_cores"],
-        quantum=SimTime(section["quantum_ps"]),
-        parallel=section["parallel"],
-        wfi_annotations=section["wfi_annotations"],
-        vcpu_clock_hz=section["vcpu_clock_hz"],
-        ram_size=section["ram_size"],
-        host=None,
-        kvm_costs=KvmCostParams(**section["kvm_costs"]),
-        iss_costs=IssCostParams(**section["iss_costs"]),
-        sim_costs=SimulationCostParams(**section["sim_costs"]),
-        timer_frequency_hz=section["timer_frequency_hz"],
-        track_host_time=section["track_host_time"],
-        unguarded_watchdog=section["unguarded_watchdog"],
-        exec_backend=section["exec_backend"],
-    )
+    """Rebuild the :class:`VpConfig` described by a manifest's config section.
+
+    Keys this reader does not know are ignored, so files that still name
+    the retired quantum-executor backend restore on the one quantum loop,
+    which produced the same dispatch stream.  A missing or ill-typed key
+    raises :class:`SnapshotError`.
+    """
+    try:
+        for key, kind in _CONFIG_TYPES.items():
+            if not isinstance(section[key], kind):
+                raise TypeError(f"{key} is {type(section[key]).__name__}")
+        if section["host_custom"]:
+            raise SnapshotError(
+                "snapshot was captured with a custom HostMachine; pass the "
+                "same config explicitly to restore()")
+        return VpConfig(
+            num_cores=section["num_cores"],
+            quantum=SimTime(section["quantum_ps"]),
+            parallel=section["parallel"],
+            wfi_annotations=section["wfi_annotations"],
+            vcpu_clock_hz=section["vcpu_clock_hz"],
+            ram_size=section["ram_size"],
+            host=None,
+            kvm_costs=KvmCostParams(**section["kvm_costs"]),
+            iss_costs=IssCostParams(**section["iss_costs"]),
+            sim_costs=SimulationCostParams(**section["sim_costs"]),
+            timer_frequency_hz=section["timer_frequency_hz"],
+            track_host_time=section["track_host_time"],
+            unguarded_watchdog=section["unguarded_watchdog"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"malformed config section: {exc!r}") from exc
 
 
 def _validate_software(section: dict, software) -> None:

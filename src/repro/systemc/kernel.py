@@ -10,12 +10,9 @@ Implements the SystemC scheduling semantics (IEEE 1666):
 
 Processes are cooperative generators (see :mod:`repro.systemc.process`); the
 scheduler itself always runs single-threaded and fully deterministic.  The
-paper's "parallel execution" of CPU cores exists in two forms: the modeled
-host-time ledger (:mod:`repro.host.accounting`) and the truly concurrent
-per-core simulate legs of :mod:`repro.systemc.parallel` — worker lanes whose
-cross-lane effects are captured per lane and merged at the quantum barrier
-(``barrier_hook``) in canonical (lane id, intra-lane sequence) order, so the
-dispatch stream stays bit-for-bit identical to the serial reference.
+paper's parallel execution of CPU cores is modeled, not run on host threads:
+the host-time ledger (:mod:`repro.host.accounting`) charges each quantum
+window the maximum over the per-core lanes when ``VpConfig.parallel`` is set.
 """
 
 from __future__ import annotations
@@ -37,17 +34,13 @@ class _KernelContext(threading.local):
     ``ambient`` is the most recently constructed (or explicitly adopted)
     kernel on this thread — the elaboration-time default.  ``stack`` tracks
     nested :meth:`Kernel.run` calls so a kernel running inside another
-    kernel's process (or on a worker thread) never clobbers its neighbour:
-    the stack top always wins over the ambient kernel.  ``leg`` is the
-    active per-core simulate leg (see :mod:`repro.systemc.parallel`); when
-    set, scheduler entry points capture their effects into the leg's log
-    instead of mutating kernel state from a worker thread.
+    kernel's process (or on another thread) never clobbers its neighbour:
+    the stack top always wins over the ambient kernel.
     """
 
     def __init__(self):
         self.ambient: Optional["Kernel"] = None
         self.stack: List["Kernel"] = []
-        self.leg = None
 
 
 _context = _KernelContext()
@@ -60,40 +53,6 @@ def current_kernel() -> "Kernel":
     if _context.ambient is None:
         raise RuntimeError("no active simulation kernel; create a Kernel first")
     return _context.ambient
-
-
-def set_ambient_kernel(kernel: Optional["Kernel"]) -> None:
-    """Adopt ``kernel`` as this thread's elaboration-time default.
-
-    Worker threads (the parallel executor's lanes) inherit nothing from the
-    main thread's :class:`threading.local` slot, so the executor adopts the
-    platform's kernel before running simulate legs.
-    """
-    _context.ambient = kernel
-
-
-def current_leg():
-    """The simulate leg active on this thread, or None (barrier context)."""
-    return _context.leg
-
-
-def _set_current_leg(leg) -> None:
-    """Install/clear the thread's active leg (repro.systemc.parallel only)."""
-    _context.leg = leg
-
-
-def enter_shared_section() -> None:
-    """Announce that the calling code is about to touch cross-lane state.
-
-    No-op in barrier context.  Inside a simulate leg this blocks until every
-    lower-numbered lane's leg of the current round has completed (the
-    lane-ordered commit token), which makes all shared-state access — guest
-    RAM, TLM transports, DMI bookkeeping — observe exactly the order the
-    serial reference executes in.  The token is held until the leg ends.
-    """
-    leg = _context.leg
-    if leg is not None:
-        leg.enter_shared_section()
 
 
 class _ProcessWakeup:
@@ -278,14 +237,6 @@ class Kernel:
         """The hooks currently registered in one priority band (introspection)."""
         return _trace_chain.hooks_at(priority)
 
-    #: Optional barrier callback invoked by :meth:`run` whenever the
-    #: runnable queue drains, *before* time advances: the parallel executor
-    #: (repro.systemc.parallel) uses it to run the pending simulate legs and
-    #: merge their captured effects.  Returns True when legs ran (the loop
-    #: then re-enters the delta cycle at the same time), False to proceed to
-    #: the time advance.  Instance attribute, set by the platform wiring.
-    barrier_hook: Optional[Callable[[], bool]] = None
-
     def __init__(self):
         self._now = SimTime.zero()
         self._runnable: Deque[Process] = deque()
@@ -337,21 +288,7 @@ class Kernel:
         return bool(self._runnable or self._delta_events or self._delta_wakeups or self._timed)
 
     # -- scheduling hooks (used by Event/Process) ------------------------------
-    #
-    # Every hook that mutates scheduler bookkeeping checks for an active
-    # simulate leg first (repro.systemc.parallel): inside a leg the effect
-    # is *captured* into the leg's ordered log and replayed verbatim at the
-    # quantum barrier in canonical (lane id, intra-lane sequence) order, so
-    # worker threads never touch the runnable queue, the delta lists, the
-    # timed heap or the update queue directly.  Replay happens on the main
-    # thread with no leg active, so the captured closure re-enters the real
-    # body below.
-
     def _make_runnable(self, process: Process) -> None:
-        leg = _context.leg
-        if leg is not None:
-            leg.capture(lambda: self._make_runnable(process))
-            return
         if process.finished:
             return
         if id(process) not in self._runnable_set:
@@ -359,73 +296,34 @@ class Kernel:
             self._runnable_set.add(id(process))
 
     def _trigger_event(self, event: Event) -> None:
-        leg = _context.leg
-        if leg is not None:
-            leg.capture(lambda: self._trigger_event(event))
-            return
         # Immediate notification: wake all waiters right now.
         for waiter in list(event._waiters):
             waiter._wake(self)
 
     def _schedule_delta_notification(self, event: Event) -> None:
-        leg = _context.leg
-        if leg is not None:
-            leg.capture(lambda: self._delta_events.append(event))
-            return
         self._delta_events.append(event)
 
     def _schedule_delta_wakeup(self, process: Process) -> None:
-        leg = _context.leg
-        if leg is not None:
-            leg.capture(lambda: self._delta_wakeups.append(process))
-            return
         self._delta_wakeups.append(process)
 
-    def _defer_timed(self, entry: _TimedEntry, leg) -> _TimedEntry:
-        """Capture a timed-heap push; the entry itself exists immediately.
-
-        Callers (``Event.notify`` override rules) need the cancellation
-        handle right away, so the entry is created in the leg, but its heap
-        sequence number is only drawn when the push replays at the barrier —
-        keeping the tie-break order identical to the serial reference.
-        """
-        def push():
-            entry.seq = next(self._seq)
-            heapq.heappush(self._timed, entry)
-        leg.capture(push)
-        return entry
-
     def _schedule_timed_notification(self, event: Event, due: SimTime) -> _TimedEntry:
-        leg = _context.leg
-        if leg is not None:
-            return self._defer_timed(_TimedEntry(due, -1, event._fire), leg)
         entry = _TimedEntry(due, next(self._seq), event._fire)
         heapq.heappush(self._timed, entry)
         return entry
 
     def _schedule_timed_wakeup(self, process: Process, due: SimTime, timeout: bool = False) -> _TimedEntry:
         action = _ProcessWakeup(self, process, timeout)
-        leg = _context.leg
-        if leg is not None:
-            return self._defer_timed(_TimedEntry(due, -1, action), leg)
         entry = _TimedEntry(due, next(self._seq), action)
         heapq.heappush(self._timed, entry)
         return entry
 
     def schedule_callback(self, delay: SimTime, callback: Callable[[], None]) -> _TimedEntry:
         """Run ``callback`` after ``delay`` simulated time (kernel context)."""
-        leg = _context.leg
-        if leg is not None:
-            return self._defer_timed(_TimedEntry(self._now + delay, -1, callback), leg)
         entry = _TimedEntry(self._now + delay, next(self._seq), callback)
         heapq.heappush(self._timed, entry)
         return entry
 
     def _queue_method(self, method: MethodProcess) -> None:
-        leg = _context.leg
-        if leg is not None:
-            leg.capture(lambda: self._methods.append(method))
-            return
         self._methods.append(method)
 
     def request_update(self, channel) -> None:
@@ -434,10 +332,6 @@ class Kernel:
         Deduplicated by identity in O(1); the list keeps first-request
         order, which is the order ``_update()`` calls run in.
         """
-        leg = _context.leg
-        if leg is not None:
-            leg.capture(lambda: self.request_update(channel))
-            return
         if id(channel) not in self._update_request_ids:
             self._update_requests.append(channel)
             self._update_request_ids.add(id(channel))
@@ -463,9 +357,6 @@ class Kernel:
                 if self._stop_requested:
                     break
                 if self._runnable:
-                    continue
-                barrier = self.barrier_hook
-                if barrier is not None and barrier():
                     continue
                 if not self._advance_time(deadline):
                     break

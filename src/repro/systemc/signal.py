@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generic, Optional, TypeVar
 
 from .event import Event
-from .kernel import Kernel, current_kernel, current_leg
+from .kernel import Kernel, current_kernel
 
 T = TypeVar("T")
 
@@ -85,16 +85,6 @@ class IrqLine:
 
     def write(self, level: bool) -> None:
         level = bool(level)
-        leg = current_leg()
-        if leg is not None:
-            # Inside a simulate leg the *whole* write defers to the quantum
-            # barrier: the connect-callback chain reaches into other cores
-            # (GIC irq_out -> Processor._irq_changed -> vcpu.set_irq_line),
-            # which must never happen while those cores' legs run.  The
-            # replay re-enters this method in barrier context, where the
-            # level dedupe below re-applies against the then-current level.
-            leg.capture(lambda: self.write(level))
-            return
         if level == self._level:
             return
         self._level = level

@@ -84,10 +84,6 @@ class Processor(Component):
         self.waiting_for_irq = False
         self.halted = False
         self.host_ledger = None  # attached by the VP (repro.host.accounting)
-        #: quantum-scoped parallel executor (repro.systemc.parallel); None
-        #: keeps the legacy inline simulate loop.  Named quantum_executor
-        #: because subclasses use ``executor`` for the *guest* executor.
-        self.quantum_executor = None
         # Statistics
         self.total_cycles = 0
         self.num_simulate_calls = 0
@@ -184,20 +180,7 @@ class Processor(Component):
             if cycles <= 0:
                 # Quantum finer than one clock cycle: force minimal progress.
                 cycles = 1
-            executor = self.quantum_executor
-            if executor is None:
-                result = self._invoke_simulate(cycles)
-            else:
-                # Parallel quantum kernel: submit this core's leg and park
-                # until the barrier has run the round and merged its
-                # effects.  take_result re-raises a worker-leg exception
-                # here, inside the SC_THREAD, so it reaches kernel dispatch
-                # (and the error_hook / crash bundler) instead of hanging
-                # the barrier.
-                leg = executor.submit(self, cycles)
-                self._park = "leg"
-                yield leg.done
-                result = leg.take_result()
+            result = self._invoke_simulate(cycles)
             self.total_cycles += result.cycles
             self.keeper.inc(self.cycles_to_time(result.cycles))
             if result.action is SimulateAction.HALT:

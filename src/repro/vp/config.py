@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,38 +15,6 @@ from ..host.params import (
     SimulationCostParams,
 )
 from ..systemc.time import SimTime
-
-#: REPRO_EXEC / exec_backend spellings that mean "legacy inline loop"
-_EXEC_OFF = ("", "off", "legacy", "none", "inline")
-
-
-def normalize_exec_backend(value: Optional[str]) -> Optional[str]:
-    """Map an exec-backend spelling to a canonical name (or None for legacy).
-
-    Accepts the backend names understood by
-    :func:`repro.systemc.parallel.create_executor` plus the "disabled"
-    spellings in :data:`_EXEC_OFF`.  Unknown names raise ``ValueError`` here
-    so a typo fails at configuration time rather than mid-elaboration.
-    """
-    if value is None:
-        return None
-    name = value.strip().lower()
-    if name in _EXEC_OFF:
-        return None
-    from ..systemc.parallel import BACKENDS
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown exec backend {value!r}; expected one of "
-            f"{', '.join(BACKENDS)} (or empty/'off' for the legacy loop)")
-    return name
-
-
-def resolve_exec_backend(value: Optional[str] = None) -> Optional[str]:
-    """Pick the effective exec backend: explicit value, else ``REPRO_EXEC``."""
-    if value is not None:
-        return normalize_exec_backend(value)
-    return normalize_exec_backend(os.environ.get("REPRO_EXEC"))
-
 
 class MemoryMap:
     """Guest-physical address layout of both virtual platforms."""
@@ -103,18 +70,12 @@ class VpConfig:
     track_host_time: bool = True
     #: ablation: drop the Listing-1 kick-id filter (stale watchdog kicks land)
     unguarded_watchdog: bool = False
-    #: parallel quantum kernel backend ("serial", "threads", experimental
-    #: names — see repro.systemc.parallel).  None defers to the REPRO_EXEC
-    #: environment variable; both empty mean the legacy inline loop.
-    exec_backend: Optional[str] = None
 
     def __post_init__(self):
         if not 1 <= self.num_cores <= 8:
             raise ValueError(f"num_cores must be 1..8, got {self.num_cores}")
         if self.quantum.is_zero():
             raise ValueError("quantum must be non-zero")
-        # Normalize eagerly so a typo fails at config time, not mid-build.
-        self.exec_backend = normalize_exec_backend(self.exec_backend)
 
     def host_for_aoa(self) -> HostMachine:
         return self.host or apple_m2_pro()

@@ -45,7 +45,7 @@ from ..tlm.quantum import GlobalQuantum
 from ..tlm.sockets import InitiatorSocket
 from ..vcml.memory import Memory
 from ..vcml.router import Router
-from .config import MemoryMap, VpConfig, resolve_exec_backend
+from .config import MemoryMap, VpConfig
 from .software import GuestSoftware
 
 
@@ -164,20 +164,6 @@ class VirtualPlatform(Module):
             cpu.host_ledger = self.ledger
             cpu.halt_callback = self._core_halted
             self.cpus.append(cpu)
-
-        # -- parallel quantum kernel ---------------------------------------------------
-        # With a backend configured (config field or REPRO_EXEC), each core's
-        # simulate leg runs on an executor lane and the kernel's barrier hook
-        # merges captured cross-lane effects deterministically.  None keeps
-        # the legacy inline loop (quantum_executor stays None on every cpu).
-        self.executor = None
-        backend = resolve_exec_backend(config.exec_backend)
-        if backend is not None:
-            from ..systemc.parallel import create_executor
-            self.executor = create_executor(backend, self.kernel, config.num_cores)
-            self.kernel.barrier_hook = self.executor.barrier
-            for cpu in self.cpus:
-                cpu.quantum_executor = self.executor
 
     # -- subclass hooks ---------------------------------------------------------
     def _build_cpu(self, core: int):

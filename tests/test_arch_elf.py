@@ -135,6 +135,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ElfLite.from_bytes(b"\x7fELF\x02not-lite")
 
+    def test_every_truncation_is_rejected(self):
+        image = assemble("_start:\n    movz x0, #1\n    hlt #0\nidle:\n    wfi\n")
+        blob = ElfLite.from_bytes(image.to_bytes()).to_bytes()
+        for length in range(len(blob)):
+            with pytest.raises(ValueError, match="truncated ELF-lite image"):
+                ElfLite.from_bytes(blob[:length])
+
     def test_bad_version(self):
         blob = bytearray(ElfLite(0, [], []).to_bytes())
         blob[5] = 99

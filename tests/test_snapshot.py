@@ -5,7 +5,10 @@ lint rule."""
 
 from __future__ import annotations
 
+import copy
 import json
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -55,11 +58,6 @@ def make_config(**kwargs) -> VpConfig:
     return VpConfig(**kwargs)
 
 
-def shutdown(vp) -> None:
-    if vp.executor is not None:
-        vp.executor.shutdown()
-
-
 def digest_run(action) -> KernelTrace:
     trace = KernelTrace()
     handle = Kernel.add_trace_hook(trace.record, Kernel.TRACE_PRIORITY_DIGEST)
@@ -75,7 +73,6 @@ def boot_capture(kind: str = "aoa", until: SimTime = HALF, **config_kwargs):
     with TraceRecorder() as recorder:
         vp = build_platform(kind, make_config(**config_kwargs), software())
         vp.run(until)
-    shutdown(vp)
     return vp, capture_platform(vp, trace=recorder.entries)
 
 
@@ -116,14 +113,35 @@ class TestFormat:
         assert blobs == {blob_digest(blob): blob}
 
     def test_corrupt_container_is_rejected(self, tmp_path):
-        manifest = {"format": "repro.snapshot/1"}
+        def container(packed_manifest: bytes, blobs=()) -> bytearray:
+            # Hand-assembled, bypassing write_container's integrity checks.
+            out = bytearray(b"RSNAP1\n")
+            out += struct.pack(">I", len(packed_manifest)) + packed_manifest
+            out += struct.pack(">I", len(blobs))
+            for sha, raw_len, packed in blobs:
+                out += sha.encode("ascii")
+                out += struct.pack(">II", raw_len, len(packed)) + packed
+            return out
+
+        good = zlib.compress(b'{"format": "repro.snapshot/1"}')
+        flipped_magic = container(good)
+        flipped_magic[0] ^= 0xFF
+        flipped_manifest = container(good)
+        flipped_manifest[len(b"RSNAP1\n") + 4 + 2] ^= 0xFF
+        big = bytes(1 << 20)
+        cases = [
+            flipped_magic,
+            flipped_manifest,                              # zlib.error
+            container(zlib.compress(b'["x"]')),            # not a dict
+            container(zlib.compress(b'{"a": "\xff"}')),    # not utf-8
+            container(good, [(blob_digest(big), 16,        # inflates past
+                              zlib.compress(big))]),       # its raw_len
+        ]
         path = tmp_path / "t.rsnap"
-        write_container(str(path), manifest, {})
-        raw = bytearray(path.read_bytes())
-        raw[0] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(SnapshotError):
-            read_container(str(path))
+        for raw in cases:
+            path.write_bytes(bytes(raw))
+            with pytest.raises(SnapshotError):
+                read_container(str(path))
 
     def test_save_load_preserves_snapshot_id(self, aoa_warm, tmp_path):
         _, snapshot = aoa_warm
@@ -166,7 +184,6 @@ class TestCanonicalBytes:
         assert any(item["action"]["event"].endswith(".irq")
                    for item in events)
         restored = restore_platform(snapshot, software())
-        shutdown(restored)
         assert capture_platform(restored).snapshot_id == snapshot.snapshot_id
 
 
@@ -183,7 +200,6 @@ class TestRoundTrip:
         out = {}
         for kind, (vp, snapshot) in (("aoa", aoa_warm), ("avp64", avp64_warm)):
             restored = restore_platform(snapshot, software())
-            shutdown(restored)
             out[kind] = (snapshot, capture_platform(restored))
         return out
 
@@ -212,13 +228,10 @@ class TestRoundTrip:
 
 class TestColdVsResumed:
     @pytest.mark.parametrize("kind", ["aoa", "avp64"])
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_resumed_digest_matches_cold(self, kind, backend):
+    def test_resumed_digest_matches_cold(self, kind):
         def cold():
-            vp = build_platform(kind, make_config(exec_backend=backend),
-                                software())
+            vp = build_platform(kind, make_config(), software())
             vp.run(FULL)
-            shutdown(vp)
 
         cold_trace = digest_run(cold)
 
@@ -226,10 +239,8 @@ class TestColdVsResumed:
 
         def warm_boot():
             with TraceRecorder() as recorder:
-                vp = build_platform(kind, make_config(exec_backend=backend),
-                                    software())
+                vp = build_platform(kind, make_config(), software())
                 vp.run(HALF)
-            shutdown(vp)
             captured["snap"] = capture_platform(vp, trace=recorder.entries)
 
         digest_run(warm_boot)
@@ -238,7 +249,6 @@ class TestColdVsResumed:
         def resume():
             vp = restore_platform(snapshot, software())
             vp.run(FULL - SimTime(snapshot.sim_time_ps))
-            shutdown(vp)
 
         warm_trace = digest_run(resume)
         assert warm_trace.digest() == cold_trace.digest()
@@ -258,6 +268,32 @@ class TestCaptureErrors:
         vp.kernel.schedule_callback(SimTime.ms(1), lambda: None)
         with pytest.raises(SnapshotError, match="RPR012"):
             capture_platform(vp)
+
+    def test_retired_exec_backend_key_is_ignored(self, aoa_warm):
+        """Files written while the config had an ``exec_backend`` field
+        restore to the same state."""
+        _, snapshot = aoa_warm
+        manifest = copy.deepcopy(snapshot.manifest)
+        manifest["config"]["exec_backend"] = "threads"
+        restored = restore_platform(Snapshot(manifest, {}, parent=snapshot),
+                                    software())
+        # The recapture has no trace prefix; every other section must match.
+        assert canonical_manifest_bytes(dict(snapshot.manifest, trace=None)) \
+            == canonical_manifest_bytes(capture_platform(restored).manifest)
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_cores", None), ("num_cores", "2"), ("parallel", "yes"),
+        ("kvm_costs", [])])
+    def test_malformed_config_is_rejected(self, aoa_warm, key, value):
+        _, snapshot = aoa_warm
+        manifest = copy.deepcopy(snapshot.manifest)
+        if value is None:
+            del manifest["config"][key]
+        else:
+            manifest["config"][key] = value
+        with pytest.raises(SnapshotError, match="malformed config"):
+            restore_platform(Snapshot(manifest, {}, parent=snapshot),
+                             software())
 
     def test_wrong_software_is_rejected(self, aoa_warm):
         _, snapshot = aoa_warm
@@ -314,7 +350,6 @@ class TestFork:
             def resume(child=child):
                 vp = restore_platform(child, software())
                 vp.run(FULL - SimTime(child.sim_time_ps))
-                shutdown(vp)
             digests.append(digest_run(resume).digest())
         assert digests[0] == digests[1]
 
@@ -327,7 +362,6 @@ class TestFork:
                 vp = restore_platform(snapshot, software())
                 vp.uart.inject_rx(data)
                 vp.run(FULL - SimTime(snapshot.sim_time_ps))
-                shutdown(vp)
                 bucket.append(capture_platform(vp).snapshot_id)
             traces.append(digest_run(resume))
         # Children share the replayed pre-fork prefix bit-for-bit ...
@@ -352,7 +386,6 @@ class TestForkHypothesis:
             def resume(child=child, bucket=finals):
                 vp = restore_platform(child, software())
                 vp.run(FULL - SimTime(child.sim_time_ps))
-                shutdown(vp)
                 bucket.append(capture_platform(vp).snapshot_id)
             traces.append(digest_run(resume))
         assert traces[0].entries[:prefix_len] == traces[1].entries[:prefix_len]
@@ -446,7 +479,6 @@ class TestTelemetry:
             snapshot.save(str(tmp_path / "t.rsnap"))
             snapshot.fork(2)
             restored = restore_platform(snapshot, software())
-            shutdown(restored)
             registry = telemetry.registry
             assert registry.histogram("snapshot.save_ns").count >= 1
             assert registry.histogram("snapshot.restore_ns").count == 1
@@ -459,7 +491,6 @@ class TestTelemetry:
         def run():
             vp = build_platform("aoa", make_config(), software())
             vp.run(SimTime.ms(1))
-            shutdown(vp)
 
         bare = digest_run(run)
         with collecting():

@@ -1,9 +1,11 @@
 """Scheduler semantics: processes, events, delta cycles, signals."""
 
+import threading
+
 import pytest
 
 from repro.systemc.event import Event, any_of
-from repro.systemc.kernel import Kernel
+from repro.systemc.kernel import Kernel, current_kernel
 from repro.systemc.process import ProcessState, WaitTimeout
 from repro.systemc.signal import IrqLine, Signal
 from repro.systemc.time import SimTime
@@ -460,3 +462,58 @@ class TestProcessState:
         kernel.spawn(body)
         with pytest.raises(TypeError):
             kernel.run()
+
+
+class TestKernelContext:
+    def test_constructing_a_kernel_sets_the_ambient_kernel(self):
+        kernel = Kernel()
+        assert current_kernel() is kernel
+
+    def test_running_kernel_wins_over_a_newer_ambient(self):
+        """A Kernel constructed *during* a run (e.g. a nested tool building
+        its own simulation) must not hijack name resolution for the code
+        the running kernel is dispatching."""
+        first = Kernel()
+        seen = []
+
+        def probe():
+            Kernel()                       # clobbers the ambient slot...
+            seen.append(current_kernel())  # ...but the stack top wins
+            yield first.event("never")
+
+        first.spawn(probe, name="probe")
+        first.run(SimTime.us(1))
+        assert seen == [first]
+
+    def test_concurrent_kernels_on_separate_threads_do_not_interfere(self):
+        results = {}
+        barrier = threading.Barrier(2)
+
+        def worker(tag):
+            kernel = Kernel()              # ambient for *this* thread only
+            barrier.wait()                 # both kernels exist before probing
+            results[tag] = (kernel, current_kernel())
+
+        threads = [threading.Thread(target=worker, args=(tag,))
+                   for tag in ("a", "b")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for tag in ("a", "b"):
+            kernel, resolved = results[tag]
+            assert resolved is kernel
+
+    def test_fresh_thread_without_a_kernel_raises(self):
+        caught = []
+
+        def worker():
+            try:
+                current_kernel()
+            except RuntimeError as exc:
+                caught.append(exc)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+        assert len(caught) == 1

@@ -189,9 +189,7 @@ class TestMetricsCapture:
 
     def test_scheduler_and_quantum_metrics(self):
         # A quantum smaller than the guest's runtime, so syncs happen
-        # mid-run in every execution mode (under a quantum executor the
-        # run stops at the shutdown barrier, skipping the final
-        # HALT-path sync the default 100us quantum relies on).
+        # mid-run rather than only on the final HALT path.
         _, telemetry = run_instrumented(quantum_us=5)
         registry = telemetry.registry
         assert registry.total("kernel.dispatch", kind="step") > 0
