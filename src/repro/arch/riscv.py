@@ -440,10 +440,10 @@ class Rv64Interpreter:
             if pc in self.breakpoints and pc != self._skip_breakpoint_pc:
                 self._skip_breakpoint_pc = pc
                 return ExitInfo(ExitReason.BREAKPOINT, executed, pc)
-            if not self.memory.is_ram(pc, 4):
+            word = self.memory.load(pc, 4)
+            if word is None:
                 return ExitInfo(ExitReason.ERROR, executed, pc,
                                 message=f"fetch outside RAM at 0x{pc:x}")
-            word = int.from_bytes(self.memory.read(pc, 4), "little")
             if self._block_start:
                 self.blocks_entered += 1
                 if pc not in self._known_blocks:
@@ -602,10 +602,10 @@ class Rv64Interpreter:
                 return self._illegal(word, pc)
             signed = funct3 in (0x0, 0x1, 0x2)
             self.memory_ops += 1
-            if not self.memory.is_ram(address, size):
+            raw = self.memory.load(address, size)
+            if raw is None:
                 return (ExitReason.MMIO,
                         MmioRequest(address, size, False, None, rd, sign=signed))
-            raw = int.from_bytes(self.memory.read(address, size), "little")
             if signed:
                 raw = _sext(raw, 8 * size) & MASK64
             state.write_reg(rd, raw)
@@ -617,9 +617,8 @@ class Rv64Interpreter:
                 return self._illegal(word, pc)
             data = (state.read_reg(rs2) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
             self.memory_ops += 1
-            if not self.memory.is_ram(address, size):
+            if not self.memory.store(address, data):
                 return (ExitReason.MMIO, MmioRequest(address, size, True, data, 0))
-            self.memory.write(address, data)
         elif opcode == 0x63:        # BRANCH
             imm = _sext((((word >> 31) & 1) << 12) | (((word >> 7) & 1) << 11)
                         | (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1), 13)

@@ -72,7 +72,7 @@ def _script_argv(script: Path):
 def _load(path: str) -> RunLedger:
     try:
         return RunLedger.load(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot load ledger {path}: {exc}")
 
 

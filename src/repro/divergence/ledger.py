@@ -137,17 +137,26 @@ class RunLedger:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunLedger":
+        """Rebuild a ledger; any malformed document raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"not a divergence ledger: top level is a "
+                             f"{type(doc).__name__}, not an object")
         if doc.get("format") != LEDGER_FORMAT:
             raise ValueError(
                 f"not a divergence ledger (format={doc.get('format')!r}, "
                 f"want {LEDGER_FORMAT!r})")
-        return cls(
-            window_ps=doc["window_ps"],
-            windows=[WindowRecord.from_json(entry) for entry in doc["windows"]],
-            root_digest=doc["root_digest"],
-            entries=doc["entries"],
-            meta=doc.get("meta", {}),
-        )
+        try:
+            return cls(
+                window_ps=doc["window_ps"],
+                windows=[WindowRecord.from_json(entry) for entry in doc["windows"]],
+                root_digest=doc["root_digest"],
+                entries=doc["entries"],
+                meta=doc.get("meta", {}),
+            )
+        except KeyError as exc:
+            raise ValueError(f"not a divergence ledger: missing key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"not a divergence ledger: malformed entry ({exc})") from None
 
     def save(self, path: str) -> None:
         with open(path, "w") as stream:

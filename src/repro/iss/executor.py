@@ -14,7 +14,8 @@ every other physical address is MMIO and causes an exit.
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Optional, Tuple
+import struct
+from typing import NamedTuple, Optional, Tuple
 
 
 class ExitReason(enum.Enum):
@@ -59,6 +60,10 @@ class RunStats(NamedTuple):
     exceptions: int = 0
 
 
+#: access size -> little-endian unsigned unpacker, for :meth:`GuestMemoryMap.load`
+_UNPACK = {struct.calcsize(code): struct.Struct("<" + code).unpack_from for code in "BHIQ"}
+
+
 class MemorySlot(NamedTuple):
     """One RAM window (KVM_SET_USER_MEMORY_REGION analogue)."""
 
@@ -69,63 +74,70 @@ class MemorySlot(NamedTuple):
     def size(self) -> int:
         return len(self.memory)
 
-    @property
-    def guest_end(self) -> int:
-        return self.guest_base + len(self.memory) - 1
-
-    def contains(self, address: int, length: int = 1) -> bool:
-        return self.guest_base <= address and address + length - 1 <= self.guest_end
-
 
 class GuestMemoryMap:
-    """Guest-physical address space: RAM slots + implicit MMIO elsewhere."""
+    """Guest-physical address space: RAM slots + implicit MMIO elsewhere.
+
+    Every guest fetch, load and store goes through :meth:`load` or
+    :meth:`store`, so the slots are kept as ``(base, end, view)`` bounds
+    that both scan once, with ``end`` computed when the slot is added.
+    """
 
     def __init__(self):
-        self._slots: List[MemorySlot] = []
+        self._bounds: Tuple[Tuple[int, int, memoryview], ...] = ()
 
     def add_slot(self, guest_base: int, memory: memoryview) -> MemorySlot:
-        slot = MemorySlot(guest_base, memory)
-        for existing in self._slots:
-            if slot.guest_base <= existing.guest_end and existing.guest_base <= slot.guest_end:
+        end = guest_base + len(memory)
+        for base, existing_end, _ in self._bounds:
+            if guest_base < existing_end and base < end:
                 raise ValueError(
-                    f"memory slot [0x{slot.guest_base:x}, 0x{slot.guest_end:x}] overlaps "
-                    f"[0x{existing.guest_base:x}, 0x{existing.guest_end:x}]"
+                    f"memory slot [0x{guest_base:x}, 0x{end - 1:x}] overlaps "
+                    f"[0x{base:x}, 0x{existing_end - 1:x}]"
                 )
-        self._slots.append(slot)
-        return slot
+        self._bounds += ((guest_base, end, memory),)
+        return MemorySlot(guest_base, memory)
 
     def remove_slot(self, guest_base: int) -> bool:
-        for index, slot in enumerate(self._slots):
-            if slot.guest_base == guest_base:
-                del self._slots[index]
+        for index, (base, _, _) in enumerate(self._bounds):
+            if base == guest_base:
+                self._bounds = self._bounds[:index] + self._bounds[index + 1:]
                 return True
         return False
 
-    def find(self, address: int, length: int = 1) -> Optional[MemorySlot]:
-        for slot in self._slots:
-            if slot.contains(address, length):
-                return slot
+    def load(self, address: int, size: int) -> Optional[int]:
+        """Little-endian value of ``size`` (1, 2, 4 or 8) RAM bytes, or None
+        outside RAM."""
+        for base, end, memory in self._bounds:
+            if base <= address and address + size <= end:
+                return _UNPACK[size](memory, address - base)[0]
         return None
 
+    def store(self, address: int, data: bytes) -> bool:
+        """Write ``data`` into RAM; False (nothing written) outside RAM."""
+        for base, end, memory in self._bounds:
+            if base <= address and address + len(data) <= end:
+                offset = address - base
+                memory[offset:offset + len(data)] = data
+                return True
+        return False
+
     def is_ram(self, address: int, length: int = 1) -> bool:
-        return self.find(address, length) is not None
+        return any(base <= address and address + length <= end
+                   for base, end, _ in self._bounds)
 
     def read(self, address: int, length: int) -> bytes:
-        slot = self.find(address, length)
-        if slot is None:
-            raise KeyError(f"physical read outside RAM: 0x{address:x}+{length}")
-        offset = address - slot.guest_base
-        return bytes(slot.memory[offset:offset + length])
+        for base, end, memory in self._bounds:
+            if base <= address and address + length <= end:
+                offset = address - base
+                return bytes(memory[offset:offset + length])
+        raise KeyError(f"physical read outside RAM: 0x{address:x}+{length}")
 
     def write(self, address: int, data: bytes) -> None:
-        slot = self.find(address, len(data))
-        if slot is None:
+        if not self.store(address, data):
             raise KeyError(f"physical write outside RAM: 0x{address:x}+{len(data)}")
-        offset = address - slot.guest_base
-        slot.memory[offset:offset + len(data)] = data
 
     def slots(self) -> Tuple[MemorySlot, ...]:
-        return tuple(self._slots)
+        return tuple(MemorySlot(base, memory) for base, _, memory in self._bounds)
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._bounds)

@@ -15,7 +15,7 @@ and lets the next ``run`` continue.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..arch.exceptions import (
     ExceptionClass,
@@ -26,10 +26,18 @@ from ..arch.exceptions import (
 )
 from ..arch.isa import BLOCK_TERMINATORS, Cond, DecodeError, Instruction, Op, SysReg, decode
 from ..arch.mmu import Mmu
-from ..arch.registers import MASK64, CpuState
+from ..arch.registers import DAIF_IRQ_BIT, MASK64, CpuState
 from .executor import ExitInfo, ExitReason, GuestMemoryMap, MmioRequest, RunStats
 
-_SIZE = {Op.LDR: 8, Op.STR: 8, Op.LDRW: 4, Op.STRW: 4, Op.LDRB: 1, Op.STRB: 1}
+_SCTLR_EL1 = int(SysReg.SCTLR_EL1)
+
+#: An instruction's semantics: ``(interp, inst, pc)`` -> next PC, or None
+#: to fall through to ``pc + 4``.
+_Handler = Callable[["Interpreter", Instruction, int], Optional[int]]
+
+#: A decode-cache entry: the instruction, its handler, and whether it ends
+#: a basic block.
+_Decoded = Tuple[Instruction, _Handler, bool]
 
 #: System registers EL0 is allowed to touch.
 _EL0_SYSREGS = {
@@ -61,6 +69,8 @@ class GlobalMonitor:
 
     def on_store(self, address: int, size: int, writer_core: int) -> None:
         """Break other cores' reservations overlapping [address, address+size)."""
+        if not self._marks:
+            return
         doomed = [core for core, marked in self._marks.items()
                   if core != writer_core and address <= marked < address + size]
         for core in doomed:
@@ -103,7 +113,7 @@ class Interpreter:
         self.unsupported_ops: Set[Op] = set()
         self.irq_line = False
         self._pending_mmio: Optional[MmioRequest] = None
-        self._decode_cache: Dict[int, Tuple[int, Instruction]] = {}
+        self._decode_cache: Dict[int, _Decoded] = {}     # keyed by instruction word
         self._skip_breakpoint_pc: Optional[int] = None
         self._fault_streak = 0
         # Event counters (monotonic; cost models sample deltas).
@@ -147,9 +157,10 @@ class Interpreter:
         Everything that influences future behaviour or reported statistics
         is captured, including the TLB contents (dropping them would change
         post-resume miss counts and thus DBT cost attribution).  The decode
-        cache is *not* captured: every hit re-validates the cached word
-        against memory, so a cold cache provably rebuilds to identical
-        decisions.  Sets are emitted sorted for deterministic bytes.
+        cache is *not* captured: it is keyed by the instruction word and
+        holds nothing that depends on memory, so a cold cache rebuilds to
+        identical decisions.  Sets are emitted sorted for deterministic
+        bytes.
         """
         request = self._pending_mmio
         return {
@@ -208,7 +219,6 @@ class Interpreter:
         self.exceptions = state["exceptions"]
         self._known_blocks = set(state["known_blocks"])
         self._block_start = bool(state["block_start"])
-        self._decode_cache.clear()
         tlb = self.mmu.tlb
         tlb._entries = {(vpage, el): (ppage, flags)
                         for vpage, el, ppage, flags in state["tlb"]["entries"]}
@@ -230,7 +240,7 @@ class Interpreter:
             # stepping over a just-hit breakpoint: the stepped instruction
             # (e.g. the annotated WFI) retires first, so the IRQ's return
             # address lands *after* it, as on real hardware.
-            if (self.irq_line and not state.irqs_masked
+            if (self.irq_line and not state.daif & DAIF_IRQ_BIT
                     and state.pc != self._skip_breakpoint_pc):
                 take_irq(state, return_pc=state.pc)
                 self.exceptions += 1
@@ -240,7 +250,7 @@ class Interpreter:
                 self._skip_breakpoint_pc = pc
                 return ExitInfo(ExitReason.BREAKPOINT, executed, pc)
             try:
-                inst = self._fetch(pc)
+                inst, handler, terminator = self._fetch(pc)
                 if inst.op in self.unsupported_ops:
                     # The host CPU traps this instruction (illegal-opcode
                     # exit); the hypervisor's user space must emulate it.
@@ -251,7 +261,8 @@ class Interpreter:
                         self._known_blocks.add(pc)
                         self.new_blocks += 1
                     self._block_start = False
-                self._exec(inst, pc)
+                next_pc = handler(self, inst, pc)
+                state.pc = (pc + 4) & MASK64 if next_pc is None else next_pc
             except GuestFault as fault:
                 try:
                     self._deliver_fault(fault, pc)
@@ -279,7 +290,7 @@ class Interpreter:
             self._fault_streak = 0
             executed += 1
             state.instret += 1
-            if inst.op in BLOCK_TERMINATORS:
+            if terminator:
                 self._block_start = True
         return ExitInfo(ExitReason.BUDGET, executed, state.pc)
 
@@ -295,7 +306,7 @@ class Interpreter:
         state = self.state
         pc = state.pc
         try:
-            inst = self._fetch(pc)
+            inst = self._fetch(pc)[0]
             self._exec(inst, pc)
         except GuestFault as fault:
             self._deliver_fault(fault, pc)
@@ -347,242 +358,61 @@ class Interpreter:
                             return_pc=return_pc)
 
     # -- fetch ------------------------------------------------------------------------
-    def _fetch(self, pc: int) -> Instruction:
-        pa = self.mmu.translate(pc, fetch=True)
-        if not self.memory.is_ram(pa, 4):
+    def _fetch(self, pc: int) -> _Decoded:
+        """Read the word at ``pc`` and return its (inst, handler, terminator).
+
+        The word is read from guest RAM on every fetch; only its decoding
+        is cached, keyed by the word itself, so code rewritten by any agent
+        (a guest store, a DMA, a debugger poke, a snapshot restore) runs as
+        the new instruction without any invalidation.
+        """
+        word = self.memory.load(self._translate(pc, fetch=True), 4)
+        if word is None:
             raise GuestFault(ExceptionClass.INSTRUCTION_ABORT, iss=0x10, fault_address=pc,
                              message=f"instruction fetch from MMIO at 0x{pc:x}")
-        word = int.from_bytes(self.memory.read(pa, 4), "little")
-        cached = self._decode_cache.get(pa)
-        if cached is not None and cached[0] == word:
-            return cached[1]
-        try:
-            inst = decode(word)
-        except DecodeError:
-            raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
-                             message=f"undecodable word {word:#010x} at 0x{pc:x}") from None
-        self._decode_cache[pa] = (word, inst)
-        return inst
+        decoded = self._decode_cache.get(word)
+        if decoded is None:
+            try:
+                inst = decode(word)
+            except DecodeError:
+                raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
+                                 message=f"undecodable word {word:#010x} at 0x{pc:x}") from None
+            decoded = (inst, _HANDLERS[inst.op], inst.op in BLOCK_TERMINATORS)
+            self._decode_cache[word] = decoded
+        return decoded
+
+    def _translate(self, va: int, write: bool = False, fetch: bool = False) -> int:
+        """VA -> PA; with SCTLR_EL1.M clear the VA is the PA and the MMU
+        (and its TLB counters) is not consulted, as in ``Mmu.translate``."""
+        if self.state.sysregs.get(_SCTLR_EL1, 0) & 1:
+            return self.mmu.translate(va, write, fetch)
+        return va
 
     # -- data memory ----------------------------------------------------------------------
+
     def _load(self, va: int, size: int, register: int) -> int:
         self.memory_ops += 1
-        pa = self.mmu.translate(va, write=False)
-        if self.memory.is_ram(pa, size):
-            return int.from_bytes(self.memory.read(pa, size), "little")
-        raise _Exit(ExitReason.MMIO,
-                    mmio=MmioRequest(pa, size, False, None, register))
+        pa = self._translate(va)
+        value = self.memory.load(pa, size)
+        if value is None:
+            raise _Exit(ExitReason.MMIO,
+                        mmio=MmioRequest(pa, size, False, None, register))
+        return value
 
     def _store(self, va: int, size: int, value: int) -> None:
         self.memory_ops += 1
-        pa = self.mmu.translate(va, write=True)
+        pa = self._translate(va, write=True)
         data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if self.memory.is_ram(pa, size):
-            self.memory.write(pa, data)
+        if self.memory.store(pa, data):
             self.monitor.on_store(pa, size, self.state.core_id)
             return
         raise _Exit(ExitReason.MMIO,
                     mmio=MmioRequest(pa, size, True, data, 0))
 
-    # -- flags ---------------------------------------------------------------------------------
-    def _set_flags_sub(self, a: int, b: int) -> None:
-        result = (a - b) & MASK64
-        signed_a = a - (1 << 64) if a >> 63 else a
-        signed_b = b - (1 << 64) if b >> 63 else b
-        signed_r = signed_a - signed_b
-        self.state.set_nzcv(
-            n=bool(result >> 63),
-            z=result == 0,
-            c=a >= b,
-            v=not (-(1 << 63) <= signed_r < (1 << 63)),
-        )
-
-    def _cond_holds(self, cond: Cond) -> bool:
-        s = self.state
-        if cond is Cond.EQ:
-            return s.flag_z
-        if cond is Cond.NE:
-            return not s.flag_z
-        if cond is Cond.HS:
-            return s.flag_c
-        if cond is Cond.LO:
-            return not s.flag_c
-        if cond is Cond.MI:
-            return s.flag_n
-        if cond is Cond.PL:
-            return not s.flag_n
-        if cond is Cond.VS:
-            return s.flag_v
-        if cond is Cond.VC:
-            return not s.flag_v
-        if cond is Cond.HI:
-            return s.flag_c and not s.flag_z
-        if cond is Cond.LS:
-            return not s.flag_c or s.flag_z
-        if cond is Cond.GE:
-            return s.flag_n == s.flag_v
-        if cond is Cond.LT:
-            return s.flag_n != s.flag_v
-        if cond is Cond.GT:
-            return not s.flag_z and s.flag_n == s.flag_v
-        if cond is Cond.LE:
-            return s.flag_z or s.flag_n != s.flag_v
-        return True  # AL
-
     # -- execute -----------------------------------------------------------------------------------
     def _exec(self, inst: Instruction, pc: int) -> None:
-        state = self.state
-        regs = state.regs
-        op = inst.op
-        next_pc = (pc + 4) & MASK64
-
-        if op is Op.NOP or op is Op.DMB or op is Op.YIELD:
-            pass
-        elif op is Op.MOVZ:
-            regs[inst.rd] = (inst.imm << (16 * inst.rm)) & MASK64
-        elif op is Op.MOVK:
-            shift = 16 * inst.rm
-            regs[inst.rd] = (regs[inst.rd] & ~(0xFFFF << shift) | (inst.imm << shift)) & MASK64
-        elif op is Op.ADDI:
-            regs[inst.rd] = (regs[inst.rn] + inst.imm) & MASK64
-        elif op is Op.SUBI:
-            regs[inst.rd] = (regs[inst.rn] - inst.imm) & MASK64
-        elif op is Op.ADD:
-            regs[inst.rd] = (regs[inst.rn] + regs[inst.rm]) & MASK64
-        elif op is Op.SUB:
-            regs[inst.rd] = (regs[inst.rn] - regs[inst.rm]) & MASK64
-        elif op is Op.MUL:
-            regs[inst.rd] = (regs[inst.rn] * regs[inst.rm]) & MASK64
-        elif op is Op.UDIV:
-            divisor = regs[inst.rm]
-            regs[inst.rd] = 0 if divisor == 0 else regs[inst.rn] // divisor
-        elif op is Op.UREM:
-            divisor = regs[inst.rm]
-            regs[inst.rd] = regs[inst.rn] if divisor == 0 else regs[inst.rn] % divisor
-        elif op is Op.AND:
-            regs[inst.rd] = regs[inst.rn] & regs[inst.rm]
-        elif op is Op.ORR:
-            regs[inst.rd] = regs[inst.rn] | regs[inst.rm]
-        elif op is Op.EOR:
-            regs[inst.rd] = regs[inst.rn] ^ regs[inst.rm]
-        elif op is Op.ANDI:
-            regs[inst.rd] = regs[inst.rn] & inst.imm
-        elif op is Op.ORRI:
-            regs[inst.rd] = regs[inst.rn] | inst.imm
-        elif op is Op.EORI:
-            regs[inst.rd] = regs[inst.rn] ^ inst.imm
-        elif op is Op.LSLI:
-            regs[inst.rd] = (regs[inst.rn] << inst.imm) & MASK64
-        elif op is Op.LSRI:
-            regs[inst.rd] = regs[inst.rn] >> inst.imm
-        elif op is Op.ASRI:
-            value = regs[inst.rn]
-            if value >> 63:
-                value -= 1 << 64
-            regs[inst.rd] = (value >> inst.imm) & MASK64
-        elif op is Op.CMP:
-            self._set_flags_sub(regs[inst.rn], regs[inst.rm])
-        elif op is Op.CMPI:
-            self._set_flags_sub(regs[inst.rn], inst.imm)
-        elif op is Op.MOV:
-            regs[inst.rd] = regs[inst.rn]
-        elif op in _SIZE:
-            size = _SIZE[op]
-            va = (regs[inst.rn] + inst.imm) & MASK64
-            if op in (Op.LDR, Op.LDRW, Op.LDRB):
-                regs[inst.rd] = self._load(va, size, inst.rd)
-            else:
-                self._store(va, size, regs[inst.rd])
-        elif op is Op.LDXR:
-            va = regs[inst.rn] & MASK64
-            self.memory_ops += 1
-            pa = self.mmu.translate(va, write=False)
-            if not self.memory.is_ram(pa, 8):
-                raise GuestFault(ExceptionClass.DATA_ABORT, iss=0x35, fault_address=va,
-                                 message=f"exclusive load from MMIO at 0x{va:x}")
-            regs[inst.rd] = int.from_bytes(self.memory.read(pa, 8), "little")
-            self.monitor.mark(state.core_id, pa)
-            state.set_exclusive(pa)
-        elif op is Op.STXR:
-            va = regs[inst.rn] & MASK64
-            self.memory_ops += 1
-            pa = self.mmu.translate(va, write=True)
-            if not self.memory.is_ram(pa, 8):
-                raise GuestFault(ExceptionClass.DATA_ABORT, iss=0x35, fault_address=va,
-                                 message=f"exclusive store to MMIO at 0x{va:x}")
-            if state.check_exclusive(pa) and self.monitor.check(state.core_id, pa):
-                self.memory.write(pa, regs[inst.rm].to_bytes(8, "little"))
-                self.monitor.on_store(pa, 8, state.core_id)
-                regs[inst.rd] = 0
-            else:
-                regs[inst.rd] = 1
-            state.clear_exclusive()
-            self.monitor.clear(state.core_id)
-        elif op is Op.B:
-            next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.BL:
-            regs[30] = next_pc
-            next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.BCOND:
-            if self._cond_holds(inst.cond):
-                next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.CBZ:
-            if regs[inst.rd] == 0:
-                next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.CBNZ:
-            if regs[inst.rd] != 0:
-                next_pc = (pc + 4 * inst.imm) & MASK64
-        elif op is Op.BR:
-            next_pc = regs[inst.rn]
-        elif op is Op.RET:
-            next_pc = regs[inst.rn]
-        elif op is Op.ADR:
-            regs[inst.rd] = (pc + inst.imm) & MASK64
-        elif op is Op.SVC:
-            raise GuestFault(ExceptionClass.SVC, iss=inst.imm,
-                             message=f"svc #{inst.imm}")
-        elif op is Op.BRK:
-            raise GuestFault(ExceptionClass.BRK, iss=inst.imm,
-                             message=f"brk #{inst.imm}")
-        elif op is Op.UDF:
-            raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
-                             message=f"undefined instruction at 0x{pc:x}")
-        elif op is Op.ERET:
-            do_eret(state)
-            return
-        elif op is Op.MRS:
-            self._check_sysreg_access(inst.imm, pc)
-            if inst.imm == SysReg.CNTVCT_EL0:
-                regs[inst.rd] = state.instret & MASK64
-            else:
-                regs[inst.rd] = state.read_sysreg(inst.imm)
-        elif op is Op.MSR:
-            self._check_sysreg_access(inst.imm, pc)
-            state.write_sysreg(inst.imm, regs[inst.rn])
-            if inst.imm in (SysReg.SCTLR_EL1, SysReg.TTBR0_EL1):
-                self.mmu.flush_tlb()
-                self._decode_cache.clear()
-        elif op is Op.MSRI:
-            if inst.rm:  # DAIFSet
-                state.daif |= inst.imm
-            else:        # DAIFClr
-                state.daif &= ~inst.imm
-        elif op is Op.WFI:
-            if state.el == 0:
-                # Linux traps EL0 WFI; treat as NOP for user space here.
-                pass
-            elif self.irq_line:
-                pass  # pending interrupt: WFI falls through immediately
-            else:
-                state.pc = next_pc
-                raise _Exit(ExitReason.WFI)
-        elif op is Op.HLT:
-            state.pc = next_pc
-            raise _Exit(ExitReason.HALT, halt_code=inst.imm)
-        else:  # pragma: no cover - decode() can't produce other ops
-            raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
-                             message=f"unimplemented opcode {op!r}")
-        state.pc = next_pc
+        next_pc = _HANDLERS[inst.op](self, inst, pc)
+        self.state.pc = (pc + 4) & MASK64 if next_pc is None else next_pc
 
     def _check_sysreg_access(self, reg: int, pc: int) -> None:
         if self.state.el == 0 and reg not in _EL0_SYSREGS:
@@ -597,3 +427,311 @@ class _ExitErrorLoop(Exception):
         self.pc = pc
         self.fault = fault
         super().__init__(f"fault loop at pc=0x{pc:x}: {fault}")
+
+
+# -- instruction handlers ------------------------------------------------------------
+# One function per opcode, dispatched through _HANDLERS.  Each takes
+# ``(interp, inst, pc)`` and returns the next PC, or None for ``pc + 4``.
+
+def _nop(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    pass
+
+
+def _movz(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    interp.state.regs[inst.rd] = (inst.imm << (16 * inst.rm)) & MASK64
+
+
+def _movk(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    shift = 16 * inst.rm
+    regs[inst.rd] = (regs[inst.rd] & ~(0xFFFF << shift) | (inst.imm << shift)) & MASK64
+
+
+def _addi(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = (regs[inst.rn] + inst.imm) & MASK64
+
+
+def _subi(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = (regs[inst.rn] - inst.imm) & MASK64
+
+
+def _add(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = (regs[inst.rn] + regs[inst.rm]) & MASK64
+
+
+def _sub(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = (regs[inst.rn] - regs[inst.rm]) & MASK64
+
+
+def _mul(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = (regs[inst.rn] * regs[inst.rm]) & MASK64
+
+
+def _udiv(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    divisor = regs[inst.rm]
+    regs[inst.rd] = 0 if divisor == 0 else regs[inst.rn] // divisor
+
+
+def _urem(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    divisor = regs[inst.rm]
+    regs[inst.rd] = regs[inst.rn] if divisor == 0 else regs[inst.rn] % divisor
+
+
+def _and(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn] & regs[inst.rm]
+
+
+def _orr(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn] | regs[inst.rm]
+
+
+def _eor(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn] ^ regs[inst.rm]
+
+
+def _andi(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn] & inst.imm
+
+
+def _orri(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn] | inst.imm
+
+
+def _eori(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn] ^ inst.imm
+
+
+def _lsli(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = (regs[inst.rn] << inst.imm) & MASK64
+
+
+def _lsri(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn] >> inst.imm
+
+
+def _asri(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    value = regs[inst.rn]
+    if value >> 63:
+        value -= 1 << 64
+    regs[inst.rd] = (value >> inst.imm) & MASK64
+
+
+def _set_flags_sub(state: CpuState, a: int, b: int) -> None:
+    result = (a - b) & MASK64
+    signed_a = a - (1 << 64) if a >> 63 else a
+    signed_b = b - (1 << 64) if b >> 63 else b
+    signed_r = signed_a - signed_b
+    state.set_nzcv(bool(result >> 63), result == 0, a >= b,
+                   not (-(1 << 63) <= signed_r < (1 << 63)))
+
+
+def _cmp(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    state = interp.state
+    _set_flags_sub(state, state.regs[inst.rn], state.regs[inst.rm])
+
+
+def _cmpi(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    state = interp.state
+    _set_flags_sub(state, state.regs[inst.rn], inst.imm)
+
+
+def _mov(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    regs = interp.state.regs
+    regs[inst.rd] = regs[inst.rn]
+
+
+def _make_load(size: int) -> _Handler:
+    def load(interp: Interpreter, inst: Instruction, pc: int) -> None:
+        regs = interp.state.regs
+        regs[inst.rd] = interp._load((regs[inst.rn] + inst.imm) & MASK64, size, inst.rd)
+    return load
+
+
+def _make_store(size: int) -> _Handler:
+    def store(interp: Interpreter, inst: Instruction, pc: int) -> None:
+        regs = interp.state.regs
+        interp._store((regs[inst.rn] + inst.imm) & MASK64, size, regs[inst.rd])
+    return store
+
+
+def _ldxr(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    state = interp.state
+    va = state.regs[inst.rn] & MASK64
+    interp.memory_ops += 1
+    pa = interp._translate(va)
+    value = interp.memory.load(pa, 8)
+    if value is None:
+        raise GuestFault(ExceptionClass.DATA_ABORT, iss=0x35, fault_address=va,
+                         message=f"exclusive load from MMIO at 0x{va:x}")
+    state.regs[inst.rd] = value
+    interp.monitor.mark(state.core_id, pa)
+    state.set_exclusive(pa)
+
+
+def _stxr(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    state = interp.state
+    regs = state.regs
+    monitor = interp.monitor
+    va = regs[inst.rn] & MASK64
+    interp.memory_ops += 1
+    pa = interp._translate(va, write=True)
+    exclusive = state.check_exclusive(pa) and monitor.check(state.core_id, pa)
+    if exclusive:
+        in_ram = interp.memory.store(pa, regs[inst.rm].to_bytes(8, "little"))
+    else:
+        in_ram = interp.memory.is_ram(pa, 8)
+    if not in_ram:
+        raise GuestFault(ExceptionClass.DATA_ABORT, iss=0x35, fault_address=va,
+                         message=f"exclusive store to MMIO at 0x{va:x}")
+    if exclusive:
+        monitor.on_store(pa, 8, state.core_id)
+    regs[inst.rd] = 0 if exclusive else 1
+    state.clear_exclusive()
+    monitor.clear(state.core_id)
+
+
+def _b(interp: Interpreter, inst: Instruction, pc: int) -> int:
+    return (pc + 4 * inst.imm) & MASK64
+
+
+def _bl(interp: Interpreter, inst: Instruction, pc: int) -> int:
+    interp.state.regs[30] = (pc + 4) & MASK64
+    return (pc + 4 * inst.imm) & MASK64
+
+
+#: Condition code -> predicate over the NZCV flags of a CpuState.
+_CONDITIONS: Dict[Cond, Callable[[CpuState], bool]] = {
+    Cond.EQ: lambda s: s.flag_z,
+    Cond.NE: lambda s: not s.flag_z,
+    Cond.HS: lambda s: s.flag_c,
+    Cond.LO: lambda s: not s.flag_c,
+    Cond.MI: lambda s: s.flag_n,
+    Cond.PL: lambda s: not s.flag_n,
+    Cond.VS: lambda s: s.flag_v,
+    Cond.VC: lambda s: not s.flag_v,
+    Cond.HI: lambda s: s.flag_c and not s.flag_z,
+    Cond.LS: lambda s: not s.flag_c or s.flag_z,
+    Cond.GE: lambda s: s.flag_n == s.flag_v,
+    Cond.LT: lambda s: s.flag_n != s.flag_v,
+    Cond.GT: lambda s: not s.flag_z and s.flag_n == s.flag_v,
+    Cond.LE: lambda s: s.flag_z or s.flag_n != s.flag_v,
+    Cond.AL: lambda s: True,
+}
+
+
+def _bcond(interp: Interpreter, inst: Instruction, pc: int) -> Optional[int]:
+    if _CONDITIONS[inst.cond](interp.state):
+        return (pc + 4 * inst.imm) & MASK64
+    return None
+
+
+def _cbz(interp: Interpreter, inst: Instruction, pc: int) -> Optional[int]:
+    if interp.state.regs[inst.rd] == 0:
+        return (pc + 4 * inst.imm) & MASK64
+    return None
+
+
+def _cbnz(interp: Interpreter, inst: Instruction, pc: int) -> Optional[int]:
+    if interp.state.regs[inst.rd] != 0:
+        return (pc + 4 * inst.imm) & MASK64
+    return None
+
+
+def _br(interp: Interpreter, inst: Instruction, pc: int) -> int:
+    return interp.state.regs[inst.rn]
+
+
+def _adr(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    interp.state.regs[inst.rd] = (pc + inst.imm) & MASK64
+
+
+def _svc(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    raise GuestFault(ExceptionClass.SVC, iss=inst.imm, message=f"svc #{inst.imm}")
+
+
+def _brk(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    raise GuestFault(ExceptionClass.BRK, iss=inst.imm, message=f"brk #{inst.imm}")
+
+
+def _udf(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
+                     message=f"undefined instruction at 0x{pc:x}")
+
+
+def _eret(interp: Interpreter, inst: Instruction, pc: int) -> int:
+    do_eret(interp.state)
+    return interp.state.pc
+
+
+def _mrs(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    state = interp.state
+    interp._check_sysreg_access(inst.imm, pc)
+    if inst.imm == SysReg.CNTVCT_EL0:
+        state.regs[inst.rd] = state.instret & MASK64
+    else:
+        state.regs[inst.rd] = state.read_sysreg(inst.imm)
+
+
+def _msr(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    state = interp.state
+    interp._check_sysreg_access(inst.imm, pc)
+    state.write_sysreg(inst.imm, state.regs[inst.rn])
+    if inst.imm in (SysReg.SCTLR_EL1, SysReg.TTBR0_EL1):
+        interp.mmu.flush_tlb()
+
+
+def _msri(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    state = interp.state
+    if inst.rm:  # DAIFSet
+        state.daif |= inst.imm
+    else:        # DAIFClr
+        state.daif &= ~inst.imm
+
+
+def _wfi(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    # Linux traps EL0 WFI; treat as NOP for user space here.  A pending
+    # interrupt makes WFI fall through immediately.
+    if interp.state.el != 0 and not interp.irq_line:
+        interp.state.pc = (pc + 4) & MASK64
+        raise _Exit(ExitReason.WFI)
+
+
+def _hlt(interp: Interpreter, inst: Instruction, pc: int) -> None:
+    interp.state.pc = (pc + 4) & MASK64
+    raise _Exit(ExitReason.HALT, halt_code=inst.imm)
+
+
+_HANDLERS: Dict[Op, _Handler] = {
+    Op.NOP: _nop, Op.DMB: _nop, Op.YIELD: _nop,
+    Op.MOVZ: _movz, Op.MOVK: _movk,
+    Op.ADDI: _addi, Op.SUBI: _subi, Op.ADD: _add, Op.SUB: _sub,
+    Op.MUL: _mul, Op.UDIV: _udiv, Op.UREM: _urem,
+    Op.AND: _and, Op.ORR: _orr, Op.EOR: _eor,
+    Op.ANDI: _andi, Op.ORRI: _orri, Op.EORI: _eori,
+    Op.LSLI: _lsli, Op.LSRI: _lsri, Op.ASRI: _asri,
+    Op.CMP: _cmp, Op.CMPI: _cmpi, Op.MOV: _mov,
+    Op.LDR: _make_load(8), Op.LDRW: _make_load(4), Op.LDRB: _make_load(1),
+    Op.STR: _make_store(8), Op.STRW: _make_store(4), Op.STRB: _make_store(1),
+    Op.LDXR: _ldxr, Op.STXR: _stxr,
+    Op.B: _b, Op.BL: _bl, Op.BCOND: _bcond, Op.CBZ: _cbz, Op.CBNZ: _cbnz,
+    Op.BR: _br, Op.RET: _br, Op.ADR: _adr,
+    Op.SVC: _svc, Op.BRK: _brk, Op.UDF: _udf, Op.ERET: _eret,
+    Op.MRS: _mrs, Op.MSR: _msr, Op.MSRI: _msri,
+    Op.WFI: _wfi, Op.HLT: _hlt,
+}

@@ -11,6 +11,7 @@ from repro.divergence import capture_ledger
 from repro.divergence.cli import main
 from repro.systemc.kernel import Kernel
 from repro.systemc.time import SimTime
+from tests.test_divergence_ledger import HOSTILE_LEDGERS, truncation_lengths
 
 WINDOW_US = 100.0
 WINDOW = SimTime.us(100)
@@ -127,6 +128,25 @@ class TestCompare:
         path_a, _ = ledger_pair
         assert main(["compare", path_a, str(tmp_path / "missing.json")]) == 2
         assert "cannot load ledger" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_LEDGERS))
+    def test_hostile_ledger_exits_2(self, ledger_pair, tmp_path, capsys, name):
+        path_a, _ = ledger_pair
+        hostile = tmp_path / f"{name}.json"
+        hostile.write_text(HOSTILE_LEDGERS[name])
+        assert main(["compare", path_a, str(hostile)]) == 2
+        assert f"cannot load ledger {hostile}: not a divergence ledger" in \
+            capsys.readouterr().err
+
+    def test_truncated_ledger_exits_2(self, ledger_pair, tmp_path, capsys):
+        path_a, _ = ledger_pair
+        with open(path_a) as stream:
+            text = stream.read()
+        truncated = tmp_path / "truncated.json"
+        for length in truncation_lengths(len(text)):
+            truncated.write_text(text[:length])
+            assert main(["compare", str(truncated), path_a]) == 2
+            assert f"cannot load ledger {truncated}" in capsys.readouterr().err
 
     def test_window_size_mismatch_exits_2(self, ledger_pair, tmp_path,
                                           capsys):

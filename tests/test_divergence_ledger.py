@@ -19,6 +19,32 @@ from repro.telemetry.metrics import MetricsRegistry
 
 WINDOW = SimTime.us(100)
 
+_HEADER = (f'"format": "{LEDGER_FORMAT}", "window_ps": 100000000, '
+           f'"root_digest": "00", "entries": 1')
+
+#: Ledger files that parse as JSON but are not ledgers.
+HOSTILE_LEDGERS = {
+    "top_level_list": "[1, 2]",
+    "top_level_string": '"ledger"',
+    "top_level_null": "null",
+    "missing_windows": "{%s}" % _HEADER,
+    "missing_root_digest": '{"format": "%s", "window_ps": 1, "entries": 0, '
+                           '"windows": []}' % LEDGER_FORMAT,
+    "window_is_int": '{%s, "windows": [5]}' % _HEADER,
+    "windows_is_int": '{%s, "windows": 5}' % _HEADER,
+    "window_missing_lanes": '{%s, "windows": [{"window": 0, "digest": "00", '
+                            '"entries": 1}]}' % _HEADER,
+    "lanes_is_list": '{%s, "windows": [{"window": 0, "digest": "00", '
+                     '"entries": 1, "lanes": []}]}' % _HEADER,
+    "lane_is_int": '{%s, "windows": [{"window": 0, "digest": "00", '
+                   '"entries": 1, "lanes": {"0": 7}}]}' % _HEADER,
+}
+
+
+def truncation_lengths(size):
+    """Cut points that leave a saved ledger's JSON unterminated."""
+    return [0, 1, size // 4, size // 2, size - 3]
+
 
 def two_core_sim(steps=50, period_us=10):
     """Fresh scenario: a main loop plus two core-named lanes."""
@@ -119,6 +145,23 @@ class TestSerialization:
         path.write_text('{"format": "something/else"}')
         with pytest.raises(ValueError, match=LEDGER_FORMAT):
             RunLedger.load(str(path))
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_LEDGERS))
+    def test_hostile_document_raises_value_error(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(HOSTILE_LEDGERS[name])
+        with pytest.raises(ValueError, match="not a divergence ledger"):
+            RunLedger.load(str(path))
+
+    def test_truncated_file_raises_value_error(self, tmp_path):
+        ledger = capture_ledger(two_core_sim, window=WINDOW)
+        path = tmp_path / "run.ledger.json"
+        ledger.save(str(path))
+        text = path.read_text()
+        for length in truncation_lengths(len(text)):
+            path.write_text(text[:length])
+            with pytest.raises(ValueError):
+                RunLedger.load(str(path))
 
 
 class TestTelemetry:

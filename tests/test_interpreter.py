@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.arch.isa import SysReg
+from repro.arch.isa import Instruction, Op, SysReg, encode
+from repro.arch.mmu import PageTableBuilder
 from repro.iss.executor import ExitReason
-from repro.iss.interpreter import GlobalMonitor
+from repro.iss.interpreter import _HANDLERS, GlobalMonitor
 
 MMIO_BASE = 0x9000_0000
 
@@ -637,3 +638,72 @@ _start:
         info = harness.run(10)
         assert info.reason is ExitReason.HALT
         assert info.instructions == 0
+
+
+def test_every_opcode_has_a_handler():
+    assert set(_HANDLERS) == set(Op)
+
+
+class TestCodeRewrite:
+    """Code rewritten in RAM runs as the new instruction, whoever wrote it.
+
+    Only decoding is cached, keyed by the instruction word, and every
+    fetch reads the current word from RAM; no writer has to invalidate
+    anything.
+    """
+
+    NEW_WORD = encode(Instruction(Op.MOVZ, rd=1, imm=2))     # movz x1, #2
+
+    SELF_PATCHING = f"""
+_start:
+    movz x4, #0
+    movz x3, #0
+again:
+patched:
+    movz x1, #1
+    add x4, x4, x1          // pass 1 adds 1, pass 2 must add 2
+    cbnz x3, done
+    movz x3, #1
+    adr x5, patched
+    add x5, x5, x7          // x7: VA offset of the store's alias
+    movz x6, #{NEW_WORD & 0xFFFF}
+    movk x6, #{NEW_WORD >> 16}, lsl #16
+    strw x6, [x5]
+    b again
+done:
+    hlt #0
+"""
+
+    def test_guest_store_over_executed_instruction(self, guest):
+        harness = run_to_halt(guest, self.SELF_PATCHING)
+        assert harness.reg(1) == 2
+        assert harness.reg(4) == 3
+
+    def test_host_write_between_runs(self, guest):
+        harness = guest("""
+_start:
+patched:
+    movz x1, #1
+    add x4, x4, x1
+    b _start
+""")
+        assert harness.run(3).reason is ExitReason.BUDGET
+        assert harness.reg(4) == 1
+        harness.ram[0:4] = self.NEW_WORD.to_bytes(4, "little")
+        assert harness.run(3).reason is ExitReason.BUDGET
+        assert harness.reg(1) == 2
+        assert harness.reg(4) == 3
+
+    def test_guest_store_through_alias_with_mmu_on(self, guest):
+        harness = guest(self.SELF_PATCHING)
+        tables = PageTableBuilder(harness.ram, 0x2_0000)
+        tables.identity_map(0x0000, 0x1_0000)
+        tables.map_range(0x1_0000, 0x0000, 0x1000)   # second VA for the code page
+        state = harness.state
+        state.regs[7] = 0x1_0000
+        state.write_sysreg(SysReg.TTBR0_EL1, tables.root)
+        state.write_sysreg(SysReg.SCTLR_EL1, 1)
+        assert harness.run().reason is ExitReason.HALT
+        assert harness.reg(1) == 2
+        assert harness.reg(4) == 3
+        assert harness.interp.mmu.tlb.hits > 0

@@ -29,8 +29,8 @@ class TestKvmObjectModel:
         vm = kvm.create_vm()
         vm.set_user_memory_region(0, 0x0000, memoryview(bytearray(0x1000)))
         vm.set_user_memory_region(0, 0x8000, memoryview(bytearray(0x1000)))
-        assert vm.memory.find(0x0000) is None
-        assert vm.memory.find(0x8000) is not None
+        assert not vm.memory.is_ram(0x0000)
+        assert vm.memory.is_ram(0x8000)
 
     def test_overlapping_slots_rejected(self):
         kvm = Kvm()
