@@ -4,7 +4,7 @@ The paper's parallel-execution claim ("changes performance, not semantics",
 DESIGN.md) rests on the simulator being a deterministic function of its
 inputs.  This module verifies that *observationally*: it records every
 scheduler dispatch — ``(kind, time_ps, process name)`` for each process step
-and method run, via :attr:`repro.systemc.kernel.Kernel.trace_hook` — runs
+and method run, via the kernels' ``dispatch`` probe point — runs
 the same scenario twice, hashes both traces, and reports the first
 divergence if the hashes differ.
 
@@ -105,14 +105,14 @@ _active_trace: Optional[KernelTrace] = None
 def trace_run(action: Callable[[], object]) -> KernelTrace:
     """Run ``action`` with the kernel trace hook installed.
 
-    The digester registers at ``Kernel.TRACE_PRIORITY_DIGEST`` on the
-    class-level trace-hook chain, so context taggers (e.g. the SAN005
+    The digester subscribes at ``Kernel.TRACE_PRIORITY_DIGEST`` to every
+    kernel's ``dispatch`` probe point, so context taggers (e.g. the SAN005
     lane/window tagger at ``TRACE_PRIORITY_TAGGER``) always observe each
     dispatch first — attach order does not matter, and the recorded digest
     is identical with or without other observers attached.
 
-    Multiple DIGEST-tier hooks may coexist (the chain dispatches them in
-    deterministic FIFO attach order within the tier), so a
+    Multiple DIGEST-tier hooks may coexist (the dispatch point calls them
+    in deterministic FIFO attach order within the band), so a
     :class:`repro.divergence.WindowLedger` and this digester can observe
     the same run; only *nested* ``trace_run`` calls are refused, because
     two interleaved recorders of the same stream would be redundant and

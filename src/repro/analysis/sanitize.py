@@ -25,7 +25,8 @@ capture their target's methods at construction), which is why the scope
 must wrap platform construction, not just the run.
 
 Findings accumulate in a :class:`FindingCollector` — sanitizers report,
-they do not raise, so one run surfaces every violation.
+they do not raise, so one run surfaces every violation — and each is
+emitted as the current kernel's ``sanitizer_finding`` probe point.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, List, Optional, Tuple
 
+from ..systemc.kernel import current_kernel
 from ..tlm.dmi import DmiManager, DmiRegion
 from ..tlm.sockets import TargetSocket
 from ..vcml.memory import Memory
@@ -65,7 +67,13 @@ class SanitizerScope:
         return self.collector.findings
 
     def _report(self, rule: str, where: str, message: str, context: str = "") -> None:
-        self.collector.add(_finding(rule, where, message, context))
+        finding = self.collector.add(_finding(rule, where, message, context))
+        try:
+            fire = current_kernel().probes.sanitizer_finding
+        except RuntimeError:   # no kernel yet, so nothing can be subscribed
+            return
+        if fire is not None:
+            fire(finding)
 
     # -- patch management --------------------------------------------------------
     def _patch(self, owner: type, attr: str, replacement) -> None:

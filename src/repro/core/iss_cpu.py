@@ -103,10 +103,14 @@ class IssCpu(Processor):
     def simulate(self, cycles: int) -> SimulateResult:
         info = self.executor.run(cycles)
         self.instructions_retired += info.instructions
+        self._exited(info)
         consumed = max(1, info.instructions)
         if info.reason is ExitReason.MMIO:
             consumed += self._handle_mmio(info.mmio)
             self.instructions_retired += 1
+            fire = self.probes.retire
+            if fire is not None:
+                fire(self, 1, getattr(self.executor, "pc", 0))
             self._charge(mmio_exits=1)
             return SimulateResult(consumed, SimulateAction.CONTINUE)
         if info.reason is ExitReason.WFI:
@@ -132,6 +136,9 @@ class IssCpu(Processor):
     def _handle_mmio(self, request) -> int:
         """Device access: an in-process fabric access, no world switch."""
         self.num_mmio += 1
+        fire = self.probes.mmio_request
+        if fire is not None:
+            fire(self, request)
         if request.is_write:
             result = self.mem.write(request.address, request.data)
         else:
@@ -146,7 +153,11 @@ class IssCpu(Processor):
             self.num_bus_errors += 1
             data = bytes(request.size) if not request.is_write else None
         self.executor.complete_mmio(data)
-        return self.time_to_cycles(result.delay)
+        cycles = self.time_to_cycles(result.delay)
+        fire = self.probes.mmio_response
+        if fire is not None:
+            fire(self, request, cycles, result.ok)
+        return cycles
 
     def _charge(self, mmio_exits: int = 0, wfi_exits: int = 0) -> None:
         nanoseconds = self.cost_model.charge(self.executor.sample_stats(),

@@ -65,6 +65,7 @@ class KvmCpu(Processor):
         self.lane_speed = lane_speed
         # The kick path: watchdog expiry -> KickGuard -> SIGUSR1 -> vcpu.
         self.kick_guard = kick_guard_factory(self.vcpu.kick)
+        self.kick_guard.probes = self.probes
         self.host_now_ns = 0.0            # this vcpu thread's wall clock
         self.on_breakpoint: Optional[Callable[[int], None]] = None
         # Statistics
@@ -126,6 +127,7 @@ class KvmCpu(Processor):
         # (3) pending interrupts were injected by on_interrupt; store the
         # timestamp and enter the guest.
         exit_info = self.vcpu.run(budget_ns, self.lane_speed)
+        self._exited(exit_info)
         # (4) measure the run time, fire due watchdog timers, bump the id.
         self.host_now_ns += exit_info.wall_ns
         self.watchdog.advance(self.core_id, self.host_now_ns)
@@ -157,6 +159,9 @@ class KvmCpu(Processor):
     def _handle_mmio(self, request) -> int:
         """Forward the trapped access through the fabric port (main thread)."""
         self.num_mmio += 1
+        fire = self.probes.mmio_request
+        if fire is not None:
+            fire(self, request)
         if request.is_write:
             result = self.mem.write(request.address, request.data)
         else:
@@ -179,8 +184,15 @@ class KvmCpu(Processor):
             self.num_bus_errors += 1
             data = bytes(request.size) if not request.is_write else None
         self.vcpu.complete_mmio(data)
+        fire = self.probes.retire
+        if fire is not None:
+            fire(self, 1, getattr(self.vcpu.executor, "pc", 0))
         # The transaction's annotated delay advances target time.
-        return self.time_to_cycles(result.delay)
+        cycles = self.time_to_cycles(result.delay)
+        fire = self.probes.mmio_response
+        if fire is not None:
+            fire(self, request, cycles, result.ok)
+        return cycles
 
     def _handle_emulation(self) -> int:
         """User-space emulation of a host-unsupported instruction (§VI).
@@ -193,6 +205,9 @@ class KvmCpu(Processor):
         self.bill_host_time(self.costs.emulation_step_ns, "emulation")
         self.host_now_ns += self.costs.emulation_step_ns
         info = self.vcpu.emulate_instruction()
+        fire = self.probes.retire
+        if fire is not None:
+            fire(self, info.instructions, info.pc)
         extra_cycles = 1
         from ..iss.executor import ExitReason
         if info.reason is ExitReason.MMIO:

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
+
+from ..systemc.probes import ProbeBus
 
 
 class WatchdogFire(NamedTuple):
@@ -71,15 +73,9 @@ class Watchdog:
         self.num_scheduled = 0
         self.num_fired = 0
         self.num_cancelled = 0
-        #: observers called with a :class:`WatchdogFire` after every fire
-        #: (pure notification — the kick callback has already run)
-        self.fire_listeners: List[Callable[[WatchdogFire], None]] = []
-
-    def add_fire_listener(self, listener: Callable[[WatchdogFire], None]) -> None:
-        self.fire_listeners.append(listener)
-
-    def remove_fire_listener(self, listener: Callable[[WatchdogFire], None]) -> None:
-        self.fire_listeners.remove(listener)
+        #: emits ``watchdog_arm`` and ``watchdog_fire``; the platform wires
+        #: it to its kernel's bus
+        self.probes = ProbeBus()
 
     def schedule(self, core_id: int, now_ns: float, timeout_ns: float,
                  callback: Callable[[], None], kick_id: Optional[int] = None,
@@ -97,6 +93,9 @@ class Watchdog:
                               core_id=core_id, kick_id=kick_id, budget_ns=budget_ns)
         heapq.heappush(self._timelines.setdefault(core_id, []), entry)
         self.num_scheduled += 1
+        fire = self.probes.watchdog_arm
+        if fire is not None:
+            fire(core_id, now_ns, timeout_ns, kick_id)
         return entry
 
     def cancel(self, entry: WatchdogEntry) -> None:
@@ -117,11 +116,10 @@ class Watchdog:
             entry.callback()
             fired += 1
             self.num_fired += 1
-            if self.fire_listeners:
-                payload = WatchdogFire(entry.core_id, now_ns, entry.deadline_ns,
-                                       entry.kick_id, entry.budget_ns)
-                for listener in list(self.fire_listeners):
-                    listener(payload)
+            fire = self.probes.watchdog_fire
+            if fire is not None:
+                fire(WatchdogFire(entry.core_id, now_ns, entry.deadline_ns,
+                                  entry.kick_id, entry.budget_ns))
         return fired
 
     def pending(self, core_id: int) -> int:
@@ -199,22 +197,30 @@ class KickGuard:
         self.num_kicks_filtered = 0
         self.num_repeat_kicks = 0
         self._last_delivered_id: Optional[int] = None
-        #: called with the kick id when the *same* run id is kicked twice —
-        #: the first SIGUSR1 failed to end KVM_RUN, so the core is wedged
-        self.on_repeat_kick: Optional[Callable[[int], None]] = None
+        #: emits ``kick`` and ``wedge``; the CPU model wires it to its bus
+        self.probes = ProbeBus()
 
     def kick(self, kick_id: int) -> None:
-        """Called by the watchdog thread when a timer expires."""
-        if kick_id == self.m_kickid:
+        """Called by the watchdog thread when a timer expires.
+
+        Kicking the *same* run id twice emits ``wedge``: the first SIGUSR1
+        failed to end KVM_RUN, so the core is wedged.
+        """
+        delivered = kick_id == self.m_kickid
+        if delivered:
             if kick_id == self._last_delivered_id:
                 self.num_repeat_kicks += 1
-                if self.on_repeat_kick is not None:
-                    self.on_repeat_kick(kick_id)
+                fire = self.probes.wedge
+                if fire is not None:
+                    fire(self, kick_id)
             self._last_delivered_id = kick_id
             self.num_kicks_delivered += 1
             self._deliver_signal()
         else:
             self.num_kicks_filtered += 1
+        fire = self.probes.kick
+        if fire is not None:
+            fire(self, kick_id, delivered)
 
     def arm(self, watchdog: Watchdog, core_id: int, now_ns: float,
             timeout_ns: float) -> WatchdogEntry:
@@ -242,10 +248,14 @@ class UnguardedKick:
         self.m_kickid = 0
         self.num_kicks_delivered = 0
         self.num_kicks_filtered = 0
+        self.probes = ProbeBus()
 
     def kick(self, kick_id: int) -> None:
         self.num_kicks_delivered += 1
         self._deliver_signal()
+        fire = self.probes.kick
+        if fire is not None:
+            fire(self, kick_id, True)
 
     def arm(self, watchdog: Watchdog, core_id: int, now_ns: float,
             timeout_ns: float) -> WatchdogEntry:

@@ -2,9 +2,9 @@
 
 DET001 (:mod:`repro.analysis.determinism`) proves *that* two runs diverged
 by hashing the whole dispatch stream; this module makes the same stream
-*bisectable*.  A :class:`WindowLedger` registers at
-``Kernel.TRACE_PRIORITY_DIGEST`` on the class-level trace-hook chain and
-folds every scheduler dispatch ``(kind, time_ps, name)`` into rolling
+*bisectable*.  A :class:`WindowLedger` subscribes at
+``Kernel.TRACE_PRIORITY_DIGEST`` to every kernel's ``dispatch`` probe
+point and folds every scheduler dispatch ``(kind, time_ps, name)`` into rolling
 digests along the paper's natural hierarchy:
 
 * a **quantum window** — ``time_ps // window_ps``, the same geometry the

@@ -22,15 +22,16 @@ annotates.  Debug accesses (:meth:`dbg_read`/:meth:`dbg_write`) use a
 granted region when one exists and ``transport_dbg`` otherwise; they never
 *trigger* promotion, so an attached debugger does not perturb fabric state.
 
-Instrumentation hook: :attr:`on_access` (when set, e.g. by
-``repro.telemetry``) is called as ``on_access(path, ok)`` with ``path`` in
-``{"dmi", "transport", "debug"}`` after every completed access.
+Every completed access emits the ``fabric_access`` probe point as
+``(port, path, ok)`` with ``path`` in ``{"dmi", "transport", "debug"}``
+(see :mod:`repro.systemc.probes`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Set
+from typing import Dict, NamedTuple, Optional, Set
 
+from ..systemc.probes import ProbeBus
 from ..systemc.time import SimTime
 from ..tlm.dmi import DmiManager, DmiRegion
 from ..tlm.payload import ResponseStatus
@@ -73,8 +74,8 @@ class MemoryPort:
         self._invalidation_registered = False
         self._promotion_counts: Dict[int, int] = {}   # page -> transport hits
         self._no_dmi_pages: Set[int] = set()          # probe refused
-        #: observer hook called as on_access(path, ok); set by telemetry
-        self.on_access: Optional[Callable[[str, bool], None]] = None
+        #: emits ``fabric_access``; the owning processor wires it to its bus
+        self.probes = ProbeBus()
         # Statistics (diagnostics only).
         self.num_reads = 0
         self.num_writes = 0
@@ -102,9 +103,9 @@ class MemoryPort:
         self._no_dmi_pages.clear()
 
     def _observe(self, path: str, ok: bool) -> None:
-        observer = self.on_access
-        if observer is not None:
-            observer(path, ok)
+        fire = self.probes.fabric_access
+        if fire is not None:
+            fire(self, path, ok)
 
     # -- DMI promotion -------------------------------------------------------
     def _note_dmi_candidate(self, address: int) -> None:
@@ -179,8 +180,7 @@ class MemoryPort:
             self._note_dmi_candidate(address)
         if self.pooling_enabled:
             self.pool.release(payload)
-        if self.on_access is not None:
-            self.on_access("transport", ok)
+        self._observe("transport", ok)
         return AccessResult(ok, data, out_delay, status, False)
 
     def write(self, address: int, data: bytes,
@@ -215,8 +215,7 @@ class MemoryPort:
             self._note_dmi_candidate(address)
         if self.pooling_enabled:
             self.pool.release(payload)
-        if self.on_access is not None:
-            self.on_access("transport", ok)
+        self._observe("transport", ok)
         return AccessResult(ok, None, out_delay, status, False)
 
     # -- debug access ------------------------------------------------------------

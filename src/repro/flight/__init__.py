@@ -14,9 +14,9 @@ rerunning it under a debugger:
   symbolizes against the image's symbol table and emits per-symbol cycle
   attribution plus folded stacks for flamegraph tooling.
 
-Everything attaches through non-intrusive bound-callable wrapping (the
-``telemetry.instrument`` pattern), so determinism digests are unchanged
-whether flight is on or off.
+Everything attaches as subscribers on the platform kernel's probe bus
+(:mod:`repro.systemc.probes`, the same points ``repro.telemetry`` uses),
+so determinism digests are unchanged whether flight is on or off.
 
 Usage::
 

@@ -2,30 +2,33 @@
 
 :class:`Flight` is the observability twin of
 :class:`repro.telemetry.instrument.Telemetry`: one ``attach(vp)`` call, no
-model changes, pure observation.  Every probe replaces a bound callable on
-one instance through the shared :class:`repro.telemetry.wrapping.WrapSet`,
-so behaviour is bit-for-bit identical with the recorder on and off (the
-determinism checker's DET001 digests do not move) and ``detach()``
-restores every original.  Telemetry and flight may be attached to the same
-platform in either order; the outer wrapper simply chains to the inner.
+model changes, pure observation.  Every probe is a subscriber on the
+platform kernel's probe bus (:mod:`repro.systemc.probes`), so behaviour is
+bit-for-bit identical with the recorder on and off (the determinism
+checker's DET001 digests do not move) and ``detach()`` cancels every
+subscription.  Telemetry and flight may be attached to the same platform
+in either order; each receives the same events.  The guest console
+(``uart.on_tx``) and the ``SimControl`` callbacks are callback slots other
+code sets too, so flight chains to whatever is installed there and
+restores it on detach.
 
 Crash-bundle triggers (see ``repro.flight.bundle``):
 
 * a **wedged core** — the kick-id guard delivered a second kick for a run
-  id it had already kicked, i.e. the first SIGUSR1 failed to end KVM_RUN;
-* an **exception escaping kernel dispatch** (``Kernel.error_hook``);
-* a **runtime sanitizer finding** (when attached inside an active
-  ``repro.analysis.sanitize`` scope);
+  id it had already kicked, i.e. the first SIGUSR1 failed to end KVM_RUN
+  (``wedge``);
+* an **exception escaping kernel dispatch** (``kernel_error``);
+* a **runtime sanitizer finding** (``sanitizer_finding``, emitted inside
+  an active ``repro.analysis.sanitize`` scope);
 * a **guest panic** via the ``SimControl`` panic register.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..systemc.kernel import Kernel
-from ..telemetry.wrapping import WrapSet
+from ..systemc.probes import Subscription
 from ..vcml.processor import SimulateAction
 from .bundle import CrashBundler
 from .profiler import GuestProfiler
@@ -33,6 +36,29 @@ from .recorder import FlightRecorder
 
 #: a console line longer than this is journalled in chunks
 CONSOLE_LINE_LIMIT = 256
+
+
+class _Core:
+    """Per-core probe state of one attached platform."""
+
+    __slots__ = ("cpu", "core", "kvm", "track", "base", "executor",
+                 "suspend_begin_ps")
+
+    def __init__(self, platform_key: str, cpu):
+        self.cpu = cpu
+        self.core = cpu.core_id
+        vcpu = getattr(cpu, "vcpu", None)
+        #: KVM-backed (has a vcpu and a host clock) rather than an ISS core
+        self.kvm = vcpu is not None
+        self.track = f"{platform_key}.core{self.core}"
+        self.base = (platform_key, f"core{self.core}")
+        self.executor = vcpu.executor if vcpu is not None else cpu.executor
+        #: where the pending WFI suspend began (ps), None when running
+        self.suspend_begin_ps: Optional[int] = None
+
+    def host_ns(self) -> Optional[float]:
+        """The core's modeled host clock; an ISS core has none."""
+        return self.cpu.host_now_ns if self.kvm else None
 
 
 class Flight:
@@ -52,11 +78,10 @@ class Flight:
                         if bundles else None)
         #: (key, platform) per attached platform
         self.platforms: List[Tuple[str, object]] = []
-        self._wraps = WrapSet()
-        self._fire_listeners: List[Tuple[object, Callable]] = []
+        self._subscriptions: List[Subscription] = []
+        #: (object, slot, previous callback) per chained callback slot
+        self._chained: List[Tuple[object, str, object]] = []
         self._console_buffers: List[Tuple[str, object, bytearray]] = []
-        self._sanitizer_hooked = False
-        self._attached = True
         #: ring stats already published (publish_metrics records deltas)
         self._published_recorded = 0
         self._published_dropped = 0
@@ -69,19 +94,18 @@ class Flight:
         key = f"{vp.name}#{len(self.platforms)}"
         self.platforms.append((key, vp))
         vp.flight = self
-        self._attach_kernel(vp)
-        watchdog = getattr(vp, "watchdog", None)
-        if watchdog is not None:
-            self._attach_watchdog(vp, watchdog)
         self._attach_simctl(vp)
         self._attach_console(key, vp)
-        self._attach_sanitizers()
-        for cpu in vp.cpus:
-            self._attach_cpu(key, vp, cpu)
+        handlers = self._platform_probes(vp)
+        handlers.update(self._core_probes(key, vp))
+        bus = vp.kernel.probes
+        self._subscriptions += [bus.subscribe(point, handler)
+                                for point, handler in handlers.items()]
         return self
 
     def detach(self) -> None:
-        """Restore every wrapped callable; flush pending console/profile state."""
+        """Cancel every subscription, restore chained callback slots, and
+        flush pending console/profile state."""
         for key, vp, buffer in self._console_buffers:
             if buffer:
                 self._record_console(key, vp, buffer)
@@ -89,15 +113,15 @@ class Flight:
         if self.profiler is not None:
             self.profiler.flush()
         self.publish_metrics()
-        for watchdog, listener in self._fire_listeners:
-            watchdog.remove_fire_listener(listener)
-        self._fire_listeners.clear()
-        self._wraps.restore()
+        for subscription in self._subscriptions:
+            subscription.cancel()
+        self._subscriptions.clear()
+        for target, slot, previous in reversed(self._chained):
+            setattr(target, slot, previous)
+        self._chained.clear()
         for _key, vp in self.platforms:
             if getattr(vp, "flight", None) is self:
                 vp.flight = None
-        self._sanitizer_hooked = False
-        self._attached = False
 
     def publish_metrics(self) -> None:
         """Publish journal ring statistics as telemetry metrics.
@@ -151,50 +175,53 @@ class Flight:
             return self.bundler.bundles[-1]
         return None
 
-    # -- kernel ---------------------------------------------------------------
-    def _attach_kernel(self, vp) -> None:
+    # -- kernel, watchdog and sanitizers --------------------------------------
+    def _platform_probes(self, vp) -> dict:
         kernel = vp.kernel
+        record = self.recorder.record
 
-        def error_hook(exc: BaseException) -> None:
-            # Chain to the class-level hook first (same contract as
-            # trace_hook: instance hooks must not blind class observers).
-            class_hook = Kernel.error_hook
-            if class_hook is not None:
-                class_hook(exc)
-            self.recorder.record("kernel_error", kernel.now.picoseconds,
-                                 error=f"{type(exc).__name__}: {exc}")
+        def kernel_error(exc: BaseException) -> None:
+            record("kernel_error", kernel.now.picoseconds,
+                   error=f"{type(exc).__name__}: {exc}")
             if self.bundler is not None:
                 self.bundler.trigger(vp, "kernel-error",
                                      detail=f"{type(exc).__name__}: {exc}")
 
-        self._wraps.set(kernel, "error_hook", error_hook)
+        def watchdog_arm(core_id, now_ns, timeout_ns, kick_id) -> None:
+            record("watchdog_arm", kernel.now.picoseconds, host_ns=now_ns,
+                   core=core_id, budget_ns=round(timeout_ns, 3),
+                   kick_id=kick_id)
 
-    # -- watchdog -------------------------------------------------------------
-    def _attach_watchdog(self, vp, watchdog) -> None:
-        kernel = vp.kernel
+        def watchdog_fire(fire) -> None:
+            record("watchdog_fire", kernel.now.picoseconds,
+                   host_ns=fire.fired_at_ns, core=fire.core_id,
+                   kick_id=fire.kick_id,
+                   budget_ns=(None if fire.budget_ns is None
+                              else round(fire.budget_ns, 3)),
+                   margin_ns=round(fire.margin_ns, 3))
 
-        def make_schedule(original):
-            def schedule(core_id, now_ns, timeout_ns, callback, **meta):
-                self.recorder.record("watchdog_arm", kernel.now.picoseconds,
-                                     host_ns=now_ns, core=core_id,
-                                     budget_ns=round(timeout_ns, 3),
-                                     kick_id=meta.get("kick_id"))
-                return original(core_id, now_ns, timeout_ns, callback, **meta)
-            return schedule
+        def sanitizer_finding(finding) -> None:
+            record("sanitizer", kernel.now.picoseconds, rule=finding.rule,
+                   path=finding.path, message=finding.message)
+            if self.bundler is not None:
+                self.bundler.trigger(vp, "sanitizer",
+                                     detail=f"{finding.rule}: {finding.message}")
 
-        self._wraps.wrap(watchdog, "schedule", make_schedule)
+        return {"kernel_error": kernel_error, "watchdog_arm": watchdog_arm,
+                "watchdog_fire": watchdog_fire,
+                "sanitizer_finding": sanitizer_finding}
 
-        def on_fire(payload) -> None:
-            self.recorder.record(
-                "watchdog_fire", kernel.now.picoseconds,
-                host_ns=payload.fired_at_ns, core=payload.core_id,
-                kick_id=payload.kick_id,
-                budget_ns=(None if payload.budget_ns is None
-                           else round(payload.budget_ns, 3)),
-                margin_ns=round(payload.margin_ns, 3))
+    def _chain(self, target, slot: str, body) -> None:
+        """Install ``body`` in a callback slot after whatever is there."""
+        previous = getattr(target, slot)
 
-        watchdog.add_fire_listener(on_fire)
-        self._fire_listeners.append((watchdog, on_fire))
+        def callback(*args):
+            if previous is not None:
+                previous(*args)
+            body(*args)
+
+        self._chained.append((target, slot, previous))
+        setattr(target, slot, callback)
 
     # -- SimControl -----------------------------------------------------------
     def _attach_simctl(self, vp) -> None:
@@ -202,22 +229,11 @@ class Flight:
         if simctl is None:
             return
         kernel = vp.kernel
-
-        def chained(slot: str, body) -> None:
-            previous = getattr(simctl, slot)
-
-            def callback(*args):
-                if previous is not None:
-                    previous(*args)
-                body(*args)
-
-            self._wraps.set(simctl, slot, callback)
-
-        chained("on_boot_done", lambda when: self.recorder.record(
+        self._chain(simctl, "on_boot_done", lambda when: self.recorder.record(
             "simctl", kernel.now.picoseconds, what="boot_done"))
-        chained("on_checkpoint", lambda value, when: self.recorder.record(
+        self._chain(simctl, "on_checkpoint", lambda value, when: self.recorder.record(
             "simctl", kernel.now.picoseconds, what="checkpoint", value=value))
-        chained("on_shutdown", lambda code: self.recorder.record(
+        self._chain(simctl, "on_shutdown", lambda code: self.recorder.record(
             "simctl", kernel.now.picoseconds, what="shutdown", code=code))
 
         def on_panic(code: int) -> None:
@@ -227,7 +243,7 @@ class Flight:
                 self.bundler.trigger(vp, "guest-panic",
                                      detail=f"guest panic, code {code}")
 
-        chained("on_panic", on_panic)
+        self._chain(simctl, "on_panic", on_panic)
 
     # -- guest console ----------------------------------------------------------
     def _attach_console(self, key: str, vp) -> None:
@@ -236,11 +252,8 @@ class Flight:
             return
         buffer = bytearray()
         self._console_buffers.append((key, vp, buffer))
-        previous = uart.on_tx
 
         def on_tx(byte: int) -> None:
-            if previous is not None:
-                previous(byte)
             if byte == 0x0A:
                 self._record_console(key, vp, buffer)
             else:
@@ -248,53 +261,26 @@ class Flight:
                 if len(buffer) >= CONSOLE_LINE_LIMIT:
                     self._record_console(key, vp, buffer)
 
-        self._wraps.set(uart, "on_tx", on_tx)
+        self._chain(uart, "on_tx", on_tx)
 
     def _record_console(self, key: str, vp, buffer: bytearray) -> None:
         text = bytes(buffer).decode("utf-8", errors="replace")
         del buffer[:]
         self.recorder.record("console", vp.kernel.now.picoseconds, text=text)
 
-    # -- runtime sanitizers ------------------------------------------------------
-    def _attach_sanitizers(self) -> None:
-        if self._sanitizer_hooked:
-            return
-        from ..analysis.sanitize import active_scope
-        scope = active_scope()
-        if scope is None:
-            return
-
-        def make_add(original):
-            def add(finding):
-                original(finding)
-                vp = self.platforms[-1][1] if self.platforms else None
-                if vp is None:
-                    return
-                self.recorder.record("sanitizer", vp.kernel.now.picoseconds,
-                                     rule=finding.rule, path=finding.path,
-                                     message=finding.message)
-                if self.bundler is not None:
-                    self.bundler.trigger(
-                        vp, "sanitizer",
-                        detail=f"{finding.rule}: {finding.message}")
-            return add
-
-        self._wraps.wrap(scope.collector, "add", make_add)
-        self._sanitizer_hooked = True
-
     # -- CPU cores ---------------------------------------------------------------
-    def _attach_cpu(self, key: str, vp, cpu) -> None:
+    def _core_probes(self, key: str, vp) -> dict:
         kernel = vp.kernel
-        core = cpu.core_id
+        record = self.recorder.record
+        profiler = self.profiler
         symbolize = self._symbolizer(vp)
-        track = f"{key}.core{core}"
-        base = (key, f"core{core}")
-        vcpu = getattr(cpu, "vcpu", None)
-        executor = vcpu.executor if vcpu is not None else cpu.executor
+        cores = {cpu: _Core(key, cpu) for cpu in vp.cpus}
+        guards = {cpu.kick_guard: cpu for cpu in vp.cpus
+                  if getattr(cpu, "kick_guard", None) is not None}
 
-        def stack_at(pc: int):
-            frames = list(base)
-            state = getattr(executor, "state", None)
+        def stack_at(core: "_Core", pc: int):
+            frames = list(core.base)
+            state = getattr(core.executor, "state", None)
             if state is not None:
                 caller = symbolize(state.lr, fallback=False)
                 if caller is not None:
@@ -302,161 +288,89 @@ class Flight:
             frames.append(symbolize(pc))
             return tuple(frames)
 
-        def account(cycles: int, pc: int) -> None:
-            if self.profiler is not None and cycles > 0:
-                self.profiler.account(track, cycles, stack_at(pc))
+        def retire(cpu, instructions: int, pc: int) -> None:
+            if instructions > 0:
+                core = cores[cpu]
+                profiler.account(core.track, instructions, stack_at(core, pc))
 
-        # MMIO: request/response events around the TLM round trip; both CPU
-        # models funnel through _handle_mmio.
-        def make_handle_mmio(original):
-            def handle_mmio(request):
-                is_write = bool(request.is_write)
-                size = len(request.data) if is_write else request.size
-                self.recorder.record("mmio_req", kernel.now.picoseconds,
-                                     host_ns=cpu.host_now_ns, core=core,
-                                     address=request.address, write=is_write,
-                                     size=size)
-                errors_before = cpu.num_bus_errors
-                consumed = original(request)
-                self.recorder.record("mmio_resp", kernel.now.picoseconds,
-                                     host_ns=cpu.host_now_ns, core=core,
-                                     address=request.address, cycles=consumed,
-                                     error=cpu.num_bus_errors > errors_before)
-                if vcpu is None:
-                    # IssCpu retires the trapped instruction itself
-                    # (instructions_retired += 1); mirror it here.  The KVM
-                    # path counts it in vcpu.complete_mmio instead.
-                    account(1, getattr(executor, "pc", 0))
-                return consumed
-            return handle_mmio
+        # MMIO: request/response events around the TLM round trip.
+        def mmio_request(cpu, request) -> None:
+            is_write = bool(request.is_write)
+            size = len(request.data) if is_write else request.size
+            record("mmio_req", kernel.now.picoseconds,
+                   host_ns=cores[cpu].host_ns(), core=cpu.core_id,
+                   address=request.address, write=is_write, size=size)
 
-        self._wraps.wrap(cpu, "_handle_mmio", make_handle_mmio)
+        def mmio_response(cpu, request, cycles: int, ok: bool) -> None:
+            record("mmio_resp", kernel.now.picoseconds,
+                   host_ns=cores[cpu].host_ns(), core=cpu.core_id,
+                   address=request.address, cycles=cycles, error=not ok)
 
-        # IRQ edges into the core.
-        def make_on_interrupt(original):
-            def on_interrupt(number, level):
-                self.recorder.record("irq", kernel.now.picoseconds, core=core,
-                                     line=number, level=bool(level))
-                return original(number, level)
-            return on_interrupt
-
-        self._wraps.wrap(cpu, "on_interrupt", make_on_interrupt)
+        def irq(cpu, number: int, level) -> None:
+            record("irq", kernel.now.picoseconds, core=cpu.core_id,
+                   line=number, level=bool(level))
 
         # WFI suspend/resume pairs on the simulated-time axis.
-        pending_suspend: List[int] = []
+        def simulate_call(cpu, cycles: int) -> None:
+            core = cores[cpu]
+            if core.suspend_begin_ps is not None:
+                begin_ps, core.suspend_begin_ps = core.suspend_begin_ps, None
+                now_ps = cpu.keeper.current_time().picoseconds
+                record("wfi_resume", now_ps, core=core.core,
+                       skipped_ps=max(0, now_ps - begin_ps))
 
-        def make_simulate(original):
-            def simulate(cycles):
-                if pending_suspend:
-                    begin_ps = pending_suspend.pop()
-                    now_ps = cpu.keeper.current_time().picoseconds
-                    self.recorder.record("wfi_resume", now_ps, core=core,
-                                         skipped_ps=max(0, now_ps - begin_ps))
-                result = original(cycles)
-                # Pure observer: only WAIT_IRQ leaves a journal entry.
-                if result.action is SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
-                    resume_base = (cpu.keeper.current_time()
-                                   + cpu.cycles_to_time(result.cycles))
-                    self.recorder.record("wfi_suspend",
-                                         resume_base.picoseconds, core=core)
-                    pending_suspend.append(resume_base.picoseconds)
-                return result
-            return simulate
+        def simulate_return(cpu, result) -> None:
+            # Pure observer: only WAIT_IRQ leaves a journal entry.
+            if result.action is SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
+                resume_base = (cpu.keeper.current_time()
+                               + cpu.cycles_to_time(result.cycles))
+                record("wfi_suspend", resume_base.picoseconds, core=cpu.core_id)
+                cores[cpu].suspend_begin_ps = resume_base.picoseconds
 
-        self._wraps.wrap(cpu, "simulate", make_simulate)
+        def quantum_sync(cpu) -> None:
+            record("quantum_sync", kernel.now.picoseconds, core=cpu.core_id,
+                   offset_ps=cpu.keeper.local_time_offset.picoseconds)
 
-        # Quantum syncs.
-        def make_sync_wait(original):
-            def sync_wait():
-                self.recorder.record(
-                    "quantum_sync", kernel.now.picoseconds, core=core,
-                    offset_ps=cpu.keeper.local_time_offset.picoseconds)
-                return original()
-            return sync_wait
+        def vcpu_exit(cpu, info) -> None:
+            if cores[cpu].kvm:
+                record("kvm_exit", kernel.now.picoseconds,
+                       host_ns=cpu.host_now_ns + info.wall_ns, core=cpu.core_id,
+                       reason=info.reason.value, pc=info.pc,
+                       instructions=info.instructions,
+                       wall_ns=round(info.wall_ns, 3),
+                       blocked_in_wfi=info.blocked_in_wfi)
+            else:
+                record("cpu_exit", kernel.now.picoseconds, core=cpu.core_id,
+                       reason=info.reason.name.lower(), pc=info.pc,
+                       instructions=info.instructions)
 
-        self._wraps.wrap(cpu.keeper, "sync_wait", make_sync_wait)
+        # KVM model: kick filtering and wedge detection.
+        def kick(guard, kick_id: int, delivered: bool) -> None:
+            cpu = guards[guard]
+            record("watchdog_kick", kernel.now.picoseconds,
+                   host_ns=cpu.host_now_ns, core=cpu.core_id, kick_id=kick_id,
+                   delivered=delivered)
 
-        if vcpu is not None:
-            # KVM model: exits, kick filtering, wedge detection, profiling.
-            def make_run(original):
-                def run(wall_budget_ns, speed_factor=1.0):
-                    info = original(wall_budget_ns, speed_factor)
-                    self.recorder.record(
-                        "kvm_exit", kernel.now.picoseconds,
-                        host_ns=cpu.host_now_ns + info.wall_ns, core=core,
-                        reason=info.reason.value, pc=info.pc,
-                        instructions=info.instructions,
-                        wall_ns=round(info.wall_ns, 3),
-                        blocked_in_wfi=info.blocked_in_wfi)
-                    account(info.instructions, info.pc)
-                    return info
-                return run
+        def wedge(guard, kick_id: int) -> None:
+            cpu = guards[guard]
+            core = cpu.core_id
+            record("watchdog_wedge", kernel.now.picoseconds,
+                   host_ns=cpu.host_now_ns, core=core, kick_id=kick_id)
+            if self.bundler is not None:
+                self.bundler.trigger(
+                    vp, "watchdog",
+                    detail=(f"core {core} kicked twice for run {kick_id}: "
+                            "SIGUSR1 did not end KVM_RUN"),
+                    payload={"core": core, "kick_id": kick_id})
 
-            self._wraps.wrap(vcpu, "run", make_run)
-
-            def make_complete_mmio(original):
-                def complete_mmio(read_data=None):
-                    original(read_data)
-                    account(1, getattr(executor, "pc", 0))
-                return complete_mmio
-
-            self._wraps.wrap(vcpu, "complete_mmio", make_complete_mmio)
-
-            def make_emulate(original):
-                def emulate_instruction():
-                    info = original()
-                    account(info.instructions, info.pc)
-                    return info
-                return emulate_instruction
-
-            self._wraps.wrap(vcpu, "emulate_instruction", make_emulate)
-        else:
-            # ISS model: one executor.run per quantum slice.
-            def make_exec_run(original):
-                def run(max_instructions):
-                    info = original(max_instructions)
-                    self.recorder.record(
-                        "cpu_exit", kernel.now.picoseconds, core=core,
-                        reason=info.reason.name.lower(), pc=info.pc,
-                        instructions=info.instructions)
-                    account(info.instructions, info.pc)
-                    return info
-                return run
-
-            self._wraps.wrap(executor, "run", make_exec_run)
-
-        guard = getattr(cpu, "kick_guard", None)
-        if guard is not None:
-            def make_kick(original):
-                def kick(kick_id):
-                    delivered_before = guard.num_kicks_delivered
-                    original(kick_id)
-                    self.recorder.record(
-                        "watchdog_kick", kernel.now.picoseconds,
-                        host_ns=cpu.host_now_ns, core=core, kick_id=kick_id,
-                        delivered=guard.num_kicks_delivered > delivered_before)
-                return kick
-
-            self._wraps.wrap(guard, "kick", make_kick)
-
-            if hasattr(guard, "on_repeat_kick"):
-                previous = guard.on_repeat_kick
-
-                def on_repeat_kick(kick_id: int) -> None:
-                    if previous is not None:
-                        previous(kick_id)
-                    self.recorder.record("watchdog_wedge",
-                                         kernel.now.picoseconds,
-                                         host_ns=cpu.host_now_ns, core=core,
-                                         kick_id=kick_id)
-                    if self.bundler is not None:
-                        self.bundler.trigger(
-                            vp, "watchdog",
-                            detail=(f"core {core} kicked twice for run "
-                                    f"{kick_id}: SIGUSR1 did not end KVM_RUN"),
-                            payload={"core": core, "kick_id": kick_id})
-
-                self._wraps.set(guard, "on_repeat_kick", on_repeat_kick)
+        handlers = {"mmio_request": mmio_request, "mmio_response": mmio_response,
+                    "irq": irq, "simulate_call": simulate_call,
+                    "simulate_return": simulate_return,
+                    "quantum_sync": quantum_sync, "vcpu_exit": vcpu_exit,
+                    "kick": kick, "wedge": wedge}
+        if profiler is not None:
+            handlers["retire"] = retire
+        return handlers
 
     # -- symbolization -----------------------------------------------------------
     @staticmethod

@@ -24,7 +24,7 @@ for performance purposes and keeps runs bit-for-bit deterministic.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..systemc.time import SimTime
 from .machine import MAIN_LANE, HostMachine
@@ -54,10 +54,6 @@ class HostLedger:
         self._windows: Dict[int, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
         self._categories: Dict[str, float] = defaultdict(float)
         self._placement = machine.place_lanes(num_cores, parallel)
-        #: optional observer(window, lane, nanoseconds, category) invoked for
-        #: every billing event — purely observational (repro.telemetry uses
-        #: it to build the host-time span timeline)
-        self.observer: Optional[Callable[[int, int, float, str], None]] = None
 
     # -- billing ------------------------------------------------------------
     def add(self, window: int, lane: int, nanoseconds: float, category: str = "cpu") -> None:
@@ -69,8 +65,6 @@ class HostLedger:
             return
         self._windows[window][lane] += nanoseconds
         self._categories[category] += nanoseconds
-        if self.observer is not None:
-            self.observer(window, lane, nanoseconds, category)
 
     def lane_speed(self, lane: int) -> float:
         core = self._placement.get(lane)

@@ -47,8 +47,16 @@ def _cmd_top(args) -> int:
     return 0
 
 
+def _cannot_load(path: str, exc: Exception) -> int:
+    print(f"repro.obs: cannot load {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_trend(args) -> int:
-    history = load_history(args.history)
+    try:
+        history = load_history(args.history)
+    except (OSError, ValueError) as exc:
+        return _cannot_load(args.history, exc)
     print(trend_report(history, last=args.last, tolerance=args.tolerance),
           end="")
     if args.check:
@@ -60,11 +68,24 @@ def _cmd_trend(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from .attribution import render_summary, AttributionSummary
-    with open(args.report, "r", encoding="utf-8") as handle:
+def _load_report(path: str) -> list:
+    """The summaries of an attribution report; ValueError when malformed."""
+    with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"report is a {type(data).__name__}, not an object")
     summaries = data.get("summaries", [])
+    if not isinstance(summaries, list) or not all(
+            isinstance(summary, dict) for summary in summaries):
+        raise ValueError("summaries are not a list of objects")
+    return summaries
+
+
+def _cmd_report(args) -> int:
+    try:
+        summaries = _load_report(args.report)
+    except (OSError, ValueError) as exc:
+        return _cannot_load(args.report, exc)
     if not summaries:
         print("(no summaries in report)", file=sys.stderr)
         return 1

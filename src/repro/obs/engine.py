@@ -2,32 +2,31 @@
 
 ``enable_obs(vp)`` is the performance twin of
 :func:`repro.telemetry.instrument.enable_telemetry`: one call, no model
-changes, pure observation, fully undoable.  Three taps per platform:
+changes, pure observation, fully undoable.  It subscribes to four probe
+points of the platform kernel's bus (:mod:`repro.systemc.probes`):
 
-* every CPU's ``bill_host_time`` — the single funnel all modeled host-time
-  billing flows through — is wrapped to mirror each event into an
-  :class:`~repro.obs.attribution.AttributionFold`.  The wrap records *two*
-  lane views per event: the actual ledger lane (so the per-window wall
-  fold reproduces :meth:`HostLedger.window_span_ns` bit-for-bit) and the
+* ``host_bill`` — every modeled host-time billing event — is mirrored into
+  an :class:`~repro.obs.attribution.AttributionFold` with *two* lane views
+  per event: the actual ledger lane (so the per-window wall fold
+  reproduces :meth:`HostLedger.window_span_ns` bit-for-bit) and the
   attribution lane the event would land on under the parallel fold (main
   thread vs. per-core), which is how a sequential run already yields the
   per-lane report the modeled parallel fold is compared with;
-* the kernel's ``time_hook`` (fired after every simulated-time advance,
-  never for delta cycles) closes quantum windows deterministically: when
-  simulation reaches time *T*, every window ending before *T* can no
-  longer receive billing, so it is folded and streamed as one snapshot;
-* the kernel's ``run`` is wrapped to *seal* the platform once its run has
-  finished (all cores halted or the guest requested shutdown): the final
-  windows fold, the terminal summary streams, every tap is restored, and
-  the engine drops its platform reference.  One ``observing()`` scope can
+* ``time_advance`` (after every simulated-time advance, never for delta
+  cycles) closes quantum windows deterministically: when simulation
+  reaches time *T*, every window ending before *T* can no longer receive
+  billing, so it is folded and streamed as one snapshot;
+* ``dispatch`` counts kernel dispatches per window;
+* ``run_return`` *seals* the platform once its run has finished (all cores
+  halted or the guest requested shutdown): the final windows fold, the
+  terminal summary streams, every subscription is cancelled, and the
+  engine drops its platform reference.  One ``observing()`` scope can
   therefore span a whole bench matrix without keeping dozens of finished
   platforms (and their RAM backings) alive.
 
-Digest neutrality: no tap touches simulation state; the kernel
-``trace_hook`` used for dispatch counting chains to whatever hook was
-installed before it (telemetry's instance hook or the determinism
-checker's class hook) with unmodified arguments, so DET001 and the
-divergence ledger see identical event streams with obs on or off.
+Digest neutrality: no subscriber touches simulation state, and DET001 and
+the divergence ledger run in an earlier band of the same dispatch point,
+so they see identical event streams with obs on or off.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..host.machine import MAIN_LANE
-from ..systemc.kernel import Kernel
-from ..telemetry.wrapping import WrapSet
+from ..systemc.probes import Subscription
 from .attribution import AttributionFold, AttributionSummary, WindowRecord
 from .stream import ObsStreamer, Sink
 
@@ -48,7 +46,7 @@ class _PlatformEntry:
     key: str
     vp: Optional[object]                 # dropped when the entry seals
     fold: Optional[AttributionFold]
-    wraps: WrapSet = field(default_factory=WrapSet)
+    subscriptions: List[Subscription] = field(default_factory=list)
     window_ps: int = 0
     num_cores: int = 0
     cumulative_wall_ns: float = 0.0
@@ -78,7 +76,6 @@ class Obs:
         self.streamer = ObsStreamer(sinks, every=every,
                                     max_snapshots=max_snapshots)
         self.platforms: List[_PlatformEntry] = []
-        self._attached = True
 
     # -- attachment ---------------------------------------------------------
     def attach(self, vp) -> "Obs":
@@ -105,87 +102,43 @@ class Obs:
             lambda record, entry=entry: self._on_window(entry, record))
         self.platforms.append(entry)
         vp.obs = self
-        for cpu in vp.cpus:
-            self._attach_cpu(entry, cpu)
-        self._attach_kernel(entry, vp.kernel)
+        bus = vp.kernel.probes
+        entry.subscriptions += [bus.subscribe(point, handler) for point, handler
+                                in self._probes(entry).items()]
         return self
 
     def detach(self) -> None:
-        """Seal every platform (final fold + summary), undo every tap."""
+        """Seal every platform (final fold + summary), cancel every
+        subscription."""
         self.finalize()
         self.streamer.close()
-        self._attached = False
 
-    # -- taps ---------------------------------------------------------------
-    def _attach_cpu(self, entry: _PlatformEntry, cpu) -> None:
-        fold = entry.fold
-
-        def make_bill(original):
-            def bill_host_time(nanoseconds, category="cpu",
-                               main_thread=False):
-                original(nanoseconds, category, main_thread)
-                if cpu.host_ledger is None or nanoseconds <= 0:
-                    return
-                # Attribution lane: where the event lands under the
-                # parallel fold.  Actual lane: where the ledger put it now.
-                attr_lane = MAIN_LANE if main_thread else cpu.core_id
-                if main_thread or not cpu.parallel:
-                    actual_lane = MAIN_LANE
-                else:
-                    actual_lane = cpu.core_id
-                window = (cpu.keeper.current_time()
-                          // cpu.host_ledger.window_size)
-                fold.record(window, attr_lane, actual_lane, nanoseconds,
-                            category)
-            return bill_host_time
-
-        entry.wraps.wrap(cpu, "bill_host_time", make_bill)
-
-    def _attach_kernel(self, entry: _PlatformEntry, kernel: Kernel) -> None:
+    # -- probes -------------------------------------------------------------
+    def _probes(self, entry: _PlatformEntry) -> dict:
         fold = entry.fold
         window_ps = entry.window_ps
 
-        # Window-boundary detection: piggyback on simulated-time advances.
-        previous_time_hook = kernel.time_hook
+        def host_bill(cpu, window, lane, nanoseconds, category,
+                      main_thread) -> None:
+            # Attribution lane: where the event lands under the parallel
+            # fold.  Actual lane: where the ledger put it now.
+            attr_lane = MAIN_LANE if main_thread else cpu.core_id
+            fold.record(window, attr_lane, lane, nanoseconds, category)
 
-        def time_hook(now_ps: int) -> None:
-            if previous_time_hook is not None:
-                previous_time_hook(now_ps)
-            fold.advance_to(now_ps)
-
-        entry.wraps.set(kernel, "time_hook", time_hook)
-
-        # Dispatch counting: chain through the same per-instance seam the
-        # telemetry layer uses.  An instance hook installed before us (e.g.
-        # telemetry's) is chained directly; otherwise defer to the
-        # *class-level* hook at call time so a determinism checker
-        # installed later is never shadowed.
-        previous_instance_hook = kernel.__dict__.get("trace_hook")
-
-        def trace_hook(kind: str, time_ps: int, name: str) -> None:
-            chained = previous_instance_hook
-            if chained is None:
-                chained = Kernel.trace_hook
-            if chained is not None:
-                chained(kind, time_ps, name)
+        def dispatch(kind: str, time_ps: int, name: str) -> None:
             fold.record_dispatch(time_ps // window_ps)
 
-        entry.wraps.set(kernel, "trace_hook", trace_hook)
-
         # Seal the entry when the run is over, releasing the platform.
-        def make_run(original):
-            def run(duration=None):
-                end_time = original(duration)
-                vp = entry.vp
-                if vp is not None and (
-                        vp.all_halted
-                        or getattr(getattr(vp, "simctl", None),
-                                   "shutdown_requested", False)):
-                    self._seal(entry)
-                return end_time
-            return run
+        def run_return(now) -> None:
+            vp = entry.vp
+            if vp is not None and (
+                    vp.all_halted
+                    or getattr(getattr(vp, "simctl", None),
+                               "shutdown_requested", False)):
+                self._seal(entry)
 
-        entry.wraps.wrap(kernel, "run", make_run)
+        return {"host_bill": host_bill, "time_advance": fold.advance_to,
+                "dispatch": dispatch, "run_return": run_return}
 
     # -- window snapshots ----------------------------------------------------
     def _on_window(self, entry: _PlatformEntry, record: WindowRecord) -> None:
@@ -227,7 +180,7 @@ class Obs:
     # -- sealing / results ---------------------------------------------------
     def _seal(self, entry: _PlatformEntry) -> None:
         """Finalize one platform's fold, stream its terminal summary,
-        restore its taps, and drop the platform reference."""
+        cancel its subscriptions, and drop the platform reference."""
         if entry.sealed:
             return
         entry.sealed = True
@@ -242,7 +195,9 @@ class Obs:
                 "summary": self._summary(entry).to_json(),
                 "stream": self.streamer.stats(),
             }, force=True)
-        entry.wraps.restore()
+        for subscription in entry.subscriptions:
+            subscription.cancel()
+        entry.subscriptions.clear()
         vp, entry.vp = entry.vp, None
         if vp is not None and getattr(vp, "obs", None) is self:
             vp.obs = None

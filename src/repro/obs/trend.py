@@ -40,15 +40,23 @@ DEFAULT_TOLERANCE = 0.25
 
 
 def load_history(path: str) -> dict:
-    """Read a history file; a missing file is an empty history."""
+    """Read a history file; a missing file is an empty history.
+
+    Malformed files — invalid JSON, a top level that is not an object, a
+    foreign schema, ``entries`` that is not a list — raise ValueError.
+    """
     if not os.path.exists(path):
         return {"schema": HISTORY_SCHEMA, "entries": []}
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: history is a {type(data).__name__}, "
+                         "not an object")
     schema = data.get("schema")
     if schema != HISTORY_SCHEMA:
         raise ValueError(f"{path}: unsupported history schema {schema!r}")
-    data.setdefault("entries", [])
+    if not isinstance(data.setdefault("entries", []), list):
+        raise ValueError(f"{path}: history entries are not a list")
     return data
 
 

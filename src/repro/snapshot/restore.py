@@ -257,14 +257,15 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
             cpu._thread._waiting_events = (cpu.debug_resume_event,)
 
     # (7) trace-prefix replay: feed the recorded cold-run dispatch stream
-    # through whatever hooks are attached *now*, so digests over the resumed
-    # run cover prefix + live suffix — bit-identical to the cold stream.
+    # to the dispatch subscribers attached *now*, so digests over the
+    # resumed run cover prefix + live suffix — bit-identical to the cold
+    # stream.
     trace = manifest.get("trace")
     if trace is not None:
-        hook = vp.kernel.trace_hook   # instance read: per-kernel shadow wins
-        if hook is not None:
+        fire = vp.kernel.probes.dispatch
+        if fire is not None:
             for kind_, time_ps, name in decode_trace(snapshot.blob(trace["sha"])):
-                hook(kind_, time_ps, name)
+                fire(kind_, time_ps, name)
 
     registry = _telemetry_registry()
     if registry is not None:

@@ -13,6 +13,9 @@ scheduler itself always runs single-threaded and fully deterministic.  The
 paper's parallel execution of CPU cores is modeled, not run on host threads:
 the host-time ledger (:mod:`repro.host.accounting`) charges each quantum
 window the maximum over the per-core lanes when ``VpConfig.parallel`` is set.
+
+Observers never patch the kernel: they subscribe to the named probe points
+of its :class:`~repro.systemc.probes.ProbeBus` (``Kernel.probes``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import threading
 from collections import deque
 from typing import Callable, Deque, Generator, List, Optional, Set
 
+from . import probes
 from .event import Event
 from .process import MethodProcess, Process, ProcessState
 from .time import SimTime
@@ -96,146 +100,44 @@ class SimulationStopped(Exception):
     """Raised internally when ``Kernel.stop()`` is requested mid-cycle."""
 
 
-class TraceHookHandle:
-    """Opaque handle returned by :meth:`Kernel.add_trace_hook`."""
+class Kernel:
+    """A single-threaded SystemC-like discrete-event scheduler.
 
-    __slots__ = ("hook", "priority", "seq")
-
-    def __init__(self, hook: Callable[[str, int, str], None], priority: int, seq: int):
-        self.hook = hook
-        self.priority = priority
-        self.seq = seq
-
-
-class _TraceHookChain:
-    """Priority-ordered fan-out for the class-level ``Kernel.trace_hook``.
-
-    Historically the class-level hook was a single slot, so observers that
-    needed to coexist (the SAN005 lane/window tagger, the DET001 digester)
-    had to shadow each other in attach order — append-only and fragile.
-    The chain replaces that: each observer registers with an explicit
-    priority, and dispatch always runs lower priorities first regardless of
-    attach order.  Ties dispatch in attach order.
-
-    The documented priority bands are on :class:`Kernel`:
-
-    * ``TRACE_PRIORITY_TAGGER`` (10) — context taggers that annotate the
-      current dispatch for *later* hooks (SAN005's lane/window tagger).
-    * ``TRACE_PRIORITY_DIGEST`` (20) — digesters that must observe the
-      dispatch stream exactly as the kernel emitted it (DET001).
-    * ``TRACE_PRIORITY_OBSERVER`` (30, default) — everything else.
-
-    ``dispatch`` is a *bound method* on purpose: storing it in the class
-    attribute ``Kernel.trace_hook`` must not turn it into a descriptor that
-    re-binds to the kernel instance at lookup time.
+    Observation goes through the kernel's :class:`~repro.systemc.probes.
+    ProbeBus` (:attr:`probes`): the scheduler emits ``dispatch`` for every
+    process step ("step") and method run ("method"), ``time_advance``
+    after every simulated-time advance (never for delta cycles),
+    ``kernel_error`` when an exception escapes the scheduling loop (it is
+    re-raised afterwards) and ``run_return`` when :meth:`run` returns.
     """
 
-    def __init__(self):
-        self._entries: List[TraceHookHandle] = []
-        self._seq = itertools.count()
-
-    def add(self, hook: Callable[[str, int, str], None], priority: int) -> TraceHookHandle:
-        handle = TraceHookHandle(hook, priority, next(self._seq))
-        self._entries.append(handle)
-        self._entries.sort(key=lambda h: (h.priority, h.seq))
-        return handle
-
-    def remove(self, handle: TraceHookHandle) -> None:
-        self._entries = [entry for entry in self._entries if entry is not handle]
-
-    def hooks_at(self, priority: int) -> List[Callable[[str, int, str], None]]:
-        return [entry.hook for entry in self._entries if entry.priority == priority]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def dispatch(self, kind: str, time_ps: int, name: str) -> None:
-        for entry in self._entries:
-            entry.hook(kind, time_ps, name)
-
-
-_trace_chain = _TraceHookChain()
-
-
-class Kernel:
-    """A single-threaded SystemC-like discrete-event scheduler."""
-
-    #: Optional observer called as ``trace_hook(kind, time_ps, name)`` for
-    #: every process step ("step") and method run ("method") the scheduler
-    #: dispatches.  Class-level so a checker can observe kernels it did not
-    #: create (see repro.analysis.determinism); must never mutate state.
-    #: Dispatch sites read the attribute through the instance, so a
-    #: per-kernel hook (repro.telemetry) can shadow it — such a hook must
-    #: chain to the class-level one to keep the determinism checker fed.
-    #:
-    #: Multiple class-level observers register through
-    #: :meth:`add_trace_hook` with an explicit priority; the slot then
-    #: holds the chain's dispatcher.  Direct assignment still works for a
-    #: single observer but cannot coexist with the chain.
-    trace_hook: Optional[Callable[[str, int, str], None]] = None
-
-    #: trace-hook priority bands (lower runs earlier; see _TraceHookChain).
+    #: dispatch-subscriber bands (lower runs earlier; see repro.systemc.probes).
     #: The SAN005 lane/window tagger must run before the DET001 digester so
     #: the access tags a dispatch produces are in place before the dispatch
     #: is sealed into the determinism digest.
-    TRACE_PRIORITY_TAGGER = 10
-    TRACE_PRIORITY_DIGEST = 20
-    TRACE_PRIORITY_OBSERVER = 30
+    TRACE_PRIORITY_TAGGER = probes.TAGGER
+    TRACE_PRIORITY_DIGEST = probes.DIGEST
+    TRACE_PRIORITY_OBSERVER = probes.OBSERVER
 
-    #: Optional observer called as ``time_hook(now_ps)`` after every
-    #: simulated-time advance (never for delta cycles).  Read through the
-    #: instance like ``trace_hook`` so a per-kernel observer (repro.obs uses
-    #: it to close quantum windows at exact sim-time boundaries) can shadow
-    #: a class default; must never mutate simulation state.
-    time_hook: Optional[Callable[[int], None]] = None
-
-    #: Optional observer called as ``error_hook(exc)`` when an exception
-    #: escapes the scheduling loop (i.e. a model blew up inside dispatch).
-    #: Read through the instance like ``trace_hook`` so a per-kernel hook
-    #: (repro.flight's crash bundler) can shadow the class default.  The
-    #: exception is re-raised afterwards either way; the hook is a last
-    #: look at the wreckage, not a handler.
-    error_hook: Optional[Callable[[BaseException], None]] = None
-
-    # -- class-level trace-hook chain --------------------------------------
     @classmethod
     def add_trace_hook(cls, hook: Callable[[str, int, str], None],
-                       priority: int = TRACE_PRIORITY_OBSERVER) -> TraceHookHandle:
-        """Register a class-level trace observer with an explicit priority.
+                       priority: int = TRACE_PRIORITY_OBSERVER) -> probes.Subscription:
+        """Subscribe ``hook(kind, time_ps, name)`` to every kernel's dispatches.
 
-        Lower ``priority`` values run earlier on every dispatch; equal
-        priorities run in attach order.  Use the documented bands
-        (``TRACE_PRIORITY_TAGGER`` < ``TRACE_PRIORITY_DIGEST`` <
-        ``TRACE_PRIORITY_OBSERVER``) so taggers always precede digesters no
-        matter who attached first.  Returns a handle for
-        :meth:`remove_trace_hook`.
-
-        Any number of hooks may share one band: ties dispatch in
-        deterministic FIFO attach order (the sort key is ``(priority,
-        attach sequence)`` and the sort is stable), which is what lets two
-        DIGEST-tier observers — the DET001 digester and the
+        The subscription covers kernels that exist now and kernels created
+        later, so a checker can observe kernels it did not create (see
+        repro.analysis.determinism).  Lower ``priority`` values run earlier
+        on every dispatch; equal priorities run in attach order, which is
+        what lets two DIGEST-tier observers — the DET001 digester and the
         ``repro.divergence`` window ledger — fold the *same* event stream
-        side by side without perturbing each other's digests.
+        side by side.  Returns a handle for :meth:`remove_trace_hook`.
         """
-        if cls.trace_hook is not None and cls.trace_hook != _trace_chain.dispatch:
-            raise RuntimeError(
-                "Kernel.trace_hook is directly assigned; a directly-set hook "
-                "cannot coexist with add_trace_hook() observers")
-        handle = _trace_chain.add(hook, priority)
-        Kernel.trace_hook = _trace_chain.dispatch
-        return handle
+        return probes.subscribe_everywhere("dispatch", hook, priority)
 
     @classmethod
-    def remove_trace_hook(cls, handle: TraceHookHandle) -> None:
+    def remove_trace_hook(cls, handle: probes.Subscription) -> None:
         """Detach a hook registered via :meth:`add_trace_hook`."""
-        _trace_chain.remove(handle)
-        if not len(_trace_chain) and cls.trace_hook == _trace_chain.dispatch:
-            Kernel.trace_hook = None
-
-    @classmethod
-    def trace_hooks_at(cls, priority: int) -> List[Callable[[str, int, str], None]]:
-        """The hooks currently registered in one priority band (introspection)."""
-        return _trace_chain.hooks_at(priority)
+        handle.cancel()
 
     def __init__(self):
         self._now = SimTime.zero()
@@ -253,6 +155,8 @@ class Kernel:
         self._running = False
         self._current_process: Optional[Process] = None
         self.delta_count = 0
+        #: this kernel's probe points (see repro.systemc.probes)
+        self.probes = probes.ProbeBus()
         _context.ambient = self
 
     # -- registration -----------------------------------------------------
@@ -361,9 +265,9 @@ class Kernel:
                 if not self._advance_time(deadline):
                     break
         except Exception as exc:
-            hook = self.error_hook
-            if hook is not None:
-                hook(exc)
+            fire = self.probes.kernel_error
+            if fire is not None:
+                fire(exc)
             raise
         finally:
             self._running = False
@@ -371,19 +275,23 @@ class Kernel:
         if (not self._stop_requested and deadline is not None
                 and self._now < deadline and not self.pending_activity()):
             self._now = deadline
+        fire = self.probes.run_return
+        if fire is not None:
+            fire(self._now)
         return self._now
 
     # -- internals --------------------------------------------------------------
     def _delta_cycle(self) -> None:
         """One evaluate/update/delta-notify cycle at the current time."""
         progressed = bool(self._runnable or self._methods)
+        bus = self.probes
         # Evaluation phase.
         while self._runnable or self._methods:
             while self._methods:
                 method = self._methods.popleft()
-                hook = self.trace_hook
-                if hook is not None:
-                    hook("method", self._now.picoseconds, method.name)
+                fire = bus.dispatch
+                if fire is not None:
+                    fire("method", self._now.picoseconds, method.name)
                 method._run()
             if not self._runnable:
                 break
@@ -393,9 +301,9 @@ class Kernel:
                 continue
             self._current_process = process
             try:
-                hook = self.trace_hook
-                if hook is not None:
-                    hook("step", self._now.picoseconds, process.name)
+                fire = bus.dispatch
+                if fire is not None:
+                    fire("step", self._now.picoseconds, process.name)
                 process._step(self)
             finally:
                 self._current_process = None
@@ -427,9 +335,9 @@ class Kernel:
             self._now = deadline
             return False
         self._now = due
-        hook = self.time_hook
-        if hook is not None:
-            hook(due.picoseconds)
+        fire = self.probes.time_advance
+        if fire is not None:
+            fire(due.picoseconds)
         while self._timed and self._timed[0].due == due:
             entry = heapq.heappop(self._timed)
             if not entry.cancelled:

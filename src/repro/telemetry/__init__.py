@@ -16,9 +16,10 @@ Everything is opt-in and non-intrusive::
     print(telemetry.report())
     telemetry.write_chrome_trace("trace.json")   # open in ui.perfetto.dev
 
-Enabling telemetry changes no simulation result: every probe wraps a bound
-callable observationally and all timestamps come from modeled host time or
-simulated time, never the Python wall clock.
+Enabling telemetry changes no simulation result: every probe is a pure
+subscriber on the platform kernel's probe bus (:mod:`repro.systemc.probes`)
+and all timestamps come from modeled host time or simulated time, never
+the Python wall clock.
 """
 
 from .export import (

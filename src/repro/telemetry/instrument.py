@@ -2,52 +2,68 @@
 
 ``enable_telemetry(vp)`` is the telemetry twin of
 :func:`repro.trace.attach_platform`: one call, no model changes, pure
-observation.  Every probe wraps a *bound callable on one instance* (the
-same NISTT-style trick the TLM tracer uses on ``_transport_fn``), so
+observation.  Every probe is a subscriber on the platform kernel's probe
+bus (:mod:`repro.systemc.probes`), so
 
 * models never know they are observed,
 * behaviour is bit-for-bit identical with telemetry on and off (the
   determinism checker's DET001 digests do not move), and
-* ``Telemetry.detach()`` restores every original callable.
+* ``Telemetry.detach()`` cancels every subscription.
 
 Probes installed per platform:
 
 =====================  ========================================================
 ``KvmCpu`` / ``Vcpu``  per-core exit-reason counters, per-reason wall-time and
                        cycle histograms, MMIO round-trip latency on the
-                       modeled host axis
+                       modeled host axis (``vcpu_exit``, ``mmio_request``/
+                       ``mmio_response``)
 ``Watchdog``           timers armed/fired, kick-id stale-vs-delivered counts,
                        fire-margin histogram (how late past the deadline the
-                       software watchdog thread fires)
+                       software watchdog thread fires) (``watchdog_arm``,
+                       ``watchdog_fire``, ``kick``)
 WFI / ``WAIT_IRQ``     suspend counter, idle cycles skipped, suspend→resume
                        span pairs on the simulated-time axis
+                       (``simulate_call``/``simulate_return``)
 ``QuantumKeeper``      sync counter and quantum-utilization histogram (local
-                       offset at sync / global quantum)
+                       offset at sync / global quantum) (``quantum_sync``)
 ``MemoryPort``         fabric access counters keyed by the path that served
                        each access (DMI fast path / blocking transport /
                        debug transport), plus a failed-access counter
+                       (``fabric_access``)
 ``Kernel``             scheduler dispatch counters and a runnable-queue depth
-                       gauge, chained through the per-instance ``trace_hook``
-                       seam without disturbing the class-level determinism
-                       checker hook
+                       gauge (``dispatch``)
 ``HostLedger``         the span timeline (:class:`~repro.telemetry.spans.
-                       HostTimeline`) via the billing observer
+                       HostTimeline`) from every billing event (``host_bill``)
 =====================  ========================================================
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..systemc.kernel import Kernel
+from ..systemc.probes import Subscription
 from ..vcml.processor import SimulateAction
 from .metrics import MetricsRegistry
 from .spans import HostTimeline, SpanRecorder
-from .wrapping import WrapSet
 
 #: fraction-valued histogram bounds (quantum utilization)
 FRACTION_BUCKETS = tuple(i / 10 for i in range(1, 11)) + (1.5, 2.0)
+
+
+class _Core:
+    """Per-core probe state of one attached platform."""
+
+    __slots__ = ("core", "kvm", "track", "suspend_begin_ps", "mmio_begin_ns")
+
+    def __init__(self, platform_key: str, cpu):
+        self.core = cpu.core_id
+        #: KVM-backed (has a vcpu and a host clock) rather than an ISS core
+        self.kvm = getattr(cpu, "vcpu", None) is not None
+        self.track = f"{platform_key}.core{self.core}"
+        #: where the pending WFI suspend began (ps), None when running
+        self.suspend_begin_ps: Optional[int] = None
+        self.mmio_begin_ns = 0.0
 
 
 class Telemetry:
@@ -61,25 +77,16 @@ class Telemetry:
         self.sim_spans = SpanRecorder(unit="ps")
         #: (key, platform, HostTimeline or None) per attached platform
         self.platforms: List[Tuple[str, object, Optional[HostTimeline]]] = []
-        self._wraps = WrapSet()
-        self._watchdog_now: Optional[float] = None
-        self._attached = True
-
-    # -- wrapping machinery -------------------------------------------------
-    def _wrap(self, target: object, attribute: str,
-              factory: Callable[[Callable], Callable]) -> None:
-        """Replace ``target.attribute`` with ``factory(original)``, undoably."""
-        self._wraps.wrap(target, attribute, factory)
+        self._subscriptions: List[Subscription] = []
 
     def detach(self) -> None:
-        """Restore every wrapped callable and ledger observer."""
-        self._wraps.restore()
-        for _key, vp, timeline in self.platforms:
-            if timeline is not None:
-                timeline.detach()
+        """Cancel every probe subscription."""
+        for subscription in self._subscriptions:
+            subscription.cancel()
+        self._subscriptions.clear()
+        for _key, vp, _timeline in self.platforms:
             if getattr(vp, "telemetry", None) is self:
                 vp.telemetry = None
-        self._attached = False
 
     # -- attachment -----------------------------------------------------------
     def attach(self, vp) -> "Telemetry":
@@ -90,185 +97,128 @@ class Telemetry:
         timeline = HostTimeline(vp.ledger) if vp.ledger is not None else None
         self.platforms.append((key, vp, timeline))
         vp.telemetry = self
-        self._attach_kernel(vp.kernel)
-        watchdog = getattr(vp, "watchdog", None)
-        if watchdog is not None:
-            self._attach_watchdog(watchdog)
-        for cpu in vp.cpus:
-            self._attach_cpu(key, cpu)
+        handlers = self._platform_probes(vp.kernel)
+        handlers.update(self._core_probes(key, vp.cpus))
+        if timeline is not None:
+            handlers["host_bill"] = (
+                lambda cpu, window, lane, nanoseconds, category, main_thread:
+                timeline.record(window, lane, nanoseconds, category))
+        bus = vp.kernel.probes
+        self._subscriptions += [bus.subscribe(point, handler)
+                                for point, handler in handlers.items()]
         return self
 
-    # -- kernel ---------------------------------------------------------------
-    def _attach_kernel(self, kernel: Kernel) -> None:
+    def _platform_probes(self, kernel) -> dict:
         registry = self.registry
         step_counter = registry.counter("kernel.dispatch", kind="step")
         method_counter = registry.counter("kernel.dispatch", kind="method")
         depth_gauge = registry.gauge("kernel.runnable_depth")
 
-        def hook(kind: str, time_ps: int, name: str) -> None:
-            # Chain to the class-level hook (the determinism checker) first:
-            # shadowing it would silently blind DET001.
-            class_hook = Kernel.trace_hook
-            if class_hook is not None:
-                class_hook(kind, time_ps, name)
+        def dispatch(kind: str, time_ps: int, name: str) -> None:
             (step_counter if kind == "step" else method_counter).inc()
             depth_gauge.set(len(kernel._runnable))
 
-        # A plain undoable set, not a wrap: the hook must chain to the
-        # *class-level* attribute at call time, not to a captured original.
-        self._wraps.set(kernel, "trace_hook", hook)
+        def watchdog_arm(core_id, now_ns, timeout_ns, kick_id) -> None:
+            registry.counter("watchdog.armed", core=core_id).inc()
 
-    # -- watchdog -------------------------------------------------------------
-    def _attach_watchdog(self, watchdog) -> None:
+        def watchdog_fire(fire) -> None:
+            registry.counter("watchdog.fired", core=fire.core_id).inc()
+            registry.histogram("watchdog.fire_margin_ns",
+                               core=fire.core_id).observe(fire.margin_ns)
+
+        return {"dispatch": dispatch, "watchdog_arm": watchdog_arm,
+                "watchdog_fire": watchdog_fire}
+
+    def _core_probes(self, platform_key: str, cpus) -> dict:
         registry = self.registry
+        cores = {cpu: _Core(platform_key, cpu) for cpu in cpus}
+        ports = {cpu.mem: cpu.core_id for cpu in cpus}
+        guards = {cpu.kick_guard: cpu.core_id for cpu in cpus
+                  if getattr(cpu, "kick_guard", None) is not None}
 
-        def make_schedule(original):
-            def schedule(core_id, now_ns, timeout_ns, callback, **meta):
-                registry.counter("watchdog.armed", core=core_id).inc()
-                deadline_ns = now_ns + timeout_ns
-
-                def observed_callback():
-                    registry.counter("watchdog.fired", core=core_id).inc()
-                    fire_now = self._watchdog_now
-                    if fire_now is not None:
-                        registry.histogram(
-                            "watchdog.fire_margin_ns", core=core_id,
-                        ).observe(fire_now - deadline_ns)
-                    callback()
-
-                return original(core_id, now_ns, timeout_ns, observed_callback,
-                                **meta)
-            return schedule
-
-        def make_advance(original):
-            def advance(core_id, now_ns):
-                # Expose the watchdog thread's wakeup time to the fire
-                # callbacks so the margin histogram sees modeled time only.
-                saved = self._watchdog_now
-                self._watchdog_now = now_ns
-                try:
-                    return original(core_id, now_ns)
-                finally:
-                    self._watchdog_now = saved
-            return advance
-
-        self._wrap(watchdog, "schedule", make_schedule)
-        self._wrap(watchdog, "advance", make_advance)
-
-    # -- CPU cores ---------------------------------------------------------------
-    def _attach_cpu(self, platform_key: str, cpu) -> None:
-        registry = self.registry
-        core = cpu.core_id
-
-        # Quantum keeper: utilization at every sync.
-        quantum_ref = cpu.keeper.global_quantum
-
-        def make_sync_wait(original):
-            def sync_wait():
-                quantum_ps = quantum_ref.quantum.picoseconds
-                offset_ps = cpu.keeper.local_time_offset.picoseconds
-                registry.counter("quantum.syncs", core=core).inc()
-                registry.histogram("quantum.utilization",
-                                   buckets=FRACTION_BUCKETS,
-                                   core=core).observe(offset_ps / quantum_ps)
-                return original()
-            return sync_wait
-
-        self._wrap(cpu.keeper, "sync_wait", make_sync_wait)
+        def quantum_sync(cpu) -> None:
+            core = cpu.core_id
+            quantum_ps = cpu.keeper.global_quantum.quantum.picoseconds
+            offset_ps = cpu.keeper.local_time_offset.picoseconds
+            registry.counter("quantum.syncs", core=core).inc()
+            registry.histogram("quantum.utilization", buckets=FRACTION_BUCKETS,
+                               core=core).observe(offset_ps / quantum_ps)
 
         # WFI / WAIT_IRQ: suspend counter, skipped idle cycles, span pairs.
-        suspend_track = f"{platform_key}.core{core}"
-        pending_suspend: List[int] = []   # begin timestamp (ps), len <= 1
+        def simulate_call(cpu, cycles) -> None:
+            state = cores[cpu]
+            if state.suspend_begin_ps is None:
+                return
+            begin_ps, state.suspend_begin_ps = state.suspend_begin_ps, None
+            now_ps = cpu.keeper.current_time().picoseconds
+            skipped_ps = max(0, now_ps - begin_ps)
+            skipped_cycles = int(round(skipped_ps * 1e-12 * cpu.clock_hz))
+            registry.counter("wfi.skipped_cycles",
+                             core=state.core).inc(skipped_cycles)
+            self.sim_spans.complete(state.track, "wfi_suspend", begin_ps,
+                                    skipped_ps, core=state.core)
 
-        def make_simulate(original):
-            def simulate(cycles):
-                if pending_suspend:
-                    begin_ps = pending_suspend.pop()
-                    now_ps = cpu.keeper.current_time().picoseconds
-                    skipped_ps = max(0, now_ps - begin_ps)
-                    skipped_cycles = int(round(
-                        skipped_ps * 1e-12 * cpu.clock_hz))
-                    registry.counter("wfi.skipped_cycles",
-                                     core=core).inc(skipped_cycles)
-                    self.sim_spans.complete(suspend_track, "wfi_suspend",
-                                            begin_ps, skipped_ps, core=core)
-                result = original(cycles)
-                # Pure observer: WAIT_IRQ is the only action with a metric;
-                # every other action passes through untouched by design.
-                if result.action is SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
-                    registry.counter("wfi.suspends", core=core).inc()
-                    # The core will realize `result.cycles` of local time,
-                    # sync, then sleep: the suspend begins there.
-                    resume_base = (cpu.keeper.current_time()
-                                   + cpu.cycles_to_time(result.cycles))
-                    pending_suspend.append(resume_base.picoseconds)
-                return result
-            return simulate
+        def simulate_return(cpu, result) -> None:
+            # Pure observer: WAIT_IRQ is the only action with a metric;
+            # every other action passes through untouched by design.
+            if result.action is not SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
+                return
+            state = cores[cpu]
+            registry.counter("wfi.suspends", core=state.core).inc()
+            # The core will realize `result.cycles` of local time, sync,
+            # then sleep: the suspend begins there.
+            resume_base = (cpu.keeper.current_time()
+                           + cpu.cycles_to_time(result.cycles))
+            state.suspend_begin_ps = resume_base.picoseconds
 
-        self._wrap(cpu, "simulate", make_simulate)
+        # Fabric port: which path (dmi / transport / debug) served each access.
+        def fabric_access(port, path: str, ok: bool) -> None:
+            core = ports[port]
+            registry.counter("fabric.accesses", core=core, path=path).inc()
+            if not ok:
+                registry.counter("fabric.errors", core=core, path=path).inc()
 
-        # Fabric port: which path (dmi / transport / debug) served each
-        # access.  The observer slot is a plain undoable set — MemoryPort
-        # ships with on_access=None, so there is no original to chain.
-        mem = getattr(cpu, "mem", None)
-        if mem is not None:
-            def on_access(path: str, ok: bool) -> None:
-                registry.counter("fabric.accesses", core=core, path=path).inc()
-                if not ok:
-                    registry.counter("fabric.errors", core=core, path=path).inc()
+        # KVM-specific probes (IssCpu has no vcpu or kick path).
+        def vcpu_exit(cpu, info) -> None:
+            state = cores[cpu]
+            if not state.kvm:
+                return
+            core = state.core
+            reason = info.reason.value
+            registry.counter("kvm.exits", core=core, reason=reason).inc()
+            registry.histogram("kvm.exit_wall_ns", reason=reason).observe(info.wall_ns)
+            registry.histogram("kvm.exit_cycles",
+                               reason=reason).observe(info.instructions)
+            if info.instructions:
+                registry.counter("kvm.instructions",
+                                 core=core).inc(info.instructions)
+            if info.blocked_in_wfi:
+                registry.counter("wfi.blocked_runs", core=core).inc()
 
-            self._wraps.set(mem, "on_access", on_access)
+        def mmio_request(cpu, request) -> None:
+            state = cores[cpu]
+            if state.kvm:
+                state.mmio_begin_ns = cpu.host_now_ns
 
-        # KVM-specific probes (duck-typed: IssCpu has no vcpu/kick path).
-        vcpu = getattr(cpu, "vcpu", None)
-        if vcpu is not None:
-            def make_run(original):
-                def run(wall_budget_ns, speed_factor=1.0):
-                    exit_info = original(wall_budget_ns, speed_factor)
-                    reason = exit_info.reason.value
-                    registry.counter("kvm.exits", core=core, reason=reason).inc()
-                    registry.histogram("kvm.exit_wall_ns",
-                                       reason=reason).observe(exit_info.wall_ns)
-                    registry.histogram("kvm.exit_cycles",
-                                       reason=reason).observe(exit_info.instructions)
-                    if exit_info.instructions:
-                        registry.counter("kvm.instructions",
-                                         core=core).inc(exit_info.instructions)
-                    if exit_info.blocked_in_wfi:
-                        registry.counter("wfi.blocked_runs", core=core).inc()
-                    return exit_info
-                return run
+        def mmio_response(cpu, request, cycles, ok) -> None:
+            state = cores[cpu]
+            if not state.kvm:
+                return
+            registry.histogram("kvm.mmio_roundtrip_ns", core=state.core).observe(
+                cpu.host_now_ns - state.mmio_begin_ns)
 
-            self._wrap(vcpu, "run", make_run)
+        def kick(guard, kick_id, delivered) -> None:
+            core = guards[guard]
+            if delivered:
+                registry.counter("watchdog.kicks_delivered", core=core).inc()
+            else:
+                registry.counter("watchdog.kicks_stale", core=core).inc()
 
-            def make_handle_mmio(original):
-                def handle_mmio(request):
-                    before_ns = cpu.host_now_ns
-                    consumed = original(request)
-                    registry.histogram(
-                        "kvm.mmio_roundtrip_ns", core=core,
-                    ).observe(cpu.host_now_ns - before_ns)
-                    return consumed
-                return handle_mmio
-
-            self._wrap(cpu, "_handle_mmio", make_handle_mmio)
-
-        guard = getattr(cpu, "kick_guard", None)
-        if guard is not None:
-            def make_kick(original):
-                def kick(kick_id):
-                    delivered = guard.num_kicks_delivered
-                    filtered = guard.num_kicks_filtered
-                    original(kick_id)
-                    if guard.num_kicks_delivered > delivered:
-                        registry.counter("watchdog.kicks_delivered",
-                                         core=core).inc()
-                    if guard.num_kicks_filtered > filtered:
-                        registry.counter("watchdog.kicks_stale",
-                                         core=core).inc()
-                return kick
-
-            self._wrap(guard, "kick", make_kick)
+        return {"quantum_sync": quantum_sync, "simulate_call": simulate_call,
+                "simulate_return": simulate_return,
+                "fabric_access": fabric_access, "vcpu_exit": vcpu_exit,
+                "mmio_request": mmio_request, "mmio_response": mmio_response,
+                "kick": kick}
 
     # -- results ---------------------------------------------------------------
     def report(self) -> str:

@@ -100,19 +100,12 @@ class HostTimeline:
         self.ledger = ledger
         #: window -> ordered list of (lane, nanoseconds, category)
         self._events: Dict[int, List[Tuple[int, float, str]]] = {}
-        self._previous_observer = getattr(ledger, "observer", None)
-        ledger.observer = self._observe
 
     # -- recording ----------------------------------------------------------
-    def _observe(self, window: int, lane: int, nanoseconds: float,
-                 category: str) -> None:
-        if self._previous_observer is not None:
-            self._previous_observer(window, lane, nanoseconds, category)
+    def record(self, window: int, lane: int, nanoseconds: float,
+               category: str) -> None:
+        """One billing event, in billing order (fed from ``host_bill``)."""
         self._events.setdefault(window, []).append((lane, nanoseconds, category))
-
-    def detach(self) -> None:
-        if getattr(self.ledger, "observer", None) is not None:
-            self.ledger.observer = self._previous_observer
 
     # -- layout ---------------------------------------------------------------
     @staticmethod

@@ -77,6 +77,9 @@ class Processor(Component):
         #: the unified fabric access layer; all data-side memory traffic
         #: (MMIO completion, debugger peek/poke) goes through here
         self.mem = MemoryPort(self.data_socket)
+        #: the kernel's probe points; the fabric port emits on them too
+        self.probes = self.kernel.probes
+        self.mem.probes = self.probes
         self.keeper = QuantumKeeper(global_quantum, self.kernel)
         self.irq_event = self.sc_event("irq")
         self.irq_lines: Dict[int, IrqLine] = {}
@@ -116,6 +119,9 @@ class Processor(Component):
 
     def _irq_changed(self, number: int, level: bool) -> None:
         self._irq_levels[number] = level
+        fire = self.probes.irq
+        if fire is not None:
+            fire(self, number, level)
         self.on_interrupt(number, level)
         if level:
             self.irq_event.notify(delay=None)
@@ -143,6 +149,9 @@ class Processor(Component):
             lane = self.core_id
         window = self.keeper.current_time() // self.host_ledger.window_size
         self.host_ledger.add(window, lane, nanoseconds, category)
+        fire = self.probes.host_bill
+        if fire is not None:
+            fire(self, window, lane, nanoseconds, category, main_thread)
 
     # -- backend interface ------------------------------------------------------------
     def simulate(self, cycles: int) -> SimulateResult:
@@ -154,14 +163,39 @@ class Processor(Component):
         return False
 
     def _invoke_simulate(self, cycles: int) -> SimulateResult:
-        """One counted backend call.
+        """One counted backend call, emitted as ``simulate_call``/``_return``.
 
         Single funnel between the loop and ``simulate()`` so instrumentation
         (e.g. the quantum sanitizer in :mod:`repro.analysis.sanitize`) can
         observe the granted budget next to the consumed cycles.
         """
         self.num_simulate_calls += 1
-        return self.simulate(cycles)
+        fire = self.probes.simulate_call
+        if fire is not None:
+            fire(self, cycles)
+        result = self.simulate(cycles)
+        fire = self.probes.simulate_return
+        if fire is not None:
+            fire(self, result)
+        return result
+
+    def _exited(self, info) -> None:
+        """Emit ``vcpu_exit`` and ``retire`` for one backend run return
+        (``info`` is the backend's exit record: instructions, pc, reason)."""
+        fire = self.probes.vcpu_exit
+        if fire is not None:
+            fire(self, info)
+        fire = self.probes.retire
+        if fire is not None:
+            fire(self, info.instructions, info.pc)
+
+    def _sync_wait(self):
+        """Count a quantum sync, emit ``quantum_sync``, return the wait."""
+        self.num_syncs += 1
+        fire = self.probes.quantum_sync
+        if fire is not None:
+            fire(self)
+        return self.keeper.sync_wait()
 
     # -- the simulation loop -------------------------------------------------------------
     def _processor_thread(self):
@@ -172,9 +206,8 @@ class Processor(Component):
                 continue
             remaining = self.keeper.remaining()
             if remaining.is_zero():
-                self.num_syncs += 1
                 self._park = "sync"
-                yield self.keeper.sync_wait()
+                yield self._sync_wait()
                 continue
             cycles = self.time_to_cycles(remaining)
             if cycles <= 0:
@@ -185,16 +218,14 @@ class Processor(Component):
             self.keeper.inc(self.cycles_to_time(result.cycles))
             if result.action is SimulateAction.HALT:
                 self.halted = True
-                self.num_syncs += 1
                 self._park = "sync"
-                yield self.keeper.sync_wait()
+                yield self._sync_wait()
                 break
             if result.action is SimulateAction.BREAK:
                 # Debugger stop: realize local time, park until resumed,
                 # and hand control back to the host (the debugger).
-                self.num_syncs += 1
                 self._park = "break_sync"
-                yield self.keeper.sync_wait()
+                yield self._sync_wait()
                 self.debug_paused = True
                 self.kernel.stop()
                 self._park = "debug"
@@ -203,9 +234,8 @@ class Processor(Component):
                 continue
             if result.action is SimulateAction.WAIT_IRQ:
                 # Realize local time, then sleep until an interrupt arrives.
-                self.num_syncs += 1
                 self._park = "wait_irq_sync"
-                yield self.keeper.sync_wait()
+                yield self._sync_wait()
                 if not self.irq_pending():
                     self.waiting_for_irq = True
                     self._park = "wait_irq"
@@ -213,9 +243,8 @@ class Processor(Component):
                     self.waiting_for_irq = False
                 continue
             if self.keeper.need_sync():
-                self.num_syncs += 1
                 self._park = "sync"
-                yield self.keeper.sync_wait()
+                yield self._sync_wait()
         self.on_halt()
         if self.halt_callback is not None:
             self.halt_callback(self)

@@ -239,6 +239,7 @@ class AoaPlatform(VirtualPlatform):
         self.kvm = Kvm(config.kvm_costs)
         self.vm: Optional[Vm] = None
         self.watchdog = Watchdog()
+        self.watchdog.probes = sim.kernel.probes
         super().__init__(sim, config, software, name)
         # Apply WFI annotations after all vcpus exist (§IV-C step 3).
         if config.wfi_annotations:

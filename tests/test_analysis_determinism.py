@@ -15,6 +15,7 @@ from repro.analysis.determinism import (
     trace_run,
 )
 from repro.systemc.kernel import Kernel
+from repro.systemc.probes import ProbeBus
 from repro.systemc.time import SimTime
 
 QUICKSTART = Path(__file__).parent.parent / "examples" / "quickstart.py"
@@ -75,7 +76,7 @@ def test_injected_nondeterminism_is_caught_and_localized():
 def test_trace_hook_is_always_restored():
     with pytest.raises(ZeroDivisionError):
         trace_run(lambda: 1 // 0)
-    assert Kernel.trace_hook is None
+    assert ProbeBus().dispatch is None
 
 
 def test_trace_recording_does_not_nest():
@@ -84,7 +85,7 @@ def test_trace_recording_does_not_nest():
 
     with pytest.raises(RuntimeError, match="already being recorded"):
         trace_run(inner)
-    assert Kernel.trace_hook is None
+    assert ProbeBus().dispatch is None
 
 
 def test_trace_run_coexists_with_other_digest_tier_hooks():
@@ -100,7 +101,7 @@ def test_trace_run_coexists_with_other_digest_tier_hooks():
     assert len(trace) > 0
     # both observed the identical stream
     assert run.root_digest == trace.digest()
-    assert Kernel.trace_hook is None
+    assert ProbeBus().dispatch is None
 
 
 def test_digest_tier_hooks_dispatch_fifo_within_the_band():
@@ -110,7 +111,7 @@ def test_digest_tier_hooks_dispatch_fifo_within_the_band():
     second = Kernel.add_trace_hook(lambda *args: calls.append("second"),
                                    Kernel.TRACE_PRIORITY_DIGEST)
     try:
-        Kernel.trace_hook("test", 0, "probe")
+        ProbeBus().dispatch("test", 0, "probe")
     finally:
         Kernel.remove_trace_hook(first)
         Kernel.remove_trace_hook(second)

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.determinism import KernelTrace, trace_run
 from repro.analysis.race import RaceScope, active_race_scope, race_detecting
 from repro.systemc.kernel import Kernel
+from repro.systemc.probes import ProbeBus
 from repro.systemc.module import Module
 from repro.systemc.time import SimTime
 from repro.telemetry.metrics import MetricsRegistry
@@ -226,12 +227,12 @@ def test_tagger_runs_before_digest_hooks_in_either_attach_order():
     tagger = Kernel.add_trace_hook(lambda *a: calls.append("tagger"),
                                    Kernel.TRACE_PRIORITY_TAGGER)
     try:
-        Kernel.trace_hook("test", 0, "probe")
+        ProbeBus().dispatch("test", 0, "probe")
         assert calls == ["tagger", "digest"]
     finally:
         Kernel.remove_trace_hook(digest)
         Kernel.remove_trace_hook(tagger)
-    assert Kernel.trace_hook is None
+    assert ProbeBus().dispatch is None
 
 
 def test_digests_identical_with_and_without_race_scope():

@@ -14,6 +14,7 @@ from repro.divergence import (
 )
 from repro.host.machine import MAIN_LANE
 from repro.systemc.kernel import Kernel
+from repro.systemc.probes import ProbeBus
 from repro.systemc.time import SimTime
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -122,7 +123,7 @@ class TestFolding:
         with pytest.raises(ZeroDivisionError):
             with WindowLedger(WINDOW):
                 1 // 0
-        assert Kernel.trace_hook is None
+        assert ProbeBus().dispatch is None
 
 
 class TestSerialization:
@@ -205,5 +206,5 @@ class TestDigestNeutrality:
 
     def test_hooks_fully_removed_after_capture(self):
         capture_ledger(two_core_sim, window=WINDOW)
-        assert Kernel.trace_hook is None
-        assert not Kernel.trace_hooks_at(Kernel.TRACE_PRIORITY_DIGEST)
+        assert ProbeBus().dispatch is None
+        assert ProbeBus().subscribers("dispatch") == ()

@@ -15,6 +15,7 @@ from repro.divergence import (
 )
 from repro.divergence.bundle import write_divergence_bundle
 from repro.systemc.kernel import Kernel
+from repro.systemc.probes import ProbeBus
 from repro.systemc.time import SimTime
 
 WINDOW = SimTime.us(100)
@@ -51,7 +52,7 @@ class TestZoomRun:
 
     def test_hook_removed_after_zoom(self):
         zoom_run(seeded_sim, window=0, window_ps=WINDOW_PS)
-        assert Kernel.trace_hook is None
+        assert ProbeBus().dispatch is None
 
     def test_identical_windows_have_no_diff(self):
         first = zoom_run(lambda: seeded_sim(None), 1, WINDOW_PS)

@@ -6,7 +6,9 @@ from repro.arch.assembler import assemble
 from repro.analysis.determinism import trace_run
 from repro.flight import enable_flight, read_jsonl, recording
 from repro.flight.recorder import FlightRecorder
+from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
+from repro.telemetry import enable_telemetry
 from repro.vp import GuestSoftware, VpConfig, build_platform
 
 GUEST = """
@@ -30,6 +32,11 @@ finished:
 message:
     .asciz "hi\\n"
 """
+
+
+def subscribed_points(vp):
+    """The probe points of ``vp``'s kernel bus that have a subscriber."""
+    return {point for point in POINTS if vp.kernel.probes.subscribers(point)}
 
 
 def make_vp(num_cores=1, quantum_us=100):
@@ -124,18 +131,38 @@ class TestPlatformProbes:
         assert all(event.t_ps >= 0 for event in exits)
         flight.detach()
 
-    def test_detach_restores_wrapped_callables(self):
+    def test_detach_cancels_every_subscription(self):
         vp = make_vp()
-        cpu = vp.cpus[0]
-        originals = (cpu.simulate, cpu._handle_mmio, cpu.vcpu.run,
-                     vp.watchdog.schedule, vp.uart.on_tx)
+        on_tx = vp.uart.on_tx
         flight = enable_flight(vp, bundles=False)
-        assert cpu.simulate is not originals[0]
+        assert {"vcpu_exit", "mmio_request", "kick", "wedge", "retire",
+                "watchdog_fire", "kernel_error"} <= subscribed_points(vp)
+        assert vp.uart.on_tx is not on_tx
         flight.detach()
-        assert (cpu.simulate, cpu._handle_mmio, cpu.vcpu.run,
-                vp.watchdog.schedule, vp.uart.on_tx) == originals
-        assert vp.watchdog.fire_listeners == []
+        assert subscribed_points(vp) == set()
+        assert vp.uart.on_tx is on_tx
         assert vp.flight is None
+
+    def test_observers_see_the_same_events_in_either_attach_order(self):
+        def observe(flight_first: bool):
+            vp = make_vp(num_cores=2)
+            if flight_first:
+                flight = enable_flight(vp, bundles=False)
+                telemetry = enable_telemetry(vp)
+            else:
+                telemetry = enable_telemetry(vp)
+                flight = enable_flight(vp, bundles=False)
+            vp.run(SimTime.ms(50))
+            flight.detach()
+            telemetry.detach()
+            assert subscribed_points(vp) == set()
+            return (telemetry.registry.snapshot(),
+                    [event.to_dict() for event in flight.recorder],
+                    flight.profiler.folded_lines())
+
+        flight_first = observe(flight_first=True)
+        assert flight_first == observe(flight_first=False)
+        assert flight_first[1] and flight_first[2]
 
     def test_attach_twice_rejected(self):
         import pytest

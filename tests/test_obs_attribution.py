@@ -22,6 +22,7 @@ from repro.host.machine import MAIN_LANE, apple_m2_pro
 from repro.obs import SubscriberSink, enable_obs, observing
 from repro.obs.attribution import (AttributionFold, CATEGORY_PHASES, PHASES,
                                    render_summary, summarize_timeline)
+from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import enable_telemetry
 from repro.vp import GuestSoftware, VpConfig, build_platform
@@ -48,6 +49,11 @@ done:
 message:
     .asciz "obs\\n"
 """
+
+
+def subscribed_points(vp):
+    """The probe points of ``vp``'s kernel bus that have a subscriber."""
+    return {point for point in POINTS if vp.kernel.probes.subscribers(point)}
 
 
 def make_vp(kind="aoa", cores=1, parallel=False, quantum_us=100,
@@ -240,30 +246,26 @@ class TestEngineLifecycle:
 
     def test_finished_run_seals_and_releases_the_platform(self):
         vp = make_vp()
-        cpu = vp.cpus[0]
         obs = enable_obs(vp)
-        assert "bill_host_time" in cpu.__dict__
+        assert subscribed_points(vp) == {"host_bill", "time_advance",
+                                         "dispatch", "run_return"}
         vp.run(SimTime.ms(50))
-        # All cores halted: the run wrap sealed the entry on the way out.
+        # All cores halted: the run_return probe sealed the entry.
         entry = obs.platforms[0]
         assert entry.sealed and entry.vp is None
         assert vp.obs is None
-        assert "bill_host_time" not in cpu.__dict__
-        assert "time_hook" not in vp.kernel.__dict__
-        assert "run" not in vp.kernel.__dict__
+        assert subscribed_points(vp) == set()
         # The summary survives from the sealed cache.
         summary = obs.summaries()[f"{vp.name}#0"]
         assert summary.instructions == vp.total_instructions()
         assert summary.wall_time_ns == vp.ledger.wall_time_ns()
 
-    def test_detach_mid_run_restores_everything(self):
+    def test_detach_mid_run_cancels_every_subscription(self):
         vp = make_vp()
-        cpu = vp.cpus[0]
         obs = enable_obs(vp)
         obs.detach()
         assert vp.obs is None
-        assert "bill_host_time" not in cpu.__dict__
-        assert "trace_hook" not in vp.kernel.__dict__
+        assert subscribed_points(vp) == set()
         vp.run(SimTime.ms(50))
         assert vp.console_output() == "obs\n"
 

@@ -113,3 +113,46 @@ class TestCli:
                               "--tolerance", "0.25"]) == 1
         err = capsys.readouterr().err
         assert "FAIL" in err
+
+
+class TestHostileInputs:
+    """Malformed files are rejected with ``cannot load``, exit code 2."""
+
+    HISTORIES = {
+        "list": "[]",
+        "truncated": '{"schema": "' + HISTORY_SCHEMA + '", "entries": [',
+        "entries_not_list": json.dumps({"schema": HISTORY_SCHEMA,
+                                        "entries": {"a": 1}}),
+    }
+    REPORTS = {
+        "list": "[]",
+        "truncated": '{"summaries": [{"platform": ',
+        "summary_not_object": json.dumps({"summaries": [1]}),
+        "summaries_not_list": json.dumps({"summaries": "none"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HISTORIES))
+    def test_load_history_raises_value_error(self, case, tmp_path):
+        path = tmp_path / "history.json"
+        path.write_text(self.HISTORIES[case])
+        with pytest.raises(ValueError):
+            load_history(str(path))
+
+    @pytest.mark.parametrize("case", sorted(HISTORIES))
+    def test_trend_cli_cannot_load(self, case, tmp_path, capsys):
+        path = tmp_path / "history.json"
+        path.write_text(self.HISTORIES[case])
+        assert obs_main.main(["trend", str(path)]) == 2
+        assert f"cannot load {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(REPORTS))
+    def test_report_cli_cannot_load(self, case, tmp_path, capsys):
+        path = tmp_path / "run.obs.json"
+        path.write_text(self.REPORTS[case])
+        assert obs_main.main(["report", str(path)]) == 2
+        assert f"cannot load {path}" in capsys.readouterr().err
+
+    def test_report_cli_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.obs.json"
+        assert obs_main.main(["report", str(path)]) == 2
+        assert "cannot load" in capsys.readouterr().err

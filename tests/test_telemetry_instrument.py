@@ -2,7 +2,7 @@
 
 The central invariants: every probe is purely observational (identical
 simulation results and identical DET001 scheduler digests with telemetry
-on and off), detaching restores every wrapped callable, and the host
+on and off), detaching cancels every probe subscription, and the host
 timeline tiles to exactly the ledger's wall-clock fold in both sequential
 (sum) and parallel (max) modes.
 """
@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.determinism import trace_run
 from repro.arch.assembler import assemble
+from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import MetricsRegistry, Telemetry, collecting, enable_telemetry
 from repro.vp import GuestSoftware, VpConfig, build_platform
@@ -91,6 +92,11 @@ vectors:
     add x28, x28, #1
     eret
 """
+
+
+def subscribed_points(vp):
+    """The probe points of ``vp``'s kernel bus that have a subscriber."""
+    return {point for point in POINTS if vp.kernel.probes.subscribers(point)}
 
 
 def make_vp(source=HELLO, kind="aoa", cores=1, parallel=False,
@@ -271,26 +277,21 @@ class TestTransparency:
         assert len(plain) > 0
         assert instrumented.digest() == plain.digest()
 
-    def test_detach_restores_every_callable(self):
+    def test_detach_cancels_every_subscription(self):
         vp = make_vp()
         cpu = vp.cpus[0]
-        before = {
-            "simulate": cpu.simulate,
-            "sync_wait": cpu.keeper.sync_wait,
-            "run": cpu.vcpu.run,
-        }
+        bus = vp.kernel.probes
+        assert cpu.probes is bus and cpu.mem.probes is bus
+        assert cpu.kick_guard.probes is bus and vp.watchdog.probes is bus
+        assert subscribed_points(vp) == set()
         telemetry = enable_telemetry(vp)
-        assert cpu.simulate is not before["simulate"]
-        assert cpu.mem.on_access is not None
+        assert subscribed_points(vp) == {
+            "dispatch", "watchdog_arm", "watchdog_fire", "quantum_sync",
+            "simulate_call", "simulate_return", "fabric_access", "vcpu_exit",
+            "mmio_request", "mmio_response", "kick", "host_bill"}
         telemetry.detach()
-        assert cpu.mem.on_access is None
-        assert cpu.simulate == before["simulate"]
-        assert cpu.keeper.sync_wait == before["sync_wait"]
-        assert cpu.vcpu.run == before["run"]
-        assert "simulate" not in cpu.__dict__
-        assert "trace_hook" not in vp.kernel.__dict__
+        assert subscribed_points(vp) == set()
         assert vp.telemetry is None
-        assert vp.ledger.observer is None
         # The platform still runs normally afterwards...
         vp.run(SimTime.ms(50))
         assert vp.console_output() == "telemetry\n"

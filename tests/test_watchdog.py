@@ -51,7 +51,7 @@ class TestFireNotifications:
     def test_listener_gets_kick_id_and_budget(self):
         watchdog = Watchdog()
         fires = []
-        watchdog.add_fire_listener(fires.append)
+        watchdog.probes.subscribe("watchdog_fire", fires.append)
         watchdog.schedule(2, now_ns=10, timeout_ns=90, callback=lambda: None,
                           kick_id=7, budget_ns=90)
         watchdog.advance(2, 125)
@@ -68,7 +68,7 @@ class TestFireNotifications:
     def test_raw_timers_report_none_metadata(self):
         watchdog = Watchdog()
         fires = []
-        watchdog.add_fire_listener(fires.append)
+        watchdog.probes.subscribe("watchdog_fire", fires.append)
         watchdog.schedule(0, 0, 10, lambda: None)
         watchdog.advance(0, 10)
         assert fires[0].kick_id is None
@@ -80,7 +80,7 @@ class TestFireNotifications:
         guard.next_run()
         watchdog = Watchdog()
         fires = []
-        watchdog.add_fire_listener(fires.append)
+        watchdog.probes.subscribe("watchdog_fire", fires.append)
         guard.arm(watchdog, 1, now_ns=0, timeout_ns=50)
         watchdog.advance(1, 50)
         assert fires[0].kick_id == 2
@@ -89,8 +89,7 @@ class TestFireNotifications:
     def test_listener_removal(self):
         watchdog = Watchdog()
         fires = []
-        watchdog.add_fire_listener(fires.append)
-        watchdog.remove_fire_listener(fires.append)
+        watchdog.probes.subscribe("watchdog_fire", fires.append).cancel()
         watchdog.schedule(0, 0, 10, lambda: None)
         watchdog.advance(0, 10)
         assert fires == []
@@ -98,7 +97,7 @@ class TestFireNotifications:
     def test_cancelled_timer_does_not_notify(self):
         watchdog = Watchdog()
         fires = []
-        watchdog.add_fire_listener(fires.append)
+        watchdog.probes.subscribe("watchdog_fire", fires.append)
         entry = watchdog.schedule(0, 0, 10, lambda: None)
         watchdog.cancel(entry)
         watchdog.advance(0, 100)
@@ -150,7 +149,7 @@ class TestKickGuard:
         """Two delivered kicks for one run id: SIGUSR1 failed to end KVM_RUN."""
         wedges = []
         guard = KickGuard(lambda: None)
-        guard.on_repeat_kick = wedges.append
+        guard.probes.subscribe("wedge", lambda _guard, kick_id: wedges.append(kick_id))
         watchdog = Watchdog()
         guard.arm(watchdog, 0, now_ns=0, timeout_ns=10)
         guard.arm(watchdog, 0, now_ns=0, timeout_ns=20)
@@ -160,11 +159,23 @@ class TestKickGuard:
         assert guard.num_repeat_kicks == 1
         assert wedges == [0]
 
+    def test_kick_probe_reports_delivery(self):
+        guard = KickGuard(lambda: None)
+        kicks = []
+        guard.probes.subscribe("kick", lambda _guard, kick_id, delivered:
+                               kicks.append((kick_id, delivered)))
+        watchdog = Watchdog()
+        guard.arm(watchdog, 0, 0, 10)
+        guard.next_run()
+        guard.arm(watchdog, 0, 0, 20)
+        watchdog.advance(0, 20)
+        assert kicks == [(0, False), (1, True)]
+
     def test_normal_requeue_is_not_a_repeat(self):
         """Delivered kicks for *different* run ids never count as a wedge."""
         guard = KickGuard(lambda: None)
         wedges = []
-        guard.on_repeat_kick = wedges.append
+        guard.probes.subscribe("wedge", lambda _guard, kick_id: wedges.append(kick_id))
         watchdog = Watchdog()
         for _ in range(5):
             guard.arm(watchdog, 0, 0, 10)
