@@ -5,9 +5,11 @@ The parallel quantum kernel will run one worker thread per simulated core
 predicts the data races that scheme would hit **while the simulation still
 executes serially**: every attribute access on an instrumented object is
 tagged with the accessing ``(lane, quantum window)`` — the lane is the
-core whose ``simulate()`` leg is on the stack, the window is
-``keeper.current_time() // window_size`` exactly as
-:meth:`repro.vcml.processor.Processor.bill_host_time` computes it for the
+core whose ``simulate()`` leg is on the stack, the window is the leg's
+local time (kernel time plus the keeper's offset) floor-divided by the
+window size — the same index
+:meth:`repro.vcml.processor.Processor.bill_host_time` computes in integer
+picoseconds (``(now_ps + offset_ps) // window_ps``) for the
 :class:`~repro.host.accounting.HostLedger`.  Two accesses to the same
 attribute from *different* lanes in the *same* window, at least one of
 them a write, would have been concurrent under the parallel kernel — the

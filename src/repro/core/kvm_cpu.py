@@ -118,7 +118,7 @@ class KvmCpu(Processor):
     # -- the Fig. 3 loop -----------------------------------------------------------
     def simulate(self, cycles: int) -> SimulateResult:
         costs = self.costs
-        freq_hz = self.clock_hz
+        freq_hz = self.clk.frequency_hz
         # (1) allowed runtime from the cycle budget (1 cycle == 1 instruction).
         budget_ns = cycles * 1e9 / freq_hz
         # (2) program the software watchdog for the current kick id.

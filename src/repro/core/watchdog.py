@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..systemc.probes import ProbeBus
 
@@ -46,29 +46,35 @@ class WatchdogFire(NamedTuple):
 
 
 class WatchdogEntry:
-    __slots__ = ("deadline_ns", "seq", "callback", "cancelled", "core_id",
+    """One armed timer: the handle :meth:`Watchdog.cancel` takes."""
+
+    __slots__ = ("deadline_ns", "callback", "cancelled", "core_id",
                  "kick_id", "budget_ns")
 
-    def __init__(self, deadline_ns: float, seq: int, callback: Callable[[], None],
+    def __init__(self, deadline_ns: float, callback: Callable[[], None],
                  core_id: int = 0, kick_id: Optional[int] = None,
                  budget_ns: Optional[float] = None):
         self.deadline_ns = deadline_ns
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.core_id = core_id
         self.kick_id = kick_id
         self.budget_ns = budget_ns
 
-    def __lt__(self, other: "WatchdogEntry") -> bool:
-        return (self.deadline_ns, self.seq) < (other.deadline_ns, other.seq)
+
+#: a timeline slot: ``heapq`` orders by deadline, then by arm order
+_Slot = Tuple[float, int, WatchdogEntry]
 
 
 class Watchdog:
-    """Shared watchdog timer; one timeline per core's vcpu thread."""
+    """Shared watchdog timer; one timeline per core's vcpu thread.
+
+    Each timeline is a heap of ``(deadline_ns, seq, entry)`` tuples, so
+    timers fire in deadline order and, at equal deadlines, in arm order.
+    """
 
     def __init__(self):
-        self._timelines: Dict[int, List[WatchdogEntry]] = {}
+        self._timelines: Dict[int, List[_Slot]] = {}
         self._seq = itertools.count()
         self.num_scheduled = 0
         self.num_fired = 0
@@ -89,9 +95,11 @@ class Watchdog:
         """
         if timeout_ns < 0:
             raise ValueError(f"negative watchdog timeout: {timeout_ns}")
-        entry = WatchdogEntry(now_ns + timeout_ns, next(self._seq), callback,
-                              core_id=core_id, kick_id=kick_id, budget_ns=budget_ns)
-        heapq.heappush(self._timelines.setdefault(core_id, []), entry)
+        deadline_ns = now_ns + timeout_ns
+        entry = WatchdogEntry(deadline_ns, callback, core_id=core_id,
+                              kick_id=kick_id, budget_ns=budget_ns)
+        heapq.heappush(self._timelines.setdefault(core_id, []),
+                       (deadline_ns, next(self._seq), entry))
         self.num_scheduled += 1
         fire = self.probes.watchdog_arm
         if fire is not None:
@@ -109,8 +117,8 @@ class Watchdog:
         if not timeline:
             return 0
         fired = 0
-        while timeline and timeline[0].deadline_ns <= now_ns:
-            entry = heapq.heappop(timeline)
+        while timeline and timeline[0][0] <= now_ns:
+            entry = heapq.heappop(timeline)[2]
             if entry.cancelled:
                 continue
             entry.callback()
@@ -123,7 +131,8 @@ class Watchdog:
         return fired
 
     def pending(self, core_id: int) -> int:
-        return sum(1 for entry in self._timelines.get(core_id, []) if not entry.cancelled)
+        return sum(1 for _, _, entry in self._timelines.get(core_id, [])
+                   if not entry.cancelled)
 
     # -- snapshot support -------------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -139,15 +148,14 @@ class Watchdog:
         """
         timelines = {}
         for core_id in sorted(self._timelines):
-            live = sorted((entry for entry in self._timelines[core_id]
-                           if not entry.cancelled),
-                          key=lambda entry: (entry.deadline_ns, entry.seq))
+            live = sorted(slot for slot in self._timelines[core_id]
+                          if not slot[2].cancelled)
             if live:
                 timelines[str(core_id)] = [
                     {"deadline_ns": entry.deadline_ns,
                      "kick_id": entry.kick_id,
                      "budget_ns": entry.budget_ns}
-                    for entry in live
+                    for _, _, entry in live
                 ]
         return {
             "timelines": timelines,
@@ -163,14 +171,14 @@ class Watchdog:
         for core_str, entries in state["timelines"].items():
             core_id = int(core_str)
             guard = kick_guards[core_id]
-            timeline: List[WatchdogEntry] = []
+            timeline: List[_Slot] = []
             for data in entries:
                 kick_id = data["kick_id"]
-                entry = WatchdogEntry(data["deadline_ns"], next(self._seq),
+                entry = WatchdogEntry(data["deadline_ns"],
                                       (lambda g=guard, k=kick_id: g.kick(k)),
                                       core_id=core_id, kick_id=kick_id,
                                       budget_ns=data["budget_ns"])
-                timeline.append(entry)
+                timeline.append((entry.deadline_ns, next(self._seq), entry))
             heapq.heapify(timeline)
             self._timelines[core_id] = timeline
         self.num_scheduled = state["num_scheduled"]

@@ -9,7 +9,8 @@ digests along the paper's natural hierarchy:
 
 * a **quantum window** — ``time_ps // window_ps``, the same geometry the
   :class:`~repro.host.accounting.HostLedger` and the SAN005 race tagger
-  use (``keeper.current_time() // window_size``);
+  use (``(now_ps + offset_ps) // window_ps`` in
+  :meth:`~repro.vcml.processor.Processor.bill_host_time`);
 * a **lane** within the window — the simulated core whose ``simulate()``
   leg the dispatch runs, attributed through the shared lane model
   (:func:`repro.analysis.race.lane_of_dispatch`): core-thread dispatches

@@ -47,6 +47,8 @@ class HostLedger:
         if window.is_zero():
             raise ValueError("ledger window (quantum) must be non-zero")
         self.window_size = window
+        #: the window in picoseconds, for the per-bill window index
+        self.window_ps = window.picoseconds
         self.parallel = parallel
         self.machine = machine
         self.num_cores = num_cores

@@ -110,10 +110,9 @@ def _serialize_heap(kernel, event_names: Dict[str, Event],
     firing order while keeping snapshot bytes independent of how many
     entries the original kernel ever allocated.
     """
-    live = sorted((entry for entry in kernel._timed if not entry.cancelled),
-                  key=lambda entry: (entry.due.picoseconds, entry.seq))
+    live = sorted(slot for slot in kernel._timed if not slot[2].cancelled)
     out = []
-    for entry in live:
+    for due_ps, _, entry in live:
         action = entry.action
         if isinstance(action, _ProcessWakeup):
             descriptor = {"type": "process", "process": action.process.name,
@@ -135,9 +134,9 @@ def _serialize_heap(kernel, event_names: Dict[str, Event],
                               "method": action.__func__.__name__}
         else:
             raise SnapshotError(
-                f"timed-heap entry due at {entry.due} holds a non-introspectable "
+                f"timed-heap entry due at {due_ps} ps holds a non-introspectable "
                 f"action {action!r} (closure/lambda); see lint rule RPR012")
-        out.append({"due_ps": entry.due.picoseconds, "action": descriptor})
+        out.append({"due_ps": due_ps, "action": descriptor})
     return out
 
 
@@ -232,7 +231,7 @@ def capture_platform(vp, trace: Optional[List[Tuple[str, int, str]]] = None,
         "config": serialize_config(vp.config),
         "software": software_descriptor(vp.software),
         "sim": {
-            "now_ps": kernel._now.picoseconds,
+            "now_ps": kernel._now_ps,
             "delta_count": kernel.delta_count,
             "halted_cores": vp._halted_cores,
         },

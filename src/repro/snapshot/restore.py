@@ -24,13 +24,11 @@ dynamic state from the manifest:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Optional
 
 from ..host.params import IssCostParams, KvmCostParams, SimulationCostParams
 from ..host.wallclock import elapsed_since, wall_clock
-from ..systemc.kernel import _TimedEntry
 from ..systemc.process import Process, ProcessState
 from ..systemc.time import SimTime
 from ..vp.config import VpConfig
@@ -103,12 +101,40 @@ def _validate_software(section: dict, software) -> None:
             f"restore was given {actual}")
 
 
+def _check_ps(value, field: str, minimum: int = 0, floor_name: str = "0") -> None:
+    """Reject a picosecond field that is not an ``int`` >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SnapshotError(
+            f"malformed {field}: want an int of ps, got {type(value).__name__}")
+    if value < minimum:
+        raise SnapshotError(f"malformed {field}: {value} is below {floor_name}")
+
+
+def _validate_times(manifest: dict) -> None:
+    """Check every ps field the kernel and keepers take verbatim.
+
+    The kernel keeps time as plain ints, so nothing downstream would catch
+    a string, a float, a negative count or a timed entry due before the
+    snapshot's own time (which would step simulated time backwards).
+    """
+    try:
+        now_ps = manifest["sim"]["now_ps"]
+        _check_ps(now_ps, "sim.now_ps")
+        for index, item in enumerate(manifest["kernel"]["timed"]):
+            _check_ps(item["due_ps"], f"kernel.timed[{index}].due_ps",
+                      now_ps, f"sim.now_ps ({now_ps})")
+        for index, state in enumerate(manifest["cpus"]):
+            _check_ps(state["local_offset_ps"], f"cpus[{index}].local_offset_ps")
+    except (KeyError, TypeError) as exc:
+        raise SnapshotError(f"malformed time section: {exc!r}") from exc
+
+
 def _rebuild_heap(vp, manifest: dict) -> None:
     kernel = vp.kernel
     events, owners = build_registries(vp)
     processes = {cpu._thread.name: cpu._thread for cpu in vp.cpus}
     for item in manifest["kernel"]["timed"]:
-        due = SimTime(item["due_ps"])
+        due_ps = item["due_ps"]
         descriptor = item["action"]
         kind = descriptor["type"]
         if kind == "process":
@@ -116,7 +142,7 @@ def _rebuild_heap(vp, manifest: dict) -> None:
             if process is None:
                 raise SnapshotError(
                     f"heap entry references unknown process {descriptor['process']!r}")
-            entry = kernel._schedule_timed_wakeup(process, due,
+            entry = kernel._schedule_timed_wakeup(process, due_ps,
                                                   timeout=descriptor["timeout"])
             # Mirror Process._arm: the waiting process owns the handle so a
             # later event wake cancels the stale timer.
@@ -126,8 +152,8 @@ def _rebuild_heap(vp, manifest: dict) -> None:
             if event is None:
                 raise SnapshotError(
                     f"heap entry references unknown event {descriptor['event']!r}")
-            entry = kernel._schedule_timed_notification(event, due)
-            event._pending_time = due
+            entry = kernel._schedule_timed_notification(event, due_ps)
+            event._pending_time = due_ps
             event._pending_delta = False
             event._pending_handle = entry
         elif kind == "method":
@@ -140,8 +166,7 @@ def _rebuild_heap(vp, manifest: dict) -> None:
                 raise SnapshotError(
                     f"owner {descriptor['owner']!r} has no method "
                     f"{descriptor['method']!r}")
-            entry = _TimedEntry(due, next(kernel._seq), method)
-            heapq.heappush(kernel._timed, entry)
+            entry = kernel._schedule_timed(due_ps, method)
             handle_attr = _METHOD_HANDLE_ATTR.get(descriptor["method"])
             if handle_attr is not None:
                 setattr(owner, handle_attr, entry)
@@ -173,6 +198,7 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
         raise SnapshotError(
             f"snapshot has {len(manifest['processes'])} cores, config wants "
             f"{config.num_cores}")
+    _validate_times(manifest)
 
     vp = build_platform(kind, config, software)
     kernel = vp.kernel
@@ -199,7 +225,7 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     kernel._update_request_ids.clear()
     kernel._timed = []
     kernel._seq = itertools.count()
-    kernel._now = SimTime(manifest["sim"]["now_ps"])
+    kernel._now_ps = manifest["sim"]["now_ps"]
     kernel.delta_count = manifest["sim"]["delta_count"]
     vp._halted_cores = manifest["sim"]["halted_cores"]
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .event import Event
 from .kernel import Kernel, current_kernel
-from .time import SimTime
+from .time import SimTime, _as_ps
 
 
 class Clock:
@@ -42,13 +42,25 @@ class Clock:
     def period(self) -> SimTime:
         return SimTime.from_frequency(self._frequency)
 
+    def cycles_to_ps(self, cycles: int) -> int:
+        """Duration of ``cycles`` clock cycles, in picoseconds."""
+        return round(cycles * 1_000_000_000_000 / self._frequency)
+
+    def ps_to_cycles(self, picoseconds: int) -> int:
+        """Whole cycles that fit in ``picoseconds`` (floor).
+
+        Converts through seconds as a float, exactly as the ``SimTime``
+        form always has, so cycle counts stay bit-identical.
+        """
+        return int(picoseconds / 1_000_000_000_000 * self._frequency)
+
     def cycles_to_time(self, cycles: int) -> SimTime:
         """Duration of ``cycles`` clock cycles."""
-        return SimTime(round(cycles * 1_000_000_000_000 / self._frequency))
+        return SimTime(self.cycles_to_ps(cycles))
 
     def time_to_cycles(self, duration: SimTime) -> int:
         """Whole cycles that fit in ``duration`` (floor)."""
-        return int(duration.to_seconds() * self._frequency)
+        return self.ps_to_cycles(_as_ps(duration))
 
     def start_ticking(self) -> None:
         """Generate posedge events every period (only if a model needs them)."""

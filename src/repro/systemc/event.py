@@ -4,7 +4,8 @@ Mirrors ``sc_core::sc_event``: processes wait on events; events can be
 notified immediately, after a delta cycle, or after a time delay.  A pending
 timed notification is cancelled by a later immediate/delta notification, as
 in SystemC (an event has at most one pending notification, and earlier
-notifications override later ones).
+notifications override later ones).  A pending timed notification is kept
+as an absolute ``int`` of picoseconds, like every time inside the kernel.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ class Event:
         self.name = name
         self._kernel = kernel
         self._waiters: List["Process"] = []
-        # Pending notification bookkeeping: None = nothing pending,
-        # a SimTime = absolute due time, DELTA for next delta cycle.
-        self._pending_time: Optional[SimTime] = None
+        # Pending notification bookkeeping: None = nothing pending, else
+        # the absolute due time in ps; _pending_delta for the next delta.
+        self._pending_time: Optional[int] = None
         self._pending_delta = False
         self._pending_handle = None
 
@@ -74,14 +75,14 @@ class Event:
             return
         if not isinstance(delay, SimTime):
             raise TypeError(f"notify() delay must be SimTime, got {type(delay).__name__}")
-        if delay.is_zero():
+        if not delay._ps:
             if self._pending_delta:
                 return
             self._cancel_pending()
             self._pending_delta = True
             kernel._schedule_delta_notification(self)
             return
-        due = kernel.now + delay
+        due = kernel._now_ps + delay._ps
         if self._pending_delta:
             return  # a delta notification beats any timed one
         if self._pending_time is not None and self._pending_time <= due:

@@ -14,6 +14,13 @@ paper's parallel execution of CPU cores is modeled, not run on host threads:
 the host-time ledger (:mod:`repro.host.accounting`) charges each quantum
 window the maximum over the per-core lanes when ``VpConfig.parallel`` is set.
 
+Simulated time inside the kernel is a plain ``int`` of picoseconds
+(``_now_ps`` and the due times in the timed heap); :class:`SimTime` is
+only built at the API edge (:attr:`Kernel.now`, :meth:`Kernel.run`,
+``schedule_callback``, ``yield SimTime``, ``Event.notify``).  The timed heap
+holds ``(due_ps, seq, entry)`` tuples, so ``heapq`` orders it in C: by due
+time, then by scheduling order.
+
 Observers never patch the kernel: they subscribe to the named probe points
 of its :class:`~repro.systemc.probes.ProbeBus` (``Kernel.probes``).
 """
@@ -24,12 +31,12 @@ import heapq
 import itertools
 import threading
 from collections import deque
-from typing import Callable, Deque, Generator, List, Optional, Set
+from typing import Callable, Deque, Generator, List, Optional, Set, Tuple
 
 from . import probes
 from .event import Event
 from .process import MethodProcess, Process, ProcessState
-from .time import SimTime
+from .time import SimTime, _as_ps
 
 
 class _KernelContext(threading.local):
@@ -80,20 +87,17 @@ class _ProcessWakeup:
 
 
 class _TimedEntry:
-    """A cancellable entry in the timed-notification heap."""
+    """A cancellable action in the timed-notification heap.
 
-    __slots__ = ("due", "seq", "action", "cancelled")
+    The heap itself holds ``(due_ps, seq, entry)`` tuples; the entry is the
+    handle a scheduler keeps to cancel it.
+    """
 
-    def __init__(self, due: SimTime, seq: int, action: Callable[[], None]):
-        self.due = due
-        self.seq = seq
+    __slots__ = ("action", "cancelled")
+
+    def __init__(self, action: Callable[[], None]):
         self.action = action
         self.cancelled = False
-
-    def __lt__(self, other: "_TimedEntry") -> bool:
-        if self.due.picoseconds != other.due.picoseconds:
-            return self.due.picoseconds < other.due.picoseconds
-        return self.seq < other.seq
 
 
 class SimulationStopped(Exception):
@@ -140,12 +144,13 @@ class Kernel:
         handle.cancel()
 
     def __init__(self):
-        self._now = SimTime.zero()
+        self._now_ps = 0
+        self._now_time = SimTime.zero()
         self._runnable: Deque[Process] = deque()
         self._runnable_set = set()
         self._delta_events: List[Event] = []
         self._delta_wakeups: List[Process] = []
-        self._timed: List[_TimedEntry] = []
+        self._timed: List[Tuple[int, int, _TimedEntry]] = []
         self._seq = itertools.count()
         self._processes: List[Process] = []
         self._methods: Deque[MethodProcess] = deque()
@@ -182,7 +187,10 @@ class Kernel:
     # -- state --------------------------------------------------------------
     @property
     def now(self) -> SimTime:
-        return self._now
+        now = self._now_time
+        if now._ps != self._now_ps:
+            now = self._now_time = SimTime(self._now_ps)
+        return now
 
     @property
     def current_process(self) -> Optional[Process]:
@@ -210,22 +218,22 @@ class Kernel:
     def _schedule_delta_wakeup(self, process: Process) -> None:
         self._delta_wakeups.append(process)
 
-    def _schedule_timed_notification(self, event: Event, due: SimTime) -> _TimedEntry:
-        entry = _TimedEntry(due, next(self._seq), event._fire)
-        heapq.heappush(self._timed, entry)
+    def _schedule_timed(self, due_ps: int, action: Callable[[], None]) -> _TimedEntry:
+        """Push ``action`` onto the timed heap at absolute time ``due_ps``."""
+        entry = _TimedEntry(action)
+        heapq.heappush(self._timed, (due_ps, next(self._seq), entry))
         return entry
 
-    def _schedule_timed_wakeup(self, process: Process, due: SimTime, timeout: bool = False) -> _TimedEntry:
-        action = _ProcessWakeup(self, process, timeout)
-        entry = _TimedEntry(due, next(self._seq), action)
-        heapq.heappush(self._timed, entry)
-        return entry
+    def _schedule_timed_notification(self, event: Event, due_ps: int) -> _TimedEntry:
+        return self._schedule_timed(due_ps, event._fire)
+
+    def _schedule_timed_wakeup(self, process: Process, due_ps: int,
+                               timeout: bool = False) -> _TimedEntry:
+        return self._schedule_timed(due_ps, _ProcessWakeup(self, process, timeout))
 
     def schedule_callback(self, delay: SimTime, callback: Callable[[], None]) -> _TimedEntry:
         """Run ``callback`` after ``delay`` simulated time (kernel context)."""
-        entry = _TimedEntry(self._now + delay, next(self._seq), callback)
-        heapq.heappush(self._timed, entry)
-        return entry
+        return self._schedule_timed(self._now_ps + _as_ps(delay), callback)
 
     def _queue_method(self, method: MethodProcess) -> None:
         self._methods.append(method)
@@ -251,8 +259,8 @@ class Kernel:
         time; without it, until no activity remains or :meth:`stop` is
         called.  Returns the simulation time reached.
         """
+        deadline = None if duration is None else self._now_ps + _as_ps(duration)
         _context.stack.append(self)
-        deadline = None if duration is None else self._now + duration
         self._stop_requested = False
         self._running = True
         try:
@@ -273,12 +281,12 @@ class Kernel:
             self._running = False
             _context.stack.pop()
         if (not self._stop_requested and deadline is not None
-                and self._now < deadline and not self.pending_activity()):
-            self._now = deadline
+                and self._now_ps < deadline and not self.pending_activity()):
+            self._now_ps = deadline
         fire = self.probes.run_return
         if fire is not None:
-            fire(self._now)
-        return self._now
+            fire(self.now)
+        return self.now
 
     # -- internals --------------------------------------------------------------
     def _delta_cycle(self) -> None:
@@ -291,7 +299,7 @@ class Kernel:
                 method = self._methods.popleft()
                 fire = bus.dispatch
                 if fire is not None:
-                    fire("method", self._now.picoseconds, method.name)
+                    fire("method", self._now_ps, method.name)
                 method._run()
             if not self._runnable:
                 break
@@ -303,7 +311,7 @@ class Kernel:
             try:
                 fire = bus.dispatch
                 if fire is not None:
-                    fire("step", self._now.picoseconds, process.name)
+                    fire("step", self._now_ps, process.name)
                 process._step(self)
             finally:
                 self._current_process = None
@@ -324,22 +332,24 @@ class Kernel:
         if progressed or delta_events or delta_wakeups:
             self.delta_count += 1
 
-    def _advance_time(self, deadline: Optional[SimTime]) -> bool:
+    def _advance_time(self, deadline_ps: Optional[int]) -> bool:
         """Pop the earliest timed entries; return False when simulation ends."""
-        while self._timed and self._timed[0].cancelled:
-            heapq.heappop(self._timed)
-        if not self._timed:
+        timed = self._timed
+        heappop = heapq.heappop
+        while timed and timed[0][2].cancelled:
+            heappop(timed)
+        if not timed:
             return False
-        due = self._timed[0].due
-        if deadline is not None and due > deadline:
-            self._now = deadline
+        due_ps = timed[0][0]
+        if deadline_ps is not None and due_ps > deadline_ps:
+            self._now_ps = deadline_ps
             return False
-        self._now = due
+        self._now_ps = due_ps
         fire = self.probes.time_advance
         if fire is not None:
-            fire(due.picoseconds)
-        while self._timed and self._timed[0].due == due:
-            entry = heapq.heappop(self._timed)
+            fire(due_ps)
+        while timed and timed[0][0] == due_ps:
+            entry = heappop(timed)[2]
             if not entry.cancelled:
                 entry.action()
         return True

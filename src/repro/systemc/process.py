@@ -94,7 +94,8 @@ class Process:
             kernel._schedule_delta_wakeup(self)
             return
         if isinstance(wait_spec, SimTime):
-            self._timeout_handle = kernel._schedule_timed_wakeup(self, kernel.now + wait_spec)
+            self._timeout_handle = kernel._schedule_timed_wakeup(
+                self, kernel._now_ps + wait_spec._ps)
             return
         if isinstance(wait_spec, Event):
             wait_spec._attach(kernel)
@@ -113,7 +114,7 @@ class Process:
                 event._add_waiter(self)
             self._waiting_events = tuple(wait_spec.events)
             self._timeout_handle = kernel._schedule_timed_wakeup(
-                self, kernel.now + wait_spec.timeout, timeout=True
+                self, kernel._now_ps + wait_spec.timeout._ps, timeout=True
             )
             return
         raise TypeError(f"process {self.name!r} yielded unsupported wait spec: {wait_spec!r}")

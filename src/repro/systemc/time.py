@@ -4,7 +4,9 @@ SystemC represents simulated time as an integer multiple of a resolution.
 We fix the resolution at one picosecond, which is fine enough for GHz-range
 clocks and coarse enough that a 64-bit integer covers centuries of simulated
 time.  :class:`SimTime` is an immutable value type supporting arithmetic,
-comparison and pretty printing, mirroring ``sc_core::sc_time``.
+comparison and pretty printing, mirroring ``sc_core::sc_time``.  It is the
+public type at the API edge; the kernel, quantum keeper and processor loop
+keep time as plain ``int`` picoseconds internally (DESIGN §19).
 """
 
 from __future__ import annotations

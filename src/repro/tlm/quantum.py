@@ -6,6 +6,11 @@ kernel (synchronizes) when the offset exceeds the global quantum.  The
 quantum is the paper's central performance knob: it determines the KVM run
 budget per ``simulate()`` call and the synchronization frequency between the
 simulated cores (Figs. 5 and 6).
+
+Both values are kept as ``int`` picoseconds (:attr:`GlobalQuantum.quantum_ps`,
+:attr:`QuantumKeeper.offset_ps`), which is what the processor loop reads and
+writes on every ``simulate()`` leg; the ``SimTime`` accessors are the API
+edge for everything else.
 """
 
 from __future__ import annotations
@@ -13,14 +18,14 @@ from __future__ import annotations
 from typing import Optional
 
 from ..systemc.kernel import Kernel, current_kernel
-from ..systemc.time import SimTime
+from ..systemc.time import SimTime, _as_ps
 
 
 class GlobalQuantum:
     """Process-wide quantum value (``tlm::tlm_global_quantum``)."""
 
     def __init__(self, quantum: Optional[SimTime] = None):
-        self._quantum = quantum if quantum is not None else SimTime.us(1)
+        self.quantum = quantum if quantum is not None else SimTime.us(1)
 
     @property
     def quantum(self) -> SimTime:
@@ -33,6 +38,8 @@ class GlobalQuantum:
         if value.is_zero():
             raise ValueError("quantum must be non-zero")
         self._quantum = value
+        #: the quantum in picoseconds, cached for the processor loop
+        self.quantum_ps = value.picoseconds
 
 
 class QuantumKeeper:
@@ -41,37 +48,35 @@ class QuantumKeeper:
     def __init__(self, global_quantum: GlobalQuantum, kernel: Optional[Kernel] = None):
         self.global_quantum = global_quantum
         self._kernel = kernel or current_kernel()
-        self._local_offset = SimTime.zero()
+        #: how far this initiator has run ahead of SystemC time, in ps
+        self.offset_ps = 0
 
     # -- queries -----------------------------------------------------------
     @property
     def local_time_offset(self) -> SimTime:
         """How far this initiator has run ahead of SystemC time."""
-        return self._local_offset
+        return SimTime(self.offset_ps)
 
     def current_time(self) -> SimTime:
         """Effective local time: kernel time plus the local offset."""
-        return self._kernel.now + self._local_offset
+        return SimTime(self._kernel._now_ps + self.offset_ps)
 
     def remaining(self) -> SimTime:
         """Budget left before a sync is needed."""
-        quantum = self.global_quantum.quantum
-        if self._local_offset >= quantum:
-            return SimTime.zero()
-        return quantum - self._local_offset
+        return SimTime(max(0, self.global_quantum.quantum_ps - self.offset_ps))
 
     def need_sync(self) -> bool:
-        return self._local_offset >= self.global_quantum.quantum
+        return self.offset_ps >= self.global_quantum.quantum_ps
 
     # -- mutation -------------------------------------------------------------
     def inc(self, delta: SimTime) -> None:
-        self._local_offset = self._local_offset + delta
+        self.offset_ps += _as_ps(delta)
 
     def set_offset(self, offset: SimTime) -> None:
-        self._local_offset = offset
+        self.offset_ps = _as_ps(offset)
 
     def reset(self) -> None:
-        self._local_offset = SimTime.zero()
+        self.offset_ps = 0
 
     def sync_wait(self) -> SimTime:
         """Return the wait duration that realizes the local offset.
@@ -83,6 +88,6 @@ class QuantumKeeper:
         The keeper resets its offset; after the wait the process is
         synchronized with the global simulation time.
         """
-        offset = self._local_offset
-        self._local_offset = SimTime.zero()
+        offset = SimTime(self.offset_ps)
+        self.offset_ps = 0
         return offset

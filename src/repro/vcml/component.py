@@ -28,21 +28,20 @@ class Component(Module):
     def bind_reset(self, reset: Reset) -> None:
         self.rst = reset
 
+    def _clock(self) -> Clock:
+        if self.clk is None:
+            raise RuntimeError(f"component {self.name!r} has no clock bound")
+        return self.clk
+
     @property
     def clock_hz(self) -> float:
-        if self.clk is None:
-            raise RuntimeError(f"component {self.name!r} has no clock bound")
-        return self.clk.frequency_hz
+        return self._clock().frequency_hz
 
     def cycles_to_time(self, cycles: int) -> SimTime:
-        if self.clk is None:
-            raise RuntimeError(f"component {self.name!r} has no clock bound")
-        return self.clk.cycles_to_time(cycles)
+        return self._clock().cycles_to_time(cycles)
 
     def time_to_cycles(self, duration: SimTime) -> int:
-        if self.clk is None:
-            raise RuntimeError(f"component {self.name!r} has no clock bound")
-        return self.clk.time_to_cycles(duration)
+        return self._clock().time_to_cycles(duration)
 
     @property
     def in_reset(self) -> bool:

@@ -4,7 +4,9 @@ Implements the loosely-timed simulation loop the paper builds on: an
 SC_THREAD repeatedly asks the backend to ``simulate(cycles)`` for the
 remainder of the current quantum, advances the local time offset by the
 cycles actually consumed, and synchronizes with the SystemC kernel when the
-quantum is exhausted.
+quantum is exhausted.  The loop and host-time billing work in ``int``
+picoseconds (the keeper's ``offset_ps``, the quantum's ``quantum_ps``); the
+only ``SimTime`` a leg builds is the sync wait it yields to the kernel.
 
 The backend (ISS or KVM) reports what stopped it through
 :class:`SimulateResult`:
@@ -31,7 +33,6 @@ from typing import Dict, Optional
 from ..fabric.port import MemoryPort
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
-from ..systemc.time import SimTime
 from ..tlm.quantum import GlobalQuantum, QuantumKeeper
 from ..tlm.sockets import InitiatorSocket
 from .component import Component
@@ -147,7 +148,8 @@ class Processor(Component):
             lane = self.host_ledger.MAIN_LANE
         else:
             lane = self.core_id
-        window = self.keeper.current_time() // self.host_ledger.window_size
+        window = ((self._kernel._now_ps + self.keeper.offset_ps)
+                  // self.host_ledger.window_ps)
         self.host_ledger.add(window, lane, nanoseconds, category)
         fire = self.probes.host_bill
         if fire is not None:
@@ -199,23 +201,26 @@ class Processor(Component):
 
     # -- the simulation loop -------------------------------------------------------------
     def _processor_thread(self):
+        keeper = self.keeper
+        global_quantum = keeper.global_quantum
         while not self.halted and not self.wants_stop():
             if self.in_reset:
                 self._park = "reset"
                 yield self.rst.deasserted_event
                 continue
-            remaining = self.keeper.remaining()
-            if remaining.is_zero():
+            remaining_ps = global_quantum.quantum_ps - keeper.offset_ps
+            if remaining_ps <= 0:
                 self._park = "sync"
                 yield self._sync_wait()
                 continue
-            cycles = self.time_to_cycles(remaining)
+            clock = self._clock()
+            cycles = clock.ps_to_cycles(remaining_ps)
             if cycles <= 0:
                 # Quantum finer than one clock cycle: force minimal progress.
                 cycles = 1
             result = self._invoke_simulate(cycles)
             self.total_cycles += result.cycles
-            self.keeper.inc(self.cycles_to_time(result.cycles))
+            keeper.offset_ps += clock.cycles_to_ps(result.cycles)
             if result.action is SimulateAction.HALT:
                 self.halted = True
                 self._park = "sync"
@@ -242,7 +247,7 @@ class Processor(Component):
                     yield self.irq_event
                     self.waiting_for_irq = False
                 continue
-            if self.keeper.need_sync():
+            if keeper.offset_ps >= global_quantum.quantum_ps:
                 self._park = "sync"
                 yield self._sync_wait()
         self.on_halt()
@@ -291,7 +296,7 @@ class Processor(Component):
             "waiting_for_irq": self.waiting_for_irq,
             "halted": self.halted,
             "debug_paused": self.debug_paused,
-            "local_offset_ps": self.keeper.local_time_offset.picoseconds,
+            "local_offset_ps": self.keeper.offset_ps,
             "total_cycles": self.total_cycles,
             "num_simulate_calls": self.num_simulate_calls,
             "num_syncs": self.num_syncs,
@@ -313,7 +318,7 @@ class Processor(Component):
         self.waiting_for_irq = bool(state["waiting_for_irq"])
         self.halted = bool(state["halted"])
         self.debug_paused = bool(state["debug_paused"])
-        self.keeper.set_offset(SimTime(state["local_offset_ps"]))
+        self.keeper.offset_ps = state["local_offset_ps"]
         self.total_cycles = state["total_cycles"]
         self.num_simulate_calls = state["num_simulate_calls"]
         self.num_syncs = state["num_syncs"]

@@ -302,6 +302,61 @@ class TestCaptureErrors:
             restore_platform(snapshot, other)
 
 
+class TestHostileTimeFields:
+    """The kernel keeps time as plain ints, so restore checks every ps
+    field it takes verbatim and raises SnapshotError before building."""
+
+    @staticmethod
+    def tampered(snapshot, edit) -> Snapshot:
+        manifest = copy.deepcopy(snapshot.manifest)
+        edit(manifest)
+        return Snapshot(manifest, {}, parent=snapshot)
+
+    @staticmethod
+    def set_field(manifest, field, value):
+        if field == "now_ps":
+            manifest["sim"]["now_ps"] = value
+        elif field == "due_ps":
+            manifest["kernel"]["timed"][-1]["due_ps"] = value
+        else:
+            manifest["cpus"][-1]["local_offset_ps"] = value
+
+    @pytest.mark.parametrize("value", ["5000", 5000.0, -1, True])
+    @pytest.mark.parametrize("field", ["now_ps", "due_ps", "local_offset_ps"])
+    def test_ill_typed_or_negative_field_is_rejected(self, aoa_warm, field, value):
+        _, snapshot = aoa_warm
+        assert snapshot.manifest["kernel"]["timed"], "warm boot has timed entries"
+        hostile = self.tampered(snapshot,
+                                lambda manifest: self.set_field(manifest, field, value))
+        with pytest.raises(SnapshotError, match=field):
+            restore_platform(hostile, software())
+
+    def test_due_before_now_is_rejected(self, aoa_warm):
+        """Accepting it would step simulated time backwards on resume."""
+        _, snapshot = aoa_warm
+        hostile = self.tampered(
+            snapshot,
+            lambda manifest: self.set_field(manifest, "due_ps", 1000))
+        assert hostile.manifest["sim"]["now_ps"] > 1000
+        with pytest.raises(SnapshotError, match="below sim.now_ps"):
+            restore_platform(hostile, software())
+
+    def test_due_at_now_is_accepted(self, aoa_warm):
+        _, snapshot = aoa_warm
+        now_ps = snapshot.manifest["sim"]["now_ps"]
+        hostile = self.tampered(
+            snapshot,
+            lambda manifest: self.set_field(manifest, "due_ps", now_ps))
+        assert restore_platform(hostile, software()).kernel.now.picoseconds == now_ps
+
+    def test_missing_time_section_is_rejected(self, aoa_warm):
+        _, snapshot = aoa_warm
+        hostile = self.tampered(snapshot,
+                                lambda manifest: manifest["kernel"].pop("timed"))
+        with pytest.raises(SnapshotError, match="malformed time section"):
+            restore_platform(hostile, software())
+
+
 # -- forking --------------------------------------------------------------------------
 
 class TestFork:

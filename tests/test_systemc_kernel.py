@@ -9,6 +9,7 @@ from repro.systemc.kernel import Kernel, current_kernel
 from repro.systemc.process import ProcessState, WaitTimeout
 from repro.systemc.signal import IrqLine, Signal
 from repro.systemc.time import SimTime
+from repro.tlm.quantum import GlobalQuantum, QuantumKeeper
 
 
 class TestTimedWaits:
@@ -75,6 +76,117 @@ class TestTimedWaits:
         kernel.spawn(make("c"))
         kernel.run()
         assert log == ["a", "b", "c"]
+
+
+class TestTimedHeapOrder:
+    def test_same_ps_entries_fire_in_scheduling_order_across_kinds(self, kernel):
+        """Notifications, wakeups and callbacks due at one ps fire in the
+        order they were scheduled in, whatever their kind.
+
+        Each entry makes one logging process runnable when it fires (a
+        callback through an immediate notification), so the processes run,
+        and log, in the order the heap popped the entries.
+        """
+        log = []
+
+        def logger(event, name):
+            def body():
+                yield event
+                log.append(name)
+            return body
+
+        def sleeper(name):
+            def body():
+                yield SimTime.ns(10)
+                log.append(name)
+            return body
+
+        def once(action):
+            def body():
+                action()
+                yield SimTime.zero()
+            return body
+
+        callbacks = [kernel.event(f"c{index}") for index in range(2)]
+        events = [kernel.event(f"e{index}") for index in range(2)]
+        for index in range(2):
+            kernel.spawn(logger(callbacks[index], f"callback{index}"))
+            kernel.spawn(logger(events[index], f"event{index}"))
+        # Spawned processes first run in spawn order, so this is the order
+        # the six entries are scheduled in.
+        for index in range(2):
+            kernel.spawn(once(lambda c=callbacks[index]: kernel.schedule_callback(
+                SimTime.ns(10), lambda: c.notify())))
+            kernel.spawn(sleeper(f"wake{index}"))
+            kernel.spawn(once(lambda e=events[index]: e.notify(SimTime.ns(10))))
+        kernel.run()
+        assert log == ["callback0", "wake0", "event0",
+                       "callback1", "wake1", "event1"]
+
+    def test_same_ps_callbacks_fire_in_scheduling_order(self, kernel):
+        log = []
+        for index in range(20):
+            kernel.schedule_callback(SimTime.ns(7), lambda i=index: log.append(i))
+        kernel.run()
+        assert log == list(range(20))
+
+    def test_cancelled_entries_never_fire(self, kernel):
+        log = []
+        event = Event("e", kernel)
+        kernel.create_method(lambda: log.append("event"), "m", sensitive_to=[event])
+        for index in range(4):
+            entry = kernel.schedule_callback(SimTime.ns(5),
+                                             lambda i=index: log.append(i))
+            if index % 2:
+                entry.cancelled = True
+        event.notify(SimTime.ns(5))
+        event.cancel()
+
+        def waiter():
+            yield WaitTimeout(SimTime.ns(5), event)
+            log.append("timed_out")
+            timed_out = kernel.event("never")
+            # An event wake cancels the wait's timeout entry.
+            timed_out.notify(SimTime.ns(1))
+            yield WaitTimeout(SimTime.ns(3), timed_out)
+            log.append(("woke", kernel.now.to_ns()))
+            yield SimTime.ns(10)
+
+        kernel.spawn(waiter)
+        kernel.run()
+        assert log == [0, 2, "timed_out", ("woke", 6.0)]
+        assert not kernel.pending_activity()
+
+
+class TestApiEdge:
+    """SimTime is the public time type; a bare int is refused at the edge."""
+
+    @pytest.mark.parametrize("call", [
+        "schedule_callback", "run", "notify", "wait_timeout",
+        "quantum", "inc", "set_offset"])
+    def test_non_simtime_argument_raises_type_error(self, kernel, call):
+        keeper = QuantumKeeper(GlobalQuantum(SimTime.us(1)), kernel)
+        actions = {
+            "schedule_callback": lambda: kernel.schedule_callback(5, lambda: None),
+            "run": lambda: kernel.run(5),
+            "notify": lambda: Event("e", kernel).notify(5),
+            "wait_timeout": lambda: WaitTimeout(5),
+            "quantum": lambda: setattr(keeper.global_quantum, "quantum", 5),
+            "inc": lambda: keeper.inc(5),
+            "set_offset": lambda: keeper.set_offset(5),
+        }
+        with pytest.raises(TypeError):
+            actions[call]()
+        assert keeper.local_time_offset == SimTime.zero()
+        assert kernel.now == SimTime.zero()
+
+    def test_yielding_an_int_raises_type_error(self, kernel):
+        def body():
+            yield 5
+
+        kernel.spawn(body)
+        with pytest.raises(TypeError):
+            kernel.run()
 
 
 class TestEvents:

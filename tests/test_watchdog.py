@@ -23,6 +23,16 @@ class TestWatchdog:
         assert fired == []
         assert watchdog.num_cancelled == 1
 
+    def test_equal_deadlines_fire_in_arm_order(self):
+        watchdog = Watchdog()
+        fired = []
+        for index in range(10):
+            # now + timeout lands on the same deadline from different arms
+            watchdog.schedule(0, now_ns=index * 5, timeout_ns=100 - index * 5,
+                              callback=lambda i=index: fired.append(i))
+        assert watchdog.advance(0, 100) == 10
+        assert fired == list(range(10))
+
     def test_timelines_are_per_core(self):
         watchdog = Watchdog()
         fired = []
