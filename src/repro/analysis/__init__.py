@@ -3,23 +3,17 @@
 Two halves, one findings model:
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
-  AST-walking lint framework with VP-specific rules (RPR001–RPR005) that
-  keep the simulator free of the nondeterminism and TLM misuse that would
+  AST-walking lint framework with VP-specific rules (RPR001–RPR007, and
+  the opt-in RPR012) that keep the simulator free of the nondeterminism and TLM misuse that would
   invalidate the paper's "parallel mode changes performance, not semantics"
   claim.
 * :mod:`repro.analysis.sanitize` + :mod:`repro.analysis.determinism` —
   opt-in runtime instrumentation (SAN001–SAN004) and an event-queue-order
   determinism checker (DET001).
-* :mod:`repro.analysis.lanes` + :mod:`repro.analysis.race` +
-  :mod:`repro.analysis.baseline` — the cross-lane race detector for the
-  parallel quantum kernel: static lane/sharing classification feeding
-  RPR008–RPR010, the SAN005 lane/window runtime sanitizer, and the
-  committed findings baseline gating both.
 
 CLI: ``python -m repro.analysis --help``.
 """
 
-from .baseline import RACE_RULE_IDS, RACE_SANITIZER_ID, Baseline
 from .determinism import (
     DeterminismReport,
     KernelTrace,
@@ -29,29 +23,20 @@ from .determinism import (
 )
 from .engine import LintEngine, Rule, lint_paths, register, registered_rules
 from .findings import Finding, FindingCollector, Severity, summarize
-from .lanes import LaneModel
-from .race import RaceScope, active_race_scope, race_detecting
 from .sanitize import SanitizerScope, sanitized
 
 __all__ = [
-    "Baseline",
     "DeterminismReport",
     "Finding",
     "FindingCollector",
     "KernelTrace",
-    "LaneModel",
     "LintEngine",
-    "RACE_RULE_IDS",
-    "RACE_SANITIZER_ID",
-    "RaceScope",
     "Rule",
     "SanitizerScope",
     "Severity",
-    "active_race_scope",
     "check_determinism",
     "check_script_determinism",
     "lint_paths",
-    "race_detecting",
     "register",
     "registered_rules",
     "sanitized",

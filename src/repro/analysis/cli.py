@@ -1,18 +1,9 @@
-"""``python -m repro.analysis`` — lint, sanitize-run, determinism-run, race.
+"""``python -m repro.analysis`` — lint, sanitize-run, determinism-run.
 
 Modes (mutually exclusive; lint is the default):
 
 * ``python -m repro.analysis [PATHS…]`` — static lint.  Defaults to
   ``src/repro`` when run from the repo root.
-* ``python -m repro.analysis --race [PATHS…]`` — static cross-lane race
-  analysis (RPR008–RPR010) gated by the committed baseline
-  (``benchmarks/race_baseline.json``); exits nonzero on any finding not
-  in the baseline.  ``--update-baseline`` rewrites the baseline from the
-  current findings; ``--strict-baseline`` also fails on stale entries so
-  the baseline can only shrink.
-* ``python -m repro.analysis --race-run SCRIPT`` — execute a script with
-  the SAN005 lane/window race sanitizer installed; findings go through
-  the same baseline.
 * ``python -m repro.analysis --sanitize-run SCRIPT`` — execute a script
   (typically an example) with the runtime sanitizers installed and report
   every violation they catch.
@@ -34,16 +25,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import (
-    DEFAULT_BASELINE_PATH,
-    RACE_RULE_IDS,
-    RACE_SANITIZER_ID,
-    Baseline,
-)
 from .determinism import check_script_determinism
 from .engine import LintEngine, registered_rules
 from .findings import Finding, summarize
-from .race import race_detecting
 from .sanitize import sanitized
 
 
@@ -82,41 +66,6 @@ def _emit(findings: List[Finding], as_json: bool, mode: str) -> None:
         print("no findings")
 
 
-def _emit_race(new: List[Finding], suppressed: List[Finding],
-               stale: List[str], as_json: bool, mode: str,
-               strict: bool) -> int:
-    """Report race findings against the baseline; compute the exit code.
-
-    New (unbaselined) findings always fail; stale baseline entries fail
-    only under ``--strict-baseline`` but are always reported, because the
-    baseline may only shrink.
-    """
-    if as_json:
-        print(json.dumps({
-            "mode": mode,
-            "findings": [finding.to_json() for finding in new],
-            "counts": summarize(new),
-            "total": len(new),
-            "baseline": {
-                "suppressed": len(suppressed),
-                "stale": stale,
-            },
-        }, indent=2))
-    else:
-        for finding in new:
-            print(finding.format())
-        counts = ", ".join(f"{rule}×{n}" for rule, n in summarize(new).items())
-        status = f"{len(new)} new finding(s): {counts}" if new else "no new findings"
-        print(f"{status} ({len(suppressed)} baselined)")
-        for fingerprint in stale:
-            print(f"stale baseline entry (fix landed? delete it): {fingerprint}")
-    if new:
-        return 1
-    if stale and strict:
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
@@ -137,22 +86,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run SCRIPT twice and diff kernel traces")
     parser.add_argument("--runs", type=int, default=2,
                         help="runs for --determinism-run (default 2)")
-    parser.add_argument("--race", action="store_true",
-                        help="static cross-lane race analysis "
-                        "(RPR008–RPR010), gated by the committed baseline")
-    parser.add_argument("--race-run", metavar="SCRIPT",
-                        help="run SCRIPT under the SAN005 lane/window race "
-                        "sanitizer (same baseline as --race)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        default=DEFAULT_BASELINE_PATH,
-                        help=f"race baseline file (default "
-                        f"{DEFAULT_BASELINE_PATH})")
-    parser.add_argument("--strict-baseline", action="store_true",
-                        help="fail when the baseline has stale entries "
-                        "(the baseline may only shrink)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline file from the current "
-                        "race findings")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -163,56 +96,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     modes = [name for name, active in (
         ("--sanitize-run", args.sanitize_run),
         ("--determinism-run", args.determinism_run),
-        ("--race", args.race),
-        ("--race-run", args.race_run),
     ) if active]
     if len(modes) > 1:
         parser.error(f"{' and '.join(modes)} are mutually exclusive")
-
-    if args.race:
-        select = args.select.split(",") if args.select else list(RACE_RULE_IDS)
-        ignore = args.ignore.split(",") if args.ignore else None
-        engine = LintEngine(select=select, ignore=ignore)
-        paths = [Path(p) for p in (args.paths or _default_paths())]
-        missing = [str(p) for p in paths if not p.exists()]
-        if missing:
-            parser.error(f"no such path: {', '.join(missing)}")
-        findings = engine.run(paths)
-        baseline = Baseline.load_or_empty(Path(args.baseline))
-        if args.update_baseline:
-            count = baseline.replace_rules(findings, select)
-            baseline.save(Path(args.baseline))
-            print(f"baseline written: {args.baseline} ({count} entries "
-                  f"for {','.join(select)})")
-            return 0
-        new, suppressed, stale = baseline.apply(findings, rules=select)
-        return _emit_race(new, suppressed, stale, args.json, "race",
-                          args.strict_baseline)
-
-    if args.race_run:
-        script = Path(args.race_run)
-        if not script.is_file():
-            parser.error(f"no such script: {script}")
-        with race_detecting() as scope:
-            with contextlib.redirect_stdout(io.StringIO()) as captured, \
-                    _script_argv(script):
-                runpy.run_path(str(script), run_name="__main__")
-        baseline = Baseline.load_or_empty(Path(args.baseline))
-        if args.update_baseline:
-            count = baseline.replace_rules(scope.findings, [RACE_SANITIZER_ID])
-            baseline.save(Path(args.baseline))
-            print(f"baseline written: {args.baseline} ({count} entries "
-                  f"for {RACE_SANITIZER_ID})")
-            return 0
-        new, suppressed, stale = baseline.apply(scope.findings,
-                                                rules=[RACE_SANITIZER_ID])
-        code = _emit_race(new, suppressed, stale, args.json, "race-run",
-                          args.strict_baseline)
-        if not args.json:
-            print(f"race.checked={scope.checked} race.flagged={scope.flagged}")
-            if captured.getvalue():
-                sys.stderr.write(captured.getvalue())
-        return code
 
     if args.sanitize_run:
         script = Path(args.sanitize_run)

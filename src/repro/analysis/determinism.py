@@ -106,10 +106,9 @@ def trace_run(action: Callable[[], object]) -> KernelTrace:
     """Run ``action`` with the kernel trace hook installed.
 
     The digester subscribes at ``Kernel.TRACE_PRIORITY_DIGEST`` to every
-    kernel's ``dispatch`` probe point, so context taggers (e.g. the SAN005
-    lane/window tagger at ``TRACE_PRIORITY_TAGGER``) always observe each
-    dispatch first — attach order does not matter, and the recorded digest
-    is identical with or without other observers attached.
+    kernel's ``dispatch`` probe point, so it runs before every
+    ``TRACE_PRIORITY_OBSERVER`` subscriber whatever the attach order, and
+    the recorded digest is identical with or without observers attached.
 
     Multiple DIGEST-tier hooks may coexist (the dispatch point calls them
     in deterministic FIFO attach order within the band), so a

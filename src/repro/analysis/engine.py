@@ -82,9 +82,7 @@ class Rule:
     title = "unnamed rule"
     severity = Severity.ERROR
     #: rules with ``default = False`` only run when selected explicitly
-    #: (``--select``) or through a dedicated CLI mode (``--race``); the
-    #: plain lint pass skips them so baseline-gated analyses do not fail
-    #: runs that never loaded the baseline
+    #: (``--select``); the plain lint pass skips them
     default = True
 
     def prescan(self, ctx: LintContext, module: SourceModule) -> None:
@@ -95,7 +93,7 @@ class Rule:
 
     # -- helpers --------------------------------------------------------------
     def finding(self, module: SourceModule, node: ast.AST, message: str,
-                context: str = "", fingerprint: str = "") -> Finding:
+                context: str = "") -> Finding:
         return Finding(
             rule=self.rule_id,
             severity=self.severity,
@@ -103,7 +101,6 @@ class Rule:
             line=getattr(node, "lineno", 0),
             message=message,
             context=context,
-            fingerprint=fingerprint,
         )
 
 

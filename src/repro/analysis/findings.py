@@ -33,11 +33,6 @@ class Finding:
     line: int                 # 1-based; 0 when no source location applies
     message: str
     context: str = ""         # optional extra detail (offending snippet, values)
-    #: stable identity for baseline/allowlist matching: no line numbers, so
-    #: entries survive unrelated edits (e.g. "RPR009:models/gic.py:
-    #: Gic400._dist_transport:pending_banked"); empty for rules that do not
-    #: participate in baselines
-    fingerprint: str = ""
 
     def format(self) -> str:
         location = f"{self.path}:{self.line}" if self.line else self.path
@@ -56,8 +51,6 @@ class Finding:
         }
         if self.context:
             payload["context"] = self.context
-        if self.fingerprint:
-            payload["fingerprint"] = self.fingerprint
         return payload
 
 

@@ -10,24 +10,17 @@ RPR004    incomplete ``SimulateAction`` handling on ``SimulateResult`` consumers
 RPR005    overlapping constant address ranges passed to ``Router.map``
 RPR006    ``print()`` in simulation paths (stdout belongs to entry points)
 RPR007    raw ``GenericPayload`` construction outside ``repro.fabric``/``repro.tlm``
-RPR008    cross-lane shared attribute written outside MemoryPort/barrier paths
-RPR009    unsynchronized container mutation on an object reachable from ≥2 cores
-RPR010    barrier-only kernel API (``request_update``, immediate ``notify``)
-          called from a simulate-leg path
 RPR012    non-serializable state (open handles, lambdas, threading objects)
           on a snapshot-visible Module attribute
 ========  =====================================================================
 
-RPR008–RPR010 (the race rules, see :mod:`.crosslane`) are *non-default*:
-they run through ``python -m repro.analysis --race`` (baseline-gated) or an
-explicit ``--select``, not in the plain lint pass.  RPR012 (see
-:mod:`.snapshotable`) is likewise opt-in via ``--select RPR012``.
+RPR012 (see :mod:`.snapshotable`) is *non-default*: it runs only through
+an explicit ``--select RPR012``, not in the plain lint pass.
 """
 
 from . import (  # noqa: F401
     addrmap,
     blocking,
-    crosslane,
     mutable_defaults,
     payloads,
     print_output,
@@ -36,5 +29,5 @@ from . import (  # noqa: F401
     wallclock,
 )
 
-__all__ = ["addrmap", "blocking", "crosslane", "mutable_defaults", "payloads",
+__all__ = ["addrmap", "blocking", "mutable_defaults", "payloads",
            "print_output", "simresult", "snapshotable", "wallclock"]

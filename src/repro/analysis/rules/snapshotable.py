@@ -19,9 +19,8 @@ This rule flags the same class of state statically, at the assignment site:
   concurrency primitives are per-process state, not guest state.
 
 Storing a *path* and opening it on demand, using handles inside ``with``
-blocks, or defining a real method instead of a lambda all pass.  Like the
-race rules, RPR012 is ``default = False``: it runs under an explicit
-``--select RPR012`` (device models that intentionally hold host resources,
+blocks, or defining a real method instead of a lambda all pass.  RPR012
+is ``default = False``: it runs under an explicit ``--select RPR012`` (device models that intentionally hold host resources,
 e.g. an interactive UART backend, should stay out of the default pass).
 """
 

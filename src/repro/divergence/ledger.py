@@ -8,13 +8,12 @@ point and folds every scheduler dispatch ``(kind, time_ps, name)`` into rolling
 digests along the paper's natural hierarchy:
 
 * a **quantum window** — ``time_ps // window_ps``, the same geometry the
-  :class:`~repro.host.accounting.HostLedger` and the SAN005 race tagger
-  use (``(now_ps + offset_ps) // window_ps`` in
+  :class:`~repro.host.accounting.HostLedger` uses
+  (``(now_ps + offset_ps) // window_ps`` in
   :meth:`~repro.vcml.processor.Processor.bill_host_time`);
 * a **lane** within the window — the simulated core whose ``simulate()``
-  leg the dispatch runs, attributed through the shared lane model
-  (:func:`repro.analysis.race.lane_of_dispatch`): core-thread dispatches
-  belong to their core, everything else to ``MAIN_LANE``.
+  leg the dispatch runs (:func:`lane_of_dispatch`): core-thread
+  dispatches belong to their core, everything else to ``MAIN_LANE``.
 
 Three digest levels are maintained at O(windows) memory:
 
@@ -46,8 +45,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from ..host.machine import MAIN_LANE
 from ..host.wallclock import elapsed_since, wall_clock
 from ..systemc.kernel import Kernel
 from ..systemc.time import SimTime
@@ -64,11 +65,22 @@ DEFAULT_WINDOW = SimTime.ms(1)
 EMPTY_DIGEST = ""
 
 
-def _lane_of(name: str) -> int:
-    # Deferred import: repro.analysis.race pulls the fabric/vcml stack,
-    # which itself never imports the divergence package.
-    from ..analysis.race import lane_of_dispatch
-    return lane_of_dispatch(name)
+#: processor threads are spawned as ``f"core{core_id}"`` under the CPU
+#: module (:meth:`repro.vcml.processor.Processor.start_of_simulation`), so
+#: their hierarchical dispatch names end in ``.coreN``
+CORE_DISPATCH_RE = re.compile(r"(?:^|\.)core(\d+)$")
+
+
+def lane_of_dispatch(name: str) -> int:
+    """Lane id for a kernel dispatch name.
+
+    A dispatch of ``aoa.cpu1.core1`` runs simulated core 1's
+    ``simulate()`` leg, so it belongs to lane 1; everything else (methods,
+    peripheral threads, the quantum barrier itself) is main-thread work
+    and belongs to :data:`~repro.host.machine.MAIN_LANE`.
+    """
+    match = CORE_DISPATCH_RE.search(name)
+    return int(match.group(1)) if match else MAIN_LANE
 
 
 class LaneDigest(NamedTuple):
@@ -244,15 +256,13 @@ class WindowLedger:
     """
 
     def __init__(self, window: SimTime | int = DEFAULT_WINDOW,
-                 meta: Optional[dict] = None, registry=None,
-                 lane_of: Optional[Callable[[str], int]] = None):
+                 meta: Optional[dict] = None, registry=None):
         window_ps = window.picoseconds if isinstance(window, SimTime) else int(window)
         if window_ps <= 0:
             raise ValueError(f"ledger window must be positive: {window_ps}ps")
         self.window_ps = window_ps
         self.meta = dict(meta or {})
         self.registry = registry
-        self._lane_of = lane_of if lane_of is not None else _lane_of
         self._lane_cache: Dict[str, int] = {}
         self._root = hashlib.sha256()
         self._seq = 0
@@ -315,7 +325,7 @@ class WindowLedger:
             self._open = fold
         lane = self._lane_cache.get(name)
         if lane is None:
-            lane = self._lane_of(name)
+            lane = lane_of_dispatch(name)
             self._lane_cache[name] = lane
         fold.fold(line, lane, self._seq)
         self._seq += 1

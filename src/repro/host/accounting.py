@@ -59,10 +59,8 @@ class HostLedger:
 
     # -- billing ------------------------------------------------------------
     def add(self, window: int, lane: int, nanoseconds: float, category: str = "cpu") -> None:
-        # Called from inside every core's simulate leg: under the parallel
-        # kernel the window table becomes cross-lane shared state (tracked
-        # by the race baseline) and must become per-lane sub-ledgers merged
-        # at the quantum barrier.
+        # Called from inside every core's simulate leg; every leg runs on
+        # the one scheduler thread, so the window table needs no lock.
         if nanoseconds <= 0:
             return
         self._windows[window][lane] += nanoseconds

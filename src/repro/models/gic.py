@@ -53,11 +53,9 @@ class Gic400(Component):
     """A GICv2-style interrupt controller for up to 8 cores.
 
     Distributor and CPU-interface state (the pending/enabled/active sets,
-    the per-core banked lists) is touched from every core's MMIO path, so
-    it is cross-lane shared under the planned parallel quantum kernel.
-    ``python -m repro.analysis --race`` tracks each such mutation against
-    the committed baseline until the state migrates behind a sanctioned
-    channel (quantum-barrier merge of per-lane IRQ queues).
+    the per-core banked lists) is touched from every core's MMIO path;
+    that is safe because the kernel runs every core's ``simulate()`` leg
+    on the one scheduler thread.
     """
 
     MAX_IRQS = 256

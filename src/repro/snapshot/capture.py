@@ -41,6 +41,9 @@ from .registry import build_registries, owner_paths_by_id
 #: reset line is bound).
 _RESTORABLE_PARKS = ("sync", "break_sync", "debug", "wait_irq_sync", "wait_irq")
 
+#: platform devices whose register files a snapshot stores under ``regs``
+REG_LABELS = ("timer", "uart", "rtc", "sdhci", "simctl")
+
 
 class TraceRecorder:
     """Record the kernel dispatch stream for snapshot prefix replay.
@@ -219,7 +222,7 @@ def capture_platform(vp, trace: Optional[List[Tuple[str, int, str]]] = None,
         trace_section = {"sha": sha, "entries": len(trace)}
 
     regs = {}
-    for label in ("timer", "uart", "rtc", "sdhci", "simctl"):
+    for label in REG_LABELS:
         device = getattr(vp, label)
         regs[label] = device.regs.snapshot_values()
 

@@ -33,15 +33,18 @@ from ..systemc.process import Process, ProcessState
 from ..systemc.time import SimTime
 from ..vp.config import VpConfig
 from ..vp.platform import build_platform
+from .capture import _RESTORABLE_PARKS, REG_LABELS, software_descriptor
 from .format import SnapshotError, decode_trace
 from .image import Snapshot, _telemetry_registry
 from .registry import build_registries
 
-#: owner-side attribute that holds the cancellation handle for a scheduled
-#: bound method, keyed by method name (see models/timer.py, models/rtc.py).
+#: the bound methods the models schedule, each mapped to the owner-side
+#: attribute that holds its cancellation handle (None: the owner keeps none).
+#: A heap entry naming any other method is refused.
 _METHOD_HANDLE_ATTR = {
     "_expire": "_entry",          # timer _Channel countdown
     "_match_fired": "_match_entry",  # PL031 RTC alarm
+    "_tick": None,                # Clock period
 }
 
 
@@ -93,7 +96,6 @@ def config_from_manifest(section: dict) -> VpConfig:
 def _validate_software(section: dict, software) -> None:
     """The guest image/programs are code, not data: the caller re-supplies
     them and we verify the descriptor matches what was captured."""
-    from .capture import software_descriptor
     actual = software_descriptor(software)
     if actual != section:
         raise SnapshotError(
@@ -101,13 +103,26 @@ def _validate_software(section: dict, software) -> None:
             f"restore was given {actual}")
 
 
-def _check_ps(value, field: str, minimum: int = 0, floor_name: str = "0") -> None:
-    """Reject a picosecond field that is not an ``int`` >= ``minimum``."""
+def _check_int(value, field: str, minimum: int = 0, floor_name: str = "",
+               maximum: Optional[int] = None) -> int:
+    """Return ``value`` if it is an ``int`` in ``minimum..maximum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SnapshotError(
-            f"malformed {field}: want an int of ps, got {type(value).__name__}")
+            f"malformed {field}: want an int, got {type(value).__name__}")
     if value < minimum:
-        raise SnapshotError(f"malformed {field}: {value} is below {floor_name}")
+        raise SnapshotError(
+            f"malformed {field}: {value} is below {floor_name or minimum}")
+    if maximum is not None and value > maximum:
+        raise SnapshotError(f"malformed {field}: {value} is above {maximum}")
+    return value
+
+
+def _per_cpu(states, field: str, num_cores: int) -> list:
+    """Return ``states`` if it is a list of exactly one entry per core."""
+    if not isinstance(states, list) or len(states) != num_cores:
+        raise SnapshotError(
+            f"malformed {field}: want a list of {num_cores} entries, one per core")
+    return states
 
 
 def _validate_times(manifest: dict) -> None:
@@ -119,12 +134,12 @@ def _validate_times(manifest: dict) -> None:
     """
     try:
         now_ps = manifest["sim"]["now_ps"]
-        _check_ps(now_ps, "sim.now_ps")
+        _check_int(now_ps, "sim.now_ps")
         for index, item in enumerate(manifest["kernel"]["timed"]):
-            _check_ps(item["due_ps"], f"kernel.timed[{index}].due_ps",
+            _check_int(item["due_ps"], f"kernel.timed[{index}].due_ps",
                       now_ps, f"sim.now_ps ({now_ps})")
         for index, state in enumerate(manifest["cpus"]):
-            _check_ps(state["local_offset_ps"], f"cpus[{index}].local_offset_ps")
+            _check_int(state["local_offset_ps"], f"cpus[{index}].local_offset_ps")
     except (KeyError, TypeError) as exc:
         raise SnapshotError(f"malformed time section: {exc!r}") from exc
 
@@ -161,13 +176,15 @@ def _rebuild_heap(vp, manifest: dict) -> None:
             if owner is None:
                 raise SnapshotError(
                     f"heap entry references unknown owner {descriptor['owner']!r}")
-            method = getattr(owner, descriptor["method"], None)
+            name = descriptor["method"]
+            method = (getattr(owner, name, None)
+                      if name in _METHOD_HANDLE_ATTR else None)
             if method is None:
                 raise SnapshotError(
-                    f"owner {descriptor['owner']!r} has no method "
-                    f"{descriptor['method']!r}")
+                    f"malformed kernel.timed: owner {descriptor['owner']!r} "
+                    f"has no schedulable method {name!r}")
             entry = kernel._schedule_timed(due_ps, method)
-            handle_attr = _METHOD_HANDLE_ATTR.get(descriptor["method"])
+            handle_attr = _METHOD_HANDLE_ATTR[name]
             if handle_attr is not None:
                 setattr(owner, handle_attr, entry)
         else:
@@ -201,10 +218,36 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     _validate_times(manifest)
 
     vp = build_platform(kind, config, software)
+    try:
+        _install_state(vp, snapshot)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"malformed snapshot: {exc!r}") from exc
+
+    registry = _telemetry_registry()
+    if registry is not None:
+        registry.histogram("snapshot.restore_ns").observe(
+            int(elapsed_since(started) * 1e9))
+    return vp
+
+
+def _install_state(vp, snapshot: Snapshot) -> None:
+    """Overwrite the dynamic state of the freshly built ``vp``.
+
+    A section of the wrong shape surfaces as a raw ``KeyError``,
+    ``TypeError`` or ``ValueError``, which :func:`restore_platform` turns
+    into :class:`SnapshotError`; values the models would take verbatim
+    (park sites, counters, page indices, register labels, heap methods,
+    per-CPU list lengths) are checked here first.
+    """
+    manifest = snapshot.manifest
     kernel = vp.kernel
 
     # (1) park-site thread resurrection, installed before elaboration.
     for cpu, info in zip(vp.cpus, manifest["processes"]):
+        if not info["finished"] and info["park"] not in _RESTORABLE_PARKS:
+            raise SnapshotError(
+                f"malformed processes: {info['name']!r} parked at "
+                f"non-restorable site {info['park']!r}")
         process = Process(info["name"],
                           (lambda c=cpu, s=info["park"]: c._resume_thread(s)),
                           kernel)
@@ -225,9 +268,11 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     kernel._update_request_ids.clear()
     kernel._timed = []
     kernel._seq = itertools.count()
-    kernel._now_ps = manifest["sim"]["now_ps"]
-    kernel.delta_count = manifest["sim"]["delta_count"]
-    vp._halted_cores = manifest["sim"]["halted_cores"]
+    sim = manifest["sim"]
+    kernel._now_ps = sim["now_ps"]
+    kernel.delta_count = _check_int(sim["delta_count"], "sim.delta_count")
+    vp._halted_cores = _check_int(sim["halted_cores"], "sim.halted_cores",
+                                    maximum=len(vp.cpus))
 
     # (3) guest RAM, in place (DMI memoryviews / KVM slots stay valid).
     ram = manifest["ram"]
@@ -235,10 +280,13 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
         raise SnapshotError(
             f"RAM size mismatch: snapshot {ram['size']}, platform {vp.ram.size}")
     vp.ram.data[:] = bytes(vp.ram.size)
-    page_size = ram["page_size"]
+    page_size = _check_int(ram["page_size"], "ram.page_size", minimum=1)
     for index_str, sha in ram["pages"].items():
         offset = int(index_str) * page_size
         page = snapshot.blob(sha)
+        if not 0 <= offset <= vp.ram.size - len(page):
+            raise SnapshotError(
+                f"malformed ram.pages: page {index_str!r} lies outside RAM")
         vp.ram.data[offset:offset + len(page)] = page
     vp.ram.restore_state(manifest["memory"])
 
@@ -252,11 +300,15 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     vp.simctl.restore_state(devices["simctl"])
     vp.monitor.restore_state(devices["monitor"])
     for label, values in manifest["regs"].items():
+        if label not in REG_LABELS:
+            raise SnapshotError(f"malformed regs: unknown device {label!r}")
         getattr(vp, label).regs.restore_values(values)
-    for cpu, state in zip(vp.cpus, manifest["cpus"]):
+    num_cores = len(vp.cpus)
+    for cpu, state in zip(vp.cpus, _per_cpu(manifest["cpus"], "cpus", num_cores)):
         cpu.restore_state(state)
     vp.loader.restore_state(manifest["ports"]["loader"])
-    for cpu, state in zip(vp.cpus, manifest["ports"]["cpus"]):
+    for cpu, state in zip(vp.cpus, _per_cpu(manifest["ports"]["cpus"],
+                                            "ports.cpus", num_cores)):
         cpu.mem.restore_state(state)
     if manifest["watchdog"] is not None:
         if not hasattr(vp, "watchdog"):
@@ -290,11 +342,5 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     if trace is not None:
         fire = vp.kernel.probes.dispatch
         if fire is not None:
-            for kind_, time_ps, name in decode_trace(snapshot.blob(trace["sha"])):
-                fire(kind_, time_ps, name)
-
-    registry = _telemetry_registry()
-    if registry is not None:
-        registry.histogram("snapshot.restore_ns").observe(
-            int(elapsed_since(started) * 1e9))
-    return vp
+            for kind, time_ps, name in decode_trace(snapshot.blob(trace["sha"])):
+                fire(kind, time_ps, name)

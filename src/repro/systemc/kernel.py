@@ -115,11 +115,7 @@ class Kernel:
     re-raised afterwards) and ``run_return`` when :meth:`run` returns.
     """
 
-    #: dispatch-subscriber bands (lower runs earlier; see repro.systemc.probes).
-    #: The SAN005 lane/window tagger must run before the DET001 digester so
-    #: the access tags a dispatch produces are in place before the dispatch
-    #: is sealed into the determinism digest.
-    TRACE_PRIORITY_TAGGER = probes.TAGGER
+    #: dispatch-subscriber bands (lower runs earlier; see repro.systemc.probes)
     TRACE_PRIORITY_DIGEST = probes.DIGEST
     TRACE_PRIORITY_OBSERVER = probes.OBSERVER
 

@@ -12,9 +12,9 @@ attribute check::
         fire(self, cycles)
 
 With one subscriber the attribute *is* that subscriber; with more it is a
-fan-out over them.  Subscribers run in band order (``TAGGER`` <
-``DIGEST`` < ``OBSERVER``), and in subscribe order within a band, so a
-context tagger always precedes a digester no matter who attached first.
+fan-out over them.  Subscribers run in band order (``DIGEST`` <
+``OBSERVER``), and in subscribe order within a band, so a digester always
+sees an event before any observer does, no matter who attached first.
 
 A subscription is either local to one bus (the observers in
 :mod:`repro.telemetry`, :mod:`repro.flight` and :mod:`repro.obs` attach
@@ -34,7 +34,6 @@ import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: subscriber bands; lower bands run earlier on every emission
-TAGGER = 10       # annotate the current event for later subscribers (SAN005)
 DIGEST = 20       # fold the event stream exactly as emitted (DET001, ledger)
 OBSERVER = 30     # everything else
 

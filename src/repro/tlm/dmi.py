@@ -94,12 +94,6 @@ class DmiManager:
     #: how many recently-hit regions the front cache remembers
     FRONT_CACHE_SIZE = 4
 
-    #: one manager serves a core's lane on every access, but invalidations
-    #: arrive from *other* lanes' stores and from barrier-side device
-    #: remaps — the region list, MRU front cache, and generation counter
-    #: are cross-lane state under the parallel quantum kernel
-    CROSS_LANE_SHARED = True
-
     def __init__(self):
         self._regions: List[DmiRegion] = []      # sorted by (start, end)
         self._starts: List[int] = []             # parallel bisect key list

@@ -118,6 +118,28 @@ def test_digest_tier_hooks_dispatch_fifo_within_the_band():
     assert calls == ["first", "second"]
 
 
+def test_digest_band_runs_before_observer_band_in_either_attach_order():
+    calls = []
+    bus = ProbeBus()
+    subs = [
+        bus.subscribe("dispatch", lambda *args: calls.append("bus-observer")),
+        Kernel.add_trace_hook(lambda *args: calls.append("hook-observer"),
+                              Kernel.TRACE_PRIORITY_OBSERVER),
+        Kernel.add_trace_hook(lambda *args: calls.append("hook-digest"),
+                              Kernel.TRACE_PRIORITY_DIGEST),
+        bus.subscribe("dispatch", lambda *args: calls.append("bus-digest"),
+                      Kernel.TRACE_PRIORITY_DIGEST),
+    ]
+    try:
+        bus.dispatch("test", 0, "probe")
+    finally:
+        for sub in subs:
+            sub.cancel()
+    assert calls == ["hook-digest", "bus-digest",
+                     "bus-observer", "hook-observer"]
+    assert bus.dispatch is None
+
+
 def test_minimum_two_runs_enforced():
     with pytest.raises(ValueError):
         check_determinism(_ping_pong_sim, runs=1)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths, registered_rules
+from repro.analysis import LintEngine, lint_paths, registered_rules
 from repro.analysis.cli import main
 from repro.analysis.findings import Finding, Severity, summarize
 
@@ -67,6 +67,18 @@ def test_cli_ignore_filters_rules():
                  "--fail-on-findings"]) == 0
 
 
+def test_non_default_rules_run_only_when_selected(capsys):
+    assert registered_rules()["RPR012"].default is False
+    assert "RPR012" not in {rule.rule_id for rule in LintEngine().rules}
+    bad = str(FIXTURES / "rpr012_bad.py")
+    # The plain lint pass skips RPR012 ...
+    assert main([bad, "--fail-on-findings"]) == 0
+    assert "no findings" in capsys.readouterr().out
+    # ... and --select runs it.
+    assert main([bad, "--select", "RPR012", "--fail-on-findings"]) == 1
+    assert "RPR012" in capsys.readouterr().out
+
+
 # -- findings model ----------------------------------------------------------------
 
 def test_finding_format_and_json_round_trip():
@@ -118,6 +130,14 @@ def test_cli_determinism_run_quickstart(capsys):
 def test_cli_rejects_missing_script():
     with pytest.raises(SystemExit):
         main(["--sanitize-run", "/no/such/script.py"])
+
+
+def test_cli_run_modes_are_mutually_exclusive(capsys):
+    quickstart = str(REPO / "examples" / "quickstart.py")
+    with pytest.raises(SystemExit) as exc:
+        main(["--sanitize-run", quickstart, "--determinism-run", quickstart])
+    assert exc.value.code == 2
+    assert "mutually exclusive" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_rule():

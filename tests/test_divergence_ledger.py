@@ -12,6 +12,7 @@ from repro.divergence import (
     WindowLedger,
     capture_ledger,
 )
+from repro.divergence.ledger import lane_of_dispatch
 from repro.host.machine import MAIN_LANE
 from repro.systemc.kernel import Kernel
 from repro.systemc.probes import ProbeBus
@@ -86,6 +87,17 @@ class TestFolding:
         assert core0.first_seq <= core0.last_seq
         # every dispatch in the window is attributed to exactly one lane
         assert sum(entry.entries for entry in first.lanes.values()) == first.entries
+
+    @pytest.mark.parametrize("name, lane", [
+        ("aoa.cpu0.core0", 0),
+        ("aoa.cpu1.core1", 1),
+        ("core12", 12),
+        ("aoa.score1", MAIN_LANE),
+        ("aoa.core1.irq", MAIN_LANE),
+        ("aoa.timer", MAIN_LANE),
+    ])
+    def test_lane_of_dispatch(self, name, lane):
+        assert lane_of_dispatch(name) == lane
 
     def test_per_window_digests_are_deterministic(self):
         first = capture_ledger(two_core_sim, window=WINDOW)

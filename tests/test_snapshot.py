@@ -357,6 +357,56 @@ class TestHostileTimeFields:
             restore_platform(hostile, software())
 
 
+def _tamper_method(manifest, name):
+    method = next(item["action"] for item in manifest["kernel"]["timed"]
+                  if item["action"]["type"] == "method")
+    method["method"] = name
+
+
+def _add_page(manifest, index):
+    pages = manifest["ram"]["pages"]
+    pages[index] = next(iter(pages.values()))
+
+
+#: manifest edits restore must refuse; each escaped as a raw error or was
+#: silently accepted before the device, kernel and RAM sections were checked
+HOSTILE_SECTIONS = {
+    "devices_missing_gic": lambda m: m["devices"].pop("gic"),
+    "devices_is_list": lambda m: m.update(devices=list(m["devices"].values())),
+    "gic_is_string": lambda m: m["devices"].update(gic="gic"),
+    "regs_unknown_label": lambda m: m["regs"].update(kernel={}),
+    "heap_method_dunder": lambda m: _tamper_method(m, "__class__"),
+    "ram_page_key_not_int": lambda m: _add_page(m, "zz"),
+    "ram_page_past_end": lambda m: _add_page(
+        m, str(m["ram"]["size"] // m["ram"]["page_size"])),
+    "ram_page_size_negative": lambda m: m["ram"].update(page_size=-4096),
+    "cpus_one_short": lambda m: m["cpus"].pop(),
+    "ports_cpus_one_short": lambda m: m["ports"]["cpus"].pop(),
+    "process_unknown_park": lambda m: m["processes"][-1].update(park="nowhere"),
+    "delta_count_is_string": lambda m: m["sim"].update(delta_count="22"),
+    "halted_cores_is_string": lambda m: m["sim"].update(halted_cores="0"),
+}
+
+
+class TestHostileSections:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SECTIONS))
+    def test_hostile_section_is_rejected(self, aoa_warm, case):
+        _, snapshot = aoa_warm
+        hostile = TestHostileTimeFields.tampered(snapshot, HOSTILE_SECTIONS[case])
+        with pytest.raises(SnapshotError, match="malformed"):
+            restore_platform(hostile, software())
+
+    def test_finished_process_may_park_anywhere(self, aoa_warm):
+        _, snapshot = aoa_warm
+
+        def finish(manifest):
+            manifest["processes"][-1].update(park="start", finished=True)
+
+        vp = restore_platform(TestHostileTimeFields.tampered(snapshot, finish),
+                              software())
+        assert vp.cpus[-1]._thread.finished
+
+
 # -- forking --------------------------------------------------------------------------
 
 class TestFork:
