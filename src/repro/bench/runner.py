@@ -7,9 +7,7 @@ experiment's kernel dispatch stream into a :mod:`repro.divergence` window
 ledger and writes ``<experiment>.ledger.json`` sidecars — compare two
 bench runs with ``python -m repro.divergence compare``.  ``--obs-dir``
 attaches the :mod:`repro.obs` attribution engine and writes per-experiment
-phase-attribution reports plus window snapshot streams; ``--history``
-appends the run's summary to a ``BENCH_obs.json`` trend file and
-``--history-check`` ratio-gates MIPS against the baseline median.
+phase-attribution reports plus window snapshot streams.
 """
 
 from __future__ import annotations
@@ -71,18 +69,6 @@ def main(argv: List[str] = None) -> int:
                              "write <experiment>.obs.json (per-platform "
                              "phase attribution) and <experiment>.obs.jsonl "
                              "(window snapshot stream) sidecars into DIR")
-    parser.add_argument("--history", default=None, metavar="FILE",
-                        help="append this run's attribution+throughput "
-                             "summary to a repro.obs bench-history file "
-                             "(e.g. BENCH_obs.json) and print the trend "
-                             "report")
-    parser.add_argument("--history-check", action="store_true",
-                        help="with --history: exit non-zero if the new "
-                             "entry's MIPS regresses past the ratio gate")
-    parser.add_argument("--history-tolerance", type=float, default=None,
-                        metavar="FRACTION",
-                        help="allowed fractional MIPS regression for "
-                             "--history-check (default 0.25)")
     parser.add_argument("--snapshot-at", type=float, default=None, metavar="MS",
                         help="boot the Linux workload to MS simulated "
                              "milliseconds, capture a repro.snapshot and "
@@ -125,8 +111,6 @@ def main(argv: List[str] = None) -> int:
     if args.markdown and args.json:
         parser.error("--markdown and --json are mutually exclusive")
 
-    if args.history_check and args.history is None:
-        parser.error("--history-check requires --history")
     for directory in (args.telemetry_dir, args.profile_dir, args.ledger_dir,
                       args.obs_dir):
         if directory is not None:
@@ -153,9 +137,6 @@ def main(argv: List[str] = None) -> int:
                               args.json)
         return 1 if failures else 0
 
-    #: attribution summaries are collected whenever either obs flag is on
-    want_obs = args.obs_dir is not None or args.history is not None
-    history_experiments = {}
     ids = args.experiments or all_experiment_ids()
     failures = 0
     json_results = []
@@ -179,13 +160,10 @@ def main(argv: List[str] = None) -> int:
                 meta={"experiment": experiment_id, "scale": args.scale})
         else:
             ledger_scope = contextlib.nullcontext()
-        if want_obs:
+        if args.obs_dir is not None:
             from ..obs import JsonlSink, observing
-            sinks = []
-            if args.obs_dir is not None:
-                sinks.append(JsonlSink(os.path.join(
-                    args.obs_dir, f"{experiment_id}.obs.jsonl")))
-            obs_scope = observing(sinks)
+            obs_scope = observing([JsonlSink(os.path.join(
+                args.obs_dir, f"{experiment_id}.obs.jsonl"))])
         else:
             obs_scope = contextlib.nullcontext()
         with scope as telemetry, flight_scope as flight, \
@@ -218,30 +196,26 @@ def main(argv: List[str] = None) -> int:
             if not args.json:
                 print(f"telemetry sidecar: {sidecar} "
                       f"({len(telemetry.registry)} series)")
-        if want_obs:
+        if args.obs_dir is not None:
             inconsistent = sum(1 for summary in obs_summaries
                                if not summary.get("consistent"))
-            if args.obs_dir is not None:
-                report = {
-                    "schema": "repro.obs.report/1",
-                    "experiment": experiment_id,
-                    "scale": args.scale,
-                    "summaries": obs_summaries,
-                    "stream": obs_stream_stats,
-                }
-                sidecar = os.path.join(args.obs_dir,
-                                       f"{experiment_id}.obs.json")
-                with open(sidecar, "w", encoding="utf-8") as handle:
-                    json.dump(report, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-                extra["obs"] = sidecar
-                if not args.json:
-                    print(f"obs sidecar: {sidecar} "
-                          f"({len(obs_summaries)} platforms, "
-                          f"{inconsistent} inconsistent)")
-            if inconsistent:
-                failures += inconsistent
-            history_experiments[experiment_id] = obs_summaries
+            report = {
+                "schema": "repro.obs.report/1",
+                "experiment": experiment_id,
+                "scale": args.scale,
+                "summaries": obs_summaries,
+                "stream": obs_stream_stats,
+            }
+            sidecar = os.path.join(args.obs_dir, f"{experiment_id}.obs.json")
+            with open(sidecar, "w", encoding="utf-8") as handle:
+                json.dump(report, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            extra["obs"] = sidecar
+            if not args.json:
+                print(f"obs sidecar: {sidecar} "
+                      f"({len(obs_summaries)} platforms, "
+                      f"{inconsistent} inconsistent)")
+            failures += inconsistent
         if args.profile_dir is not None:
             journal = os.path.join(args.profile_dir,
                                    f"{experiment_id}.journal.jsonl")
@@ -268,21 +242,6 @@ def main(argv: List[str] = None) -> int:
             print(f"(ran in {elapsed:.1f} s at scale {args.scale})")
             print()
         failures += sum(1 for check in result.checks if not check["passed"])
-    if args.history is not None:
-        from ..obs.trend import (DEFAULT_TOLERANCE, append_entry,
-                                 check_history, make_entry, trend_report)
-        tolerance = (args.history_tolerance if args.history_tolerance
-                     is not None else DEFAULT_TOLERANCE)
-        entry = make_entry(history_experiments,
-                           label=f"scale={args.scale}")
-        history = append_entry(args.history, entry)
-        if not args.json:
-            print(trend_report(history, tolerance=tolerance), end="")
-        if args.history_check:
-            gate_failures = check_history(history, tolerance=tolerance)
-            for failure in gate_failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            failures += len(gate_failures)
     if args.json:
         print(json.dumps({"scale": args.scale, "results": json_results,
                           "failures": failures}, indent=2, sort_keys=True))

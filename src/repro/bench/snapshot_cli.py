@@ -22,8 +22,7 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from ..analysis.determinism import KernelTrace
-from ..systemc.kernel import Kernel
+from ..analysis.determinism import trace_run
 from ..systemc.time import SimTime
 from ..vp.config import VpConfig
 from ..vp.platform import build_platform
@@ -76,17 +75,6 @@ def snapshot_boot(out_path: str, at_ms: float, kind: str, cores: int,
     return 0
 
 
-def _digest_run(action) -> KernelTrace:
-    """Run ``action`` with a DIGEST-tier recorder attached; return the trace."""
-    trace = KernelTrace()
-    handle = Kernel.add_trace_hook(trace.record, Kernel.TRACE_PRIORITY_DIGEST)
-    try:
-        action()
-    finally:
-        Kernel.remove_trace_hook(handle)
-    return trace
-
-
 def run_matrix(snapshot_path: str, matrix: List[float], verify_cold: bool,
                emit_json: bool) -> int:
     """Fork the snapshot into one child per matrix entry and resume each.
@@ -115,14 +103,14 @@ def run_matrix(snapshot_path: str, matrix: List[float], verify_cold: bool,
     for duration_ms, child in zip(matrix, children):
         software = _software(scenario)
         remaining = SimTime.ms(duration_ms) - SimTime(child.sim_time_ps)
-        warm = _digest_run(lambda: _resume(child, software, remaining))
+        warm = trace_run(lambda: _resume(child, software, remaining))
         row = {
             "duration_ms": duration_ms,
             "digest": warm.digest(),
             "dispatches": len(warm),
         }
         if verify_cold:
-            cold = _digest_run(
+            cold = trace_run(
                 lambda: _cold_run(snapshot, scenario, duration_ms))
             row["cold_digest"] = cold.digest()
             row["match"] = cold.digest() == warm.digest()

@@ -19,11 +19,11 @@ Typical flows::
 
     # in-process A/B (this is what `selfcheck` does)
     from repro.divergence import localize_divergence
-    report = localize_divergence(run_fabric, run_legacy,
+    report = localize_divergence(run_cold, run_resumed,
                                  bundle_dir="divergence-out")
 
     # harness capture
-    python -m repro.bench --scaled 0.01 --only fig5 --ledger-dir ledgers/
+    python -m repro.bench fig5 --scale 0.01 --ledger-dir ledgers/
 
 The root digest of a ledger is byte-identical to the DET001
 :meth:`~repro.analysis.determinism.KernelTrace.digest` of the same run,

@@ -10,11 +10,12 @@ Subcommands:
   (window, lane).  Exit 0 when identical, 1 on divergence, 2 on bad
   input (unreadable file, mismatched window sizes).
 * ``selfcheck`` — the built-in A/B scenario: one small multicore
-  Dhrystone run on the ``aoa`` platform with the memory fabric enabled
-  vs the same run under :func:`repro.fabric.legacy_memory_path`.  The
-  two paths must produce bit-identical dispatch streams; on mismatch the
-  divergence is zoom-localized and (with ``--bundle-dir``) packaged as a
-  divergence bundle.  This is the CI determinism canary.
+  Dhrystone run on the ``aoa`` platform, cold from construction vs the
+  same run resumed from a :mod:`repro.snapshot` taken halfway through.
+  The resumed leg replays the snapshot's dispatch-trace prefix and then
+  runs live, so the two must produce bit-identical dispatch streams; on
+  mismatch the divergence is zoom-localized and (with ``--bundle-dir``)
+  packaged as a divergence bundle.  This is the CI determinism canary.
 
 ``divergence/`` is a simulation package, so this module reports through
 ``sys.stdout.write`` rather than ``print`` (RPR006); everything a script
@@ -124,26 +125,40 @@ def _cmd_selfcheck(args) -> int:
     # Deferred: the bench stack pulls the full platform; `compare` on two
     # ledger files must not need it.
     from ..bench.measure import make_config, run_workload
-    from ..fabric import legacy_memory_path
+    from ..snapshot import Snapshot, TraceRecorder
+    from ..systemc.time import SimTime
+    from ..vp.platform import build_platform
     from ..workloads.dhrystone import DhrystoneParams, dhrystone_software
 
-    def scenario():
-        config = make_config(args.cores, args.quantum_us, parallel=False)
-        software = dhrystone_software(
-            args.cores, DhrystoneParams(args.iterations))
-        run_workload("aoa", config, software)
+    def config():
+        return make_config(args.cores, args.quantum_us, parallel=False)
 
-    def scenario_legacy():
-        with legacy_memory_path():
-            scenario()
+    def software():
+        return dhrystone_software(args.cores, DhrystoneParams(args.iterations))
+
+    def cold():
+        run_workload("aoa", config(), software())
+
+    limit = SimTime.seconds(10_000.0)     # run_workload's sim-time guard
 
     with contextlib.redirect_stdout(io.StringIO()) as captured:
+        # The resumed leg's snapshot is taken outside both ledger scopes:
+        # the same scenario, stopped at half its cold end time.
+        end = build_platform("aoa", config(), software()).run(limit)
+        vp = build_platform("aoa", config(), software())
+        with TraceRecorder() as recorder:
+            vp.run(SimTime(end.picoseconds // 2))
+        snapshot = Snapshot.capture(vp, trace=recorder.entries)
+
+        def resumed():
+            snapshot.restore(software()).run(limit)
+
         report = localize_divergence(
-            scenario, scenario_legacy,
+            cold, resumed,
             window=_window_ps(args),
-            meta_a={"leg": "fabric"}, meta_b={"leg": "legacy_memory_path"},
+            meta_a={"leg": "cold"}, meta_b={"leg": "resumed"},
             bundle_dir=args.bundle_dir,
-            labels=("fabric", "legacy_memory_path"))
+            labels=("cold", "resumed"))
     if captured.getvalue():
         sys.stderr.write(captured.getvalue())
     if args.json:
@@ -153,9 +168,10 @@ def _cmd_selfcheck(args) -> int:
                              if report.event_diff is not None else None)
         _out(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        _out("A/B selfcheck: fabric vs legacy_memory_path, "
+        _out("A/B selfcheck: cold vs snapshot-resumed, "
              f"{args.cores}-core dhrystone ({args.iterations} iterations, "
-             f"{args.quantum_us}us quantum)")
+             f"{args.quantum_us}us quantum, snapshot @ "
+             f"{snapshot.sim_time_ps // 1_000_000}us)")
         _out(report.describe())
     return 0 if report.identical else 1
 
@@ -190,7 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     compare.set_defaults(func=_cmd_compare)
 
     selfcheck = sub.add_parser(
-        "selfcheck", help="A/B canary: fabric vs legacy memory path")
+        "selfcheck", help="A/B canary: cold vs snapshot-resumed run")
     selfcheck.add_argument("--cores", type=int, default=2)
     selfcheck.add_argument("--iterations", type=int, default=20_000,
                            help="dhrystone iterations per core")

@@ -29,7 +29,7 @@ Three digest levels are maintained at O(windows) memory:
 On :meth:`~WindowLedger.detach` the fold is frozen into a
 :class:`RunLedger` — a compact JSON-serializable record — so runs that
 never shared an address space (cold vs snapshot-resumed, farm worker vs
-local, fabric vs ``legacy_memory_path()``) can be compared offline with
+local) can be compared offline with
 :func:`repro.divergence.bisect`.
 
 Telemetry (flushed on detach when a registry is available):

@@ -11,8 +11,8 @@ Divergence` structure so the report reads exactly like a determinism
 finding, but scoped.
 
 :func:`localize_divergence` is the whole pipeline for in-process A/B
-comparisons (fabric vs ``legacy_memory_path()``, serial vs parallel
-kernel): capture both ledgers, bisect, zoom re-run both sides, diff, and
+comparisons (cold vs snapshot-resumed, serial vs parallel kernel):
+capture both ledgers, bisect, zoom re-run both sides, diff, and
 optionally package everything as a divergence bundle
 (:mod:`repro.divergence.bundle`).
 """

@@ -17,42 +17,14 @@ shared mechanisms:
    DMI are transparently promoted to direct :class:`~repro.tlm.dmi.
    DmiRegion` access, demoted again on invalidation.
 
-All three mechanisms are *mechanically* invisible: the same bytes move,
-the same delays are annotated, and the kernel dispatch order — the DET001
-determinism digest — is byte-identical with the fabric on or off.
-:func:`legacy_memory_path` flips every switch back to the pre-fabric
-behaviour so tests (and the fabric microbenchmark) can prove exactly that.
+All three mechanisms are *mechanically* invisible: the same bytes move and
+the same delays are annotated, so the kernel dispatch order is what the
+model's timing alone decides.  ``tests/test_golden_counters.py`` and the
+DET001 and ``python -m repro.divergence selfcheck`` digests pin it.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 from .port import AccessResult, MemoryPort
 
-
-@contextlib.contextmanager
-def legacy_memory_path():
-    """Disable every fabric mechanism for the scope — the pre-fabric path.
-
-    Restores linear router decode, fresh per-transaction payloads, and
-    transport-only access (no DMI promotion).  Used by the A/B determinism
-    test and the ``benchmarks/fabric_microbench.py`` baseline leg; affects
-    only ports and routers *used* inside the scope (the switches are read
-    per access, not captured at construction).
-    """
-    from ..vcml.router import Router
-
-    saved = (Router.decode_cache_enabled, MemoryPort.pooling_enabled,
-             MemoryPort.dmi_promotion_enabled)
-    Router.decode_cache_enabled = False
-    MemoryPort.pooling_enabled = False
-    MemoryPort.dmi_promotion_enabled = False
-    try:
-        yield
-    finally:
-        (Router.decode_cache_enabled, MemoryPort.pooling_enabled,
-         MemoryPort.dmi_promotion_enabled) = saved
-
-
-__all__ = ["AccessResult", "MemoryPort", "legacy_memory_path"]
+__all__ = ["AccessResult", "MemoryPort"]

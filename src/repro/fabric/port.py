@@ -8,7 +8,7 @@ and owns the per-initiator halves of the fabric: a
 Timed accesses (:meth:`read`/:meth:`write`) try DMI first; on a miss they
 fall back to pooled ``b_transport`` and — when the target advertised DMI
 capability on the response (``payload.dmi_allowed``) — count accesses per
-4 KiB page until :attr:`promote_threshold` is reached, then probe
+4 KiB page until ``_PROMOTE_THRESHOLD`` is reached, then probe
 ``get_direct_mem_ptr`` once and install the granted region.  Pages that
 refuse the probe are negatively cached so peripherals are probed at most
 once.  Invalidation callbacks demote: the region is dropped and the next
@@ -40,6 +40,8 @@ from ..tlm.sockets import InitiatorSocket
 
 #: promotion bookkeeping granularity
 _PAGE_SHIFT = 12
+#: b_transport hits on a DMI-capable page before the single DMI probe
+_PROMOTE_THRESHOLD = 2
 
 
 class AccessResult(NamedTuple):
@@ -58,12 +60,6 @@ class AccessResult(NamedTuple):
 
 class MemoryPort:
     """Unified memory access layer for one initiator."""
-
-    #: class-level fabric switches (see repro.fabric.legacy_memory_path)
-    pooling_enabled: bool = True
-    dmi_promotion_enabled: bool = True
-    #: b_transport hits on a DMI-capable page before the single DMI probe
-    promote_threshold: int = 2
 
     def __init__(self, socket: InitiatorSocket, pool: Optional[PayloadPool] = None,
                  dmi: Optional[DmiManager] = None, name: Optional[str] = None):
@@ -110,13 +106,11 @@ class MemoryPort:
     # -- DMI promotion -------------------------------------------------------
     def _note_dmi_candidate(self, address: int) -> None:
         """One DMI-capable transport completed; maybe probe for a grant."""
-        if not self.dmi_promotion_enabled:
-            return
         page = address >> _PAGE_SHIFT
         if page in self._no_dmi_pages:
             return
         count = self._promotion_counts.get(page, 0) + 1
-        if count < self.promote_threshold:
+        if count < _PROMOTE_THRESHOLD:
             self._promotion_counts[page] = count
             return
         self._promotion_counts.pop(page, None)
@@ -164,13 +158,8 @@ class MemoryPort:
             self._observe("dmi", True)
             return AccessResult(True, data, base_delay + SimTime(region.read_latency_ps),
                                 ResponseStatus.OK, True)
-        if self.pooling_enabled:
-            payload = self.pool.acquire_read(address, length,
-                                             self.socket.initiator_id)
-        else:
-            from ..tlm.payload import GenericPayload
-            payload = GenericPayload.read(address, length,
-                                          self.socket.initiator_id)
+        payload = self.pool.acquire_read(address, length,
+                                         self.socket.initiator_id)
         out_delay = self.socket.b_transport(payload, base_delay)
         self.num_transports += 1
         ok = payload.response_status.is_ok
@@ -178,8 +167,7 @@ class MemoryPort:
         status = payload.response_status
         if ok and payload.dmi_allowed:
             self._note_dmi_candidate(address)
-        if self.pooling_enabled:
-            self.pool.release(payload)
+        self.pool.release(payload)
         self._observe("transport", ok)
         return AccessResult(ok, data, out_delay, status, False)
 
@@ -200,21 +188,15 @@ class MemoryPort:
             self._observe("dmi", True)
             return AccessResult(True, None, base_delay + SimTime(region.write_latency_ps),
                                 ResponseStatus.OK, True)
-        if self.pooling_enabled:
-            payload = self.pool.acquire_write(address, data,
-                                              self.socket.initiator_id)
-        else:
-            from ..tlm.payload import GenericPayload
-            payload = GenericPayload.write(address, data,
-                                           self.socket.initiator_id)
+        payload = self.pool.acquire_write(address, data,
+                                          self.socket.initiator_id)
         out_delay = self.socket.b_transport(payload, base_delay)
         self.num_transports += 1
         ok = payload.response_status.is_ok
         status = payload.response_status
         if ok and payload.dmi_allowed:
             self._note_dmi_candidate(address)
-        if self.pooling_enabled:
-            self.pool.release(payload)
+        self.pool.release(payload)
         self._observe("transport", ok)
         return AccessResult(ok, None, out_delay, status, False)
 

@@ -32,12 +32,3 @@ def pause(seconds: float) -> None:
     simulated process (RPR002).
     """
     time.sleep(seconds)
-
-
-def utc_timestamp() -> str:
-    """Current UTC time as ``YYYY-mm-ddTHH:MM:SSZ``.
-
-    Only for labeling host-side artifacts (bench history entries, report
-    headers) — never for anything a simulation result depends on.
-    """
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -49,6 +49,51 @@ GICD_SIZE = 0x1000
 GICC_SIZE = 0x100
 
 
+# -- snapshot-state checks: a bad value raises ValueError naming its field ----
+
+def _flag(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"gic.{field}: want a bool, got {type(value).__name__}")
+    return value
+
+
+def _int(value, field: str, low: int = 0, high: Optional[int] = None) -> int:
+    """``value`` if it is an int (not a bool) in ``low..high``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"gic.{field}: want an int, got {type(value).__name__}")
+    if value < low:
+        raise ValueError(f"gic.{field}: {value} is below {low}")
+    if high is not None and value > high:
+        raise ValueError(f"gic.{field}: {value} is above {high}")
+    return value
+
+
+def _list(value, field: str, length: Optional[int] = None) -> list:
+    """``value`` if it is a list (of exactly ``length`` entries, if given)."""
+    if not isinstance(value, list) or (length is not None
+                                       and len(value) != length):
+        want = "a list" if length is None else f"a list of {length} entries"
+        raise ValueError(f"gic.{field}: want {want}")
+    return value
+
+
+def _dict(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"gic.{field}: want an object")
+    return value
+
+
+def _irqs(value, field: str, low: int, high: int) -> Set[int]:
+    return {_int(irq, field, low, high) for irq in _list(value, field)}
+
+
+def _key(key: str, field: str, low: int, high: int) -> int:
+    """A canonical decimal dict key (``"33"``) as an int in ``low..high``."""
+    if not (isinstance(key, str) and key.isdigit() and str(int(key)) == key):
+        raise ValueError(f"gic.{field}: bad key {key!r}")
+    return _int(int(key), field, low, high)
+
+
 class Gic400(Component):
     """A GICv2-style interrupt controller for up to 8 cores.
 
@@ -220,29 +265,50 @@ class Gic400(Component):
 
         Output line levels are poked directly; downstream consumers (the
         CPU models' latched levels) restore their own state, so replaying
-        the connect-callback chain here would double-apply it.
+        the connect-callback chain here would double-apply it.  Every value
+        is type- and range-checked; a bad one raises ``ValueError``, which
+        snapshot restore reports as a malformed section.
         """
-        self.dist_enabled = bool(state["dist_enabled"])
-        self.cpu_enabled = [bool(flag) for flag in state["cpu_enabled"]]
-        self.priority_mask = list(state["priority_mask"])
-        self.enabled = set(state["enabled"])
-        self.pending_banked = [set(bank) for bank in state["pending_banked"]]
-        self.pending_spi = set(state["pending_spi"])
-        self.active = [set(bank) for bank in state["active"]]
-        self.spi_levels = {int(irq): bool(level)
-                           for irq, level in state["spi_levels"].items()}
-        self.spi_targets = {int(irq): mask
-                            for irq, mask in state["spi_targets"].items()}
-        for line, level in zip(self.irq_out, state["irq_out_levels"]):
-            line._level = bool(level)
-        for irq, level in state.get("spi_line_levels", {}).items():
-            self._spi_lines[int(irq)]._level = bool(level)
-        for key, level in state.get("ppi_line_levels", {}).items():
-            cpu, _, irq = key.partition(":")
-            self._ppi_lines[(int(cpu), int(irq))]._level = bool(level)
-        self.num_sgis_sent = state["num_sgis_sent"]
-        self.num_acks = state["num_acks"]
-        self.num_eois = state["num_eois"]
+        cpus, last_irq = self.num_cpus, self.MAX_IRQS - 1
+        self.dist_enabled = _flag(state["dist_enabled"], "dist_enabled")
+        self.cpu_enabled = [_flag(flag, "cpu_enabled") for flag
+                            in _list(state["cpu_enabled"], "cpu_enabled", cpus)]
+        self.priority_mask = [
+            _int(mask, "priority_mask", 0, 0xFF)
+            for mask in _list(state["priority_mask"], "priority_mask", cpus)]
+        self.enabled = _irqs(state["enabled"], "enabled", 0, last_irq)
+        self.pending_banked = [
+            _irqs(bank, "pending_banked", 0, 31)
+            for bank in _list(state["pending_banked"], "pending_banked", cpus)]
+        self.pending_spi = _irqs(state["pending_spi"], "pending_spi", 32, last_irq)
+        self.active = [_irqs(bank, "active", 0, last_irq)
+                       for bank in _list(state["active"], "active", cpus)]
+        self.spi_levels = {
+            _key(irq, "spi_levels", 32, last_irq): _flag(level, "spi_levels")
+            for irq, level in _dict(state["spi_levels"], "spi_levels").items()}
+        self.spi_targets = {
+            _key(irq, "spi_targets", 32, last_irq): _int(mask, "spi_targets", 0, 0xFF)
+            for irq, mask in _dict(state["spi_targets"], "spi_targets").items()}
+        for line, level in zip(self.irq_out, _list(state["irq_out_levels"],
+                                                   "irq_out_levels", cpus)):
+            line._level = _flag(level, "irq_out_levels")
+        for irq, level in _dict(state.get("spi_line_levels", {}),
+                                "spi_line_levels").items():
+            line = self._spi_lines.get(_key(irq, "spi_line_levels", 32, last_irq))
+            if line is None:
+                raise ValueError(f"gic.spi_line_levels: no SPI line {irq}")
+            line._level = _flag(level, "spi_line_levels")
+        for key, level in _dict(state.get("ppi_line_levels", {}),
+                                "ppi_line_levels").items():
+            cpu, _, irq = str(key).partition(":")
+            line = self._ppi_lines.get((_key(cpu, "ppi_line_levels", 0, cpus - 1),
+                                        _key(irq, "ppi_line_levels", 16, 31)))
+            if line is None:
+                raise ValueError(f"gic.ppi_line_levels: no PPI line {key}")
+            line._level = _flag(level, "ppi_line_levels")
+        self.num_sgis_sent = _int(state["num_sgis_sent"], "num_sgis_sent")
+        self.num_acks = _int(state["num_acks"], "num_acks")
+        self.num_eois = _int(state["num_eois"], "num_eois")
 
     # -- TLM transport -----------------------------------------------------------------
     def _dist_transport(self, payload: GenericPayload, delay: SimTime) -> SimTime:

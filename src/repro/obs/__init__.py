@@ -10,9 +10,7 @@ Layers on top of :mod:`repro.telemetry`:
   attachment (digest-neutral by construction);
 * :mod:`.stream` — bounded, drop-accounted snapshot streaming to JSONL
   files, Unix sockets, and in-process subscribers;
-* :mod:`.top` — plain-text live view helpers (``python -m repro.obs top``);
-* :mod:`.trend` — ``BENCH_obs.json`` bench history, trend reports, and
-  ratio gates.
+* :mod:`.top` — plain-text live view helpers (``python -m repro.obs top``).
 """
 
 from .attribution import (AttributionFold, AttributionSummary,
@@ -20,14 +18,10 @@ from .attribution import (AttributionFold, AttributionSummary,
                           summarize_timeline)
 from .engine import Obs, active_obs, enable_obs, maybe_attach, observing
 from .stream import JsonlSink, ObsStreamer, Sink, SocketSink, SubscriberSink
-from .trend import (append_entry, check_history, load_history, make_entry,
-                    trend_report)
 
 __all__ = [
     "AttributionFold", "AttributionSummary", "CATEGORY_PHASES", "PHASES",
     "render_summary", "summarize_timeline",
     "Obs", "active_obs", "enable_obs", "maybe_attach", "observing",
     "JsonlSink", "ObsStreamer", "Sink", "SocketSink", "SubscriberSink",
-    "append_entry", "check_history", "load_history", "make_entry",
-    "trend_report",
 ]

@@ -6,11 +6,6 @@
     python -m repro.obs top run.obs.jsonl --follow   # tail a running one
     python -m repro.obs top --socket /tmp/obs.sock   # listen for a SocketSink
 
-``python -m repro.obs trend`` — bench history report and regression gate::
-
-    python -m repro.obs trend BENCH_obs.json
-    python -m repro.obs trend BENCH_obs.json --check --tolerance 0.2
-
 ``python -m repro.obs report`` — pretty-print an attribution report file
 written by ``python -m repro.bench --obs-dir``.
 """
@@ -23,7 +18,6 @@ import sys
 
 from .attribution import PHASES
 from .top import follow, iter_jsonl, render_top, serve_socket
-from .trend import DEFAULT_TOLERANCE, check_history, load_history, trend_report
 
 
 def _cmd_top(args) -> int:
@@ -50,22 +44,6 @@ def _cmd_top(args) -> int:
 def _cannot_load(path: str, exc: Exception) -> int:
     print(f"repro.obs: cannot load {path}: {exc}", file=sys.stderr)
     return 2
-
-
-def _cmd_trend(args) -> int:
-    try:
-        history = load_history(args.history)
-    except (OSError, ValueError) as exc:
-        return _cannot_load(args.history, exc)
-    print(trend_report(history, last=args.last, tolerance=args.tolerance),
-          end="")
-    if args.check:
-        failures = check_history(history, tolerance=args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-    return 0
 
 
 def _load_report(path: str) -> list:
@@ -108,7 +86,7 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="live view, trend report, and attribution pretty-printer")
+        description="live view and attribution pretty-printer")
     commands = parser.add_subparsers(dest="command", required=True)
 
     top = commands.add_parser("top", help="render a snapshot stream")
@@ -123,17 +101,6 @@ def main(argv=None) -> int:
     top.add_argument("--timeout", type=float, default=None,
                      help="socket accept/read timeout in seconds")
     top.set_defaults(handler=_cmd_top)
-
-    trend = commands.add_parser("trend", help="bench history trend report")
-    trend.add_argument("history", help="BENCH_obs.json history file")
-    trend.add_argument("--last", type=int, default=10,
-                       help="number of entries to show (default 10)")
-    trend.add_argument("--check", action="store_true",
-                       help="exit non-zero on a ratio-gate regression")
-    trend.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                       help="allowed fractional MIPS regression "
-                            f"(default {DEFAULT_TOLERANCE})")
-    trend.set_defaults(handler=_cmd_trend)
 
     report = commands.add_parser("report",
                                  help="pretty-print an attribution report")

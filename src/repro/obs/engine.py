@@ -277,7 +277,7 @@ def observing(sinks: Optional[List[Sink]] = None, every: int = 1,
     """Scope within which every ``build_platform`` auto-attaches obs.
 
     ``repro.bench.runner`` wraps each experiment in one of these when
-    ``--obs-dir`` or ``--history`` is given, so the attribution report
+    ``--obs-dir`` is given, so the attribution report
     written next to the experiment result covers every platform the
     experiment built, without the experiments knowing.
     """

@@ -17,9 +17,7 @@ Decode is the memory hot path's first stop, so it is cached twice over
 
 The generation counter bumps on :meth:`map` and whenever a target forwards
 a DMI invalidation through the router, conservatively dropping every
-cached decode.  Setting :attr:`Router.decode_cache_enabled` to ``False``
-(see :func:`repro.fabric.legacy_memory_path`) restores the pre-fabric
-linear scan for A/B comparisons.
+cached decode.
 """
 
 from __future__ import annotations
@@ -69,10 +67,6 @@ class _Mapping(NamedTuple):
 
 class Router(Component):
     """N:1 address-decoding interconnect with cached decode."""
-
-    #: class-level fabric switch: ``False`` restores the pre-fabric linear
-    #: decode (no bisect, no per-initiator cache) for A/B testing
-    decode_cache_enabled: bool = True
 
     def __init__(self, name: str, parent: Optional[Module] = None):
         super().__init__(name, parent)
@@ -148,12 +142,6 @@ class Router(Component):
     def _decode(self, payload: GenericPayload) -> Optional[_Mapping]:
         address = payload.address
         length = max(1, payload.length)
-        if not self.decode_cache_enabled:
-            for mapping in self._mappings:      # the pre-fabric linear scan
-                if mapping.range.contains(address, length):
-                    return mapping
-            payload.set_error(ResponseStatus.ADDRESS_ERROR)
-            return None
         cached = self._decode_cache.get(payload.initiator_id)
         if (cached is not None and cached[0] == self._generation
                 and cached[1].range.contains(address, length)):

@@ -160,7 +160,7 @@ class TestCompare:
 
 class TestSelfcheck:
     def test_ab_legs_are_identical(self, capsys):
-        # The real canary: fabric vs legacy_memory_path must not diverge.
+        # The real canary: cold vs snapshot-resumed must not diverge.
         # Trimmed workload to keep the suite fast.
         code = main(["selfcheck", "--iterations", "2000",
                      "--window-us", "5"])
@@ -176,3 +176,15 @@ class TestSelfcheck:
         assert doc["identical"] is True
         assert doc["root_a"] == doc["root_b"]
         assert doc["bundle"] is None
+
+    def test_broken_restore_is_caught(self, monkeypatch, capsys):
+        # Drop the trace-prefix replay from the resumed leg's restore: its
+        # ledger then misses the pre-snapshot windows and the canary fires.
+        monkeypatch.setattr("repro.snapshot.restore.decode_trace",
+                            lambda blob: [])
+        code = main(["selfcheck", "--iterations", "2000",
+                     "--window-us", "5", "--json"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["identical"] is False
+        assert doc["point"]["window"] is not None

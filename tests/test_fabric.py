@@ -4,15 +4,13 @@ Covers the three fabric mechanisms in isolation (router decode cache,
 payload pool, DMI fast path), the router's DMI rebase/clip edge cases,
 the invalidation-wiring regression (callbacks registered before a mapping
 exists must still see that mapping's invalidations), the MemoryPort
-promotion state machine, and the system-level A/B invariant: the DET001
-scheduler digest is byte-identical with the fabric on and off.
+and promotion state machine.
 """
 
 import pytest
 
-from repro.analysis.determinism import trace_run
-from repro.bench.measure import make_config, run_workload
-from repro.fabric import MemoryPort, legacy_memory_path
+from repro.bench.measure import make_config
+from repro.fabric import MemoryPort
 from repro.systemc.kernel import Kernel
 from repro.systemc.time import SimTime
 from repro.tlm.dmi import DmiAccess, DmiManager, DmiRegion
@@ -190,14 +188,18 @@ class TestDmiManager:
 # -- router decode cache ------------------------------------------------------------
 
 class TestRouterDecodeCache:
+    def _device_bus(self):
+        """RAM plus a DMI-refusing device at 0x2000: device traffic stays
+        on transport, so every access decodes."""
+        router, ram, port = build_bus()
+        device = TransportOnlyDevice()
+        router.map(0x2000, 0x20FF, device.socket, name="dev")
+        return router, ram, port
+
     def test_repeat_decodes_hit_the_cache(self):
-        router, _, port = build_bus()
-        port.dmi_promotion_enabled = False        # keep traffic on transport
-        try:
-            for _ in range(4):
-                assert port.read(0x1000, 4).ok
-        finally:
-            del port.dmi_promotion_enabled        # restore the class switch
+        router, _, port = self._device_bus()
+        for _ in range(4):
+            assert port.read(0x2000, 4).ok
         assert router.num_decode_misses == 1
         assert router.num_decode_hits == 3
 
@@ -211,16 +213,12 @@ class TestRouterDecodeCache:
         assert router.num_decode_misses == misses + 1
 
     def test_dmi_invalidation_invalidates_cached_decode(self):
-        router, ram, port = build_bus()
-        port.dmi_promotion_enabled = False
-        try:
-            port.read(0x1000, 4)
-            misses = router.num_decode_misses
-            ram.invalidate_dmi()
-            port.read(0x1000, 4)
-            assert router.num_decode_misses == misses + 1
-        finally:
-            del port.dmi_promotion_enabled
+        router, ram, port = self._device_bus()
+        port.read(0x2000, 4)
+        misses = router.num_decode_misses
+        ram.invalidate_dmi()                      # drops every cached decode
+        port.read(0x2000, 4)
+        assert router.num_decode_misses == misses + 1
 
     def test_per_initiator_caches_do_not_thrash(self):
         Kernel()
@@ -241,17 +239,6 @@ class TestRouterDecodeCache:
             port1.read(0x2000, 1)
         assert router.num_decode_misses == misses
         assert router.num_decode_hits >= 6
-
-    def test_legacy_linear_decode_still_routes(self):
-        router, ram, port = build_bus()
-        with legacy_memory_path():
-            assert port.write(0x1010, b"\x5A").ok
-            result = port.read(0x1010, 1)
-            assert result.ok and result.data == b"\x5A"
-            bad = port.read(0x8000, 4)
-            assert bad.status is ResponseStatus.ADDRESS_ERROR
-        assert router.num_decode_hits == 0
-        assert router.num_decode_misses == 0
 
     def test_find_mapping_matches_linear_scan(self):
         Kernel()
@@ -480,16 +467,6 @@ class TestMemoryPortAccess:
         assert port.pool.num_reuses >= 15         # everything after the first
         assert port.pool.free_count <= port.pool.max_free
 
-    def test_legacy_path_disables_pool_and_promotion(self):
-        router, ram, port = build_bus()
-        with legacy_memory_path():
-            for _ in range(4):
-                assert port.read(0x1000, 4).ok
-            assert port.pool.num_acquires == 0
-            assert len(port.dmi) == 0
-        port.read(0x1000, 4)                      # switches restored
-        assert port.pool.num_acquires == 1
-
 
 # -- all four initiators ride the fabric --------------------------------------------
 
@@ -516,28 +493,3 @@ class TestInitiatorsUseFabric:
         vp.run(SimTime.ms(200))
         assert cpu.num_mmio > 0
         assert cpu.mem.num_reads + cpu.mem.num_writes == cpu.num_mmio
-
-
-# -- A/B: the fabric does not move the determinism digest ---------------------------
-
-class TestFabricDeterminism:
-    def _run(self):
-        software = dhrystone_software(2, DhrystoneParams(iterations=20_000))
-        config = make_config(2, 1000.0, True)
-        return run_workload("aoa", config, software)
-
-    def test_det001_digest_identical_with_and_without_fabric(self):
-        fabric_trace = trace_run(self._run)
-        with legacy_memory_path():
-            legacy_trace = trace_run(self._run)
-        assert len(fabric_trace) > 0
-        assert fabric_trace.digest() == legacy_trace.digest()
-
-    def test_functional_results_identical_with_and_without_fabric(self):
-        fabric_metrics = self._run()
-        with legacy_memory_path():
-            legacy_metrics = self._run()
-        assert fabric_metrics.instructions == legacy_metrics.instructions
-        assert fabric_metrics.sim_seconds == legacy_metrics.sim_seconds
-        assert fabric_metrics.wall_seconds == legacy_metrics.wall_seconds
-        assert fabric_metrics.counters == legacy_metrics.counters

@@ -12,6 +12,8 @@ The central invariants:
   reference dropped, while summaries stay available from the cache.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.determinism import trace_run
@@ -20,6 +22,7 @@ from repro.divergence import WindowLedger
 from repro.host.accounting import HostLedger
 from repro.host.machine import MAIN_LANE, apple_m2_pro
 from repro.obs import SubscriberSink, enable_obs, observing
+from repro.obs import __main__ as obs_main
 from repro.obs.attribution import (AttributionFold, CATEGORY_PHASES, PHASES,
                                    render_summary, summarize_timeline)
 from repro.systemc.probes import POINTS
@@ -319,3 +322,26 @@ class TestTimelineFallback:
         summary = summarize_timeline(vp, timeline)
         assert summary.verify() == []
         assert summary.wall_time_ns == vp.ledger.wall_time_ns()
+
+
+class TestReportCli:
+    """Malformed ``python -m repro.obs report`` inputs exit 2, ``cannot load``."""
+
+    REPORTS = {
+        "list": "[]",
+        "truncated": '{"summaries": [{"platform": ',
+        "summary_not_object": json.dumps({"summaries": [1]}),
+        "summaries_not_list": json.dumps({"summaries": "none"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REPORTS))
+    def test_report_cli_cannot_load(self, case, tmp_path, capsys):
+        path = tmp_path / "run.obs.json"
+        path.write_text(self.REPORTS[case])
+        assert obs_main.main(["report", str(path)]) == 2
+        assert f"cannot load {path}" in capsys.readouterr().err
+
+    def test_report_cli_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.obs.json"
+        assert obs_main.main(["report", str(path)]) == 2
+        assert "cannot load" in capsys.readouterr().err

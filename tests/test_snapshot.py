@@ -368,6 +368,10 @@ def _add_page(manifest, index):
     pages[index] = next(iter(pages.values()))
 
 
+def _gic(manifest, **fields):
+    manifest["devices"]["gic"].update(fields)
+
+
 #: manifest edits restore must refuse; each escaped as a raw error or was
 #: silently accepted before the device, kernel and RAM sections were checked
 HOSTILE_SECTIONS = {
@@ -385,6 +389,17 @@ HOSTILE_SECTIONS = {
     "process_unknown_park": lambda m: m["processes"][-1].update(park="nowhere"),
     "delta_count_is_string": lambda m: m["sim"].update(delta_count="22"),
     "halted_cores_is_string": lambda m: m["sim"].update(halted_cores="0"),
+    "gic_priority_mask_is_string": lambda m: _gic(m, priority_mask="ff"),
+    "gic_priority_mask_one_short": lambda m: _gic(m, priority_mask=[0xFF]),
+    "gic_priority_above_255": lambda m: _gic(m, priority_mask=[0x100] * CORES),
+    "gic_enabled_is_string": lambda m: _gic(m, enabled="abc"),
+    "gic_spi_target_is_string": lambda m: _gic(m, spi_targets={"33": "x"}),
+    "gic_spi_target_key_not_int": lambda m: _gic(m, spi_targets={"x": 1}),
+    "gic_num_acks_is_string": lambda m: _gic(m, num_acks="x"),
+    "gic_irq_out_levels_empty": lambda m: _gic(m, irq_out_levels=[]),
+    "gic_pending_spi_below_32": lambda m: _gic(m, pending_spi=[5]),
+    "gic_dist_enabled_is_int": lambda m: _gic(m, dist_enabled=1),
+    "gic_spi_line_unknown": lambda m: _gic(m, spi_line_levels={"200": True}),
 }
 
 
