@@ -16,7 +16,6 @@ CLI: ``python -m repro.analysis --help``.
 
 from .determinism import (
     DeterminismReport,
-    KernelTrace,
     check_determinism,
     check_script_determinism,
     trace_run,
@@ -29,7 +28,6 @@ __all__ = [
     "DeterminismReport",
     "Finding",
     "FindingCollector",
-    "KernelTrace",
     "LintEngine",
     "Rule",
     "SanitizerScope",

@@ -16,35 +16,13 @@ an example script end to end.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import runpy
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..systemc.kernel import Kernel
+from ..systemc.kernel import Kernel, TraceEntry, TraceRecorder
 from .findings import Finding, Severity
-
-TraceEntry = Tuple[str, int, str]
-
-
-class KernelTrace:
-    """Recorded scheduler dispatch order for one run."""
-
-    def __init__(self):
-        self.entries: List[TraceEntry] = []
-
-    def record(self, kind: str, time_ps: int, name: str) -> None:
-        self.entries.append((kind, time_ps, name))
-
-    def digest(self) -> str:
-        hasher = hashlib.sha256()
-        for kind, time_ps, name in self.entries:
-            hasher.update(f"{kind}|{time_ps}|{name}\n".encode())
-        return hasher.hexdigest()
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass
@@ -96,13 +74,13 @@ class DeterminismReport:
         )
 
 
-#: the KernelTrace currently being recorded by :func:`trace_run`; nesting
+#: the TraceRecorder currently recording for :func:`trace_run`; nesting
 #: guard only — *other* DIGEST-tier observers (the divergence ledger) are
 #: allowed to coexist
-_active_trace: Optional[KernelTrace] = None
+_active_trace: Optional[TraceRecorder] = None
 
 
-def trace_run(action: Callable[[], object]) -> KernelTrace:
+def trace_run(action: Callable[[], object]) -> TraceRecorder:
     """Run ``action`` with the kernel trace hook installed.
 
     The digester subscribes at ``Kernel.TRACE_PRIORITY_DIGEST`` to every
@@ -120,7 +98,7 @@ def trace_run(action: Callable[[], object]) -> KernelTrace:
     global _active_trace
     if _active_trace is not None:
         raise RuntimeError("a kernel trace is already being recorded")
-    trace = KernelTrace()
+    trace = TraceRecorder()
     _active_trace = trace
     handle = Kernel.add_trace_hook(trace.record, Kernel.TRACE_PRIORITY_DIGEST)
     try:
@@ -131,16 +109,19 @@ def trace_run(action: Callable[[], object]) -> KernelTrace:
     return trace
 
 
-def _diff(first: KernelTrace, second: KernelTrace) -> Optional[Divergence]:
-    limit = max(len(first.entries), len(second.entries))
+def first_divergence(first: Sequence[TraceEntry],
+                     second: Sequence[TraceEntry]) -> Optional[Divergence]:
+    """Where two dispatch-entry lists first differ (``None`` if equal),
+    with up to three preceding entry pairs as context."""
+    limit = max(len(first), len(second))
     for index in range(limit):
-        left = first.entries[index] if index < len(first.entries) else None
-        right = second.entries[index] if index < len(second.entries) else None
+        left = first[index] if index < len(first) else None
+        right = second[index] if index < len(second) else None
         if left != right:
             lo = max(0, index - 3)
             context = [
-                (first.entries[i] if i < len(first.entries) else None,
-                 second.entries[i] if i < len(second.entries) else None)
+                (first[i] if i < len(first) else None,
+                 second[i] if i < len(second) else None)
                 for i in range(lo, index)
             ]
             return Divergence(index=index, first=left, second=right, context=context)
@@ -158,7 +139,7 @@ def check_determinism(action: Callable[[], object], runs: int = 2) -> Determinis
     traces = [trace_run(action) for _ in range(runs)]
     divergence = None
     for other in traces[1:]:
-        divergence = _diff(traces[0], other)
+        divergence = first_divergence(traces[0].entries, other.entries)
         if divergence is not None:
             break
     return DeterminismReport(

@@ -26,7 +26,7 @@ Typical flows::
     python -m repro.bench fig5 --scale 0.01 --ledger-dir ledgers/
 
 The root digest of a ledger is byte-identical to the DET001
-:meth:`~repro.analysis.determinism.KernelTrace.digest` of the same run,
+:meth:`~repro.systemc.kernel.TraceRecorder.digest` of the same run,
 and the ledger hook is a pure observer in the DIGEST trace-hook band —
 DET001 digests are unchanged whether a ledger is attached or not, in
 either attach order.
@@ -49,7 +49,6 @@ from .zoom import (
     DivergenceReport,
     ZoomCapture,
     ZoomEntry,
-    diff_zooms,
     localize_divergence,
     zoom_run,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "WindowLedger", "RunLedger", "WindowRecord", "LaneDigest",
     "capture_ledger",
     "bisect", "LedgerComparison", "DivergencePoint", "DigestTree",
-    "zoom_run", "diff_zooms", "localize_divergence",
+    "zoom_run", "localize_divergence",
     "ZoomCapture", "ZoomEntry", "DivergenceReport",
     "write_divergence_bundle",
 ]

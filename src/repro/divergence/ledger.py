@@ -18,9 +18,10 @@ digests along the paper's natural hierarchy:
 Three digest levels are maintained at O(windows) memory:
 
 1. the **root digest** — an incremental SHA-256 over the full stream,
-   byte-identical to :meth:`repro.analysis.determinism.KernelTrace.
-   digest` for the same run, so a ledger can stand in for a DET001 trace
-   across processes;
+   byte-identical to the DET001 digest
+   (:meth:`repro.systemc.kernel.TraceRecorder.digest`) for the same run —
+   both hash :func:`~repro.systemc.kernel.dispatch_line` — so a ledger can
+   stand in for a DET001 trace across processes;
 2. a per-window **stream digest** over the window's dispatches in order
    (captures cross-lane interleaving inside the window);
 3. per-(window, lane) digests over each lane's sub-stream (localize the
@@ -50,7 +51,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..host.machine import MAIN_LANE
 from ..host.wallclock import elapsed_since, wall_clock
-from ..systemc.kernel import Kernel
+from ..systemc.kernel import Kernel, dispatch_line
 from ..systemc.time import SimTime
 
 #: ledger file format tag; bump on incompatible schema changes
@@ -312,9 +313,9 @@ class WindowLedger:
 
     # -- the hook -------------------------------------------------------------
     def _record(self, kind: str, time_ps: int, name: str) -> None:
-        # Same line encoding as KernelTrace.digest(): the root digest of a
+        # Same line encoding as the DET001 digest, so the root digest of a
         # ledger equals the DET001 digest of the same stream.
-        line = f"{kind}|{time_ps}|{name}\n".encode()
+        line = dispatch_line(kind, time_ps, name)
         self._root.update(line)
         window = time_ps // self.window_ps
         fold = self._open

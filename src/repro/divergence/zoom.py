@@ -5,10 +5,9 @@ memory; this module recovers the *event-level* story without ever holding
 a full trace.  :func:`zoom_run` replays a scenario with a DIGEST-tier
 hook that keeps only the dispatches whose kernel timestamp falls in the
 target window (everything else just advances a sequence counter), and
-:func:`diff_zooms` lines two captures up to the first differing trace
-entry — reusing the DET001 :class:`~repro.analysis.determinism.
-Divergence` structure so the report reads exactly like a determinism
-finding, but scoped.
+:func:`~repro.analysis.determinism.first_divergence` — the DET001 diff —
+lines two captures' entries up to the first differing one, so the report
+reads exactly like a determinism finding, but scoped.
 
 :func:`localize_divergence` is the whole pipeline for in-process A/B
 comparisons (cold vs snapshot-resumed, serial vs parallel kernel):
@@ -21,8 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from ..analysis.determinism import Divergence, TraceEntry
-from ..systemc.kernel import Kernel
+from ..analysis.determinism import Divergence, first_divergence
+from ..systemc.kernel import Kernel, TraceEntry
 from .bisect import LedgerComparison, bisect
 from .ledger import RunLedger, capture_ledger
 
@@ -59,6 +58,10 @@ class ZoomCapture:
                 ZoomEntry(self.total_dispatches, kind, time_ps, name))
         self.total_dispatches += 1
 
+    def trace(self) -> List[TraceEntry]:
+        """The captured dispatches as plain trace entries."""
+        return [entry.entry for entry in self.entries]
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -79,34 +82,6 @@ def zoom_run(action: Callable[[], object], window: int,
     finally:
         Kernel.remove_trace_hook(handle)
     return capture
-
-
-def diff_zooms(zoom_a: ZoomCapture,
-               zoom_b: ZoomCapture) -> Optional[Divergence]:
-    """First differing trace entry between two window captures.
-
-    Returns ``None`` when the captures agree (the divergence then lives in
-    dispatch *counts outside* the window — compare ledgers again with a
-    smaller window).  The ``index`` of the returned divergence is relative
-    to the window's entry list; map it to run-wide sequence numbers
-    through ``zoom_a.entries[index].seq``.
-    """
-    limit = max(len(zoom_a.entries), len(zoom_b.entries))
-    for index in range(limit):
-        left = (zoom_a.entries[index].entry
-                if index < len(zoom_a.entries) else None)
-        right = (zoom_b.entries[index].entry
-                 if index < len(zoom_b.entries) else None)
-        if left != right:
-            lo = max(0, index - 3)
-            context = [
-                (zoom_a.entries[i].entry if i < len(zoom_a.entries) else None,
-                 zoom_b.entries[i].entry if i < len(zoom_b.entries) else None)
-                for i in range(lo, index)
-            ]
-            return Divergence(index=index, first=left, second=right,
-                              context=context)
-    return None
 
 
 class DivergenceReport(NamedTuple):
@@ -156,7 +131,10 @@ def localize_divergence(
     if not comparison.identical and point is not None and point.window is not None:
         zoom_a = zoom_run(action_a, point.window, ledger_a.window_ps)
         zoom_b = zoom_run(action_b, point.window, ledger_b.window_ps)
-        event_diff = diff_zooms(zoom_a, zoom_b)
+        # Returns None when the captures agree: the divergence then lives
+        # in dispatch counts *outside* the window.  The index is relative
+        # to the window; zoom_a.entries[index].seq is the run-wide one.
+        event_diff = first_divergence(zoom_a.trace(), zoom_b.trace())
     if not comparison.identical and bundle_dir is not None:
         from .bundle import write_divergence_bundle
         bundle_path = write_divergence_bundle(

@@ -187,11 +187,10 @@ class CrashBundler:
     def _attribution_snapshot(vp, telemetry) -> Optional[dict]:
         """Last-known host-time attribution (phases per lane) for the wreck.
 
-        Best source first: a live ``repro.obs`` engine (per-core lanes even
-        in sequential mode, open windows included); else re-fold the
-        telemetry host timeline; else nothing.  Lazy imports keep the
-        flight package usable without obs, and a crash dump must never die
-        on its own bookkeeping.
+        Best source first: a live ``repro.obs`` engine; else telemetry's
+        attribution fold of the same platform (both per-core lanes even in
+        sequential mode, open windows included); else nothing.  A crash
+        dump must never die on its own bookkeeping.
         """
         try:
             obs = getattr(vp, "obs", None)
@@ -200,12 +199,13 @@ class CrashBundler:
                 if summary is not None:
                     return summary.to_json()
             if telemetry is not None:
-                for _key, platform, timeline in telemetry.platforms:
-                    if platform is vp and timeline is not None:
-                        from ..obs.attribution import summarize_timeline
-                        summary = summarize_timeline(vp, timeline)
-                        if summary is not None:
-                            return summary.to_json()
+                for _key, platform, fold in telemetry.platforms:
+                    if platform is vp and fold is not None:
+                        return fold.summary(
+                            platform=vp.name, num_cores=len(vp.cpus),
+                            sim_time_ps=vp.kernel.now.picoseconds,
+                            instructions=vp.total_instructions(),
+                            include_open=True).to_json()
         except Exception:
             return None
         return None

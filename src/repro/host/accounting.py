@@ -75,8 +75,10 @@ class HostLedger:
         """Fold one window's per-lane totals into its wall-clock extent.
 
         The single place the max-vs-sum semantics live; both the run total
-        below and the telemetry timeline (:class:`repro.telemetry.spans.
-        HostTimeline`) use it, so exported spans tile to the same total.
+        below and the host-time attribution fold
+        (:class:`repro.obs.attribution.AttributionFold`, which telemetry's
+        Perfetto spans are laid out from) use it, so every report and
+        exported span tiles to the same total.
         """
         costs = self.sim_costs
         worker_lanes = [lane for lane in lanes if lane != MAIN_LANE]
@@ -97,16 +99,6 @@ class HostLedger:
 
     def category_totals(self) -> Dict[str, float]:
         return dict(self._categories)
-
-    def windows(self) -> Dict[int, Dict[int, float]]:
-        """Per-window lane totals, in first-billing (insertion) order.
-
-        Read-only copy for observers (``repro.obs`` folds it into phase
-        attributions).  Iteration order matters: :meth:`wall_time_ns` sums
-        window spans in this order, so a consumer that re-folds the windows
-        in the same order reproduces the total bit-for-bit.
-        """
-        return {window: dict(lanes) for window, lanes in self._windows.items()}
 
     def window_count(self) -> int:
         return len(self._windows)

@@ -1,6 +1,8 @@
 """repro.obs — continuous performance observability for virtual platforms.
 
-Layers on top of :mod:`repro.telemetry`:
+Its attribution fold is the one fold of the ``host_bill`` stream:
+:mod:`repro.telemetry` lays its Perfetto host-time spans out from the same
+sealed window records.
 
 * :mod:`.attribution` — fold HostLedger billing into per-lane, per-window
   phases (guest / mmio / irq / kernel / barrier_idle / overhead) that sum
@@ -14,14 +16,13 @@ Layers on top of :mod:`repro.telemetry`:
 """
 
 from .attribution import (AttributionFold, AttributionSummary,
-                          CATEGORY_PHASES, PHASES, render_summary,
-                          summarize_timeline)
+                          CATEGORY_PHASES, PHASES, render_summary)
 from .engine import Obs, active_obs, enable_obs, maybe_attach, observing
 from .stream import JsonlSink, ObsStreamer, Sink, SocketSink, SubscriberSink
 
 __all__ = [
     "AttributionFold", "AttributionSummary", "CATEGORY_PHASES", "PHASES",
-    "render_summary", "summarize_timeline",
+    "render_summary",
     "Obs", "active_obs", "enable_obs", "maybe_attach", "observing",
     "JsonlSink", "ObsStreamer", "Sink", "SocketSink", "SubscriberSink",
 ]

@@ -236,13 +236,20 @@ class AttributionFold:
         self.late_events = 0
 
     # -- recording ----------------------------------------------------------
-    def record(self, window: int, attr_lane: int, actual_lane: int,
-               nanoseconds: float, category: str) -> None:
+    def bill(self, cpu, window: int, lane: int, nanoseconds: float,
+             category: str, main_thread: bool) -> None:
+        """The ``host_bill`` subscriber: record one billing event.
+
+        ``lane`` is the actual ledger lane, which the wall fold needs; the
+        attribution lane is where the event lands under the parallel fold
+        (main thread vs. per-core).
+        """
         if self._finalized and window <= self._finalized[-1].window:
             self.late_events += 1
             return
+        attr_lane = MAIN_LANE if main_thread else cpu.core_id
         self._events.setdefault(window, []).append(
-            (attr_lane, actual_lane, nanoseconds, category))
+            (attr_lane, lane, nanoseconds, category))
         self._lanes_seen.setdefault(attr_lane)
 
     def record_dispatch(self, window: int) -> None:
@@ -293,24 +300,26 @@ class AttributionFold:
         return record
 
     # -- results ------------------------------------------------------------
-    def records(self) -> List[WindowRecord]:
-        return list(self._finalized)
-
-    def summary(self, platform: str = "", num_cores: int = 0,
-                sim_time_ps: int = 0, instructions: int = 0,
-                include_open: bool = False) -> AttributionSummary:
-        """Fold all finalized windows into the whole-run report.
+    def records(self, include_open: bool = False) -> List[WindowRecord]:
+        """Finalized windows, in finalize order.
 
         ``include_open`` additionally folds still-open windows *without*
-        finalizing them (used for live snapshots and crash bundles taken
-        mid-window).
+        finalizing them (used for live snapshots, crash bundles taken
+        mid-window and exports of an unfinished run).
         """
         records = list(self._finalized)
         if include_open:
             probe = AttributionFold(self.ledger)
-            probe._events = {w: list(ev) for w, ev in self._events.items()}
+            probe._events = dict(self._events)
             probe._dispatches = dict(self._dispatches)
             records += probe.finalize()
+        return records
+
+    def summary(self, platform: str = "", num_cores: int = 0,
+                sim_time_ps: int = 0, instructions: int = 0,
+                include_open: bool = False) -> AttributionSummary:
+        """Fold the windows of :meth:`records` into the whole-run report."""
+        records = self.records(include_open)
         lanes: Dict[str, Dict[str, float]] = {
             lane_name(lane): {} for lane in self._lanes_seen}
         lane_wall: Dict[str, float] = {name: 0.0 for name in lanes}
@@ -354,30 +363,6 @@ class AttributionFold:
             dispatches=dispatches,
             late_events=self.late_events,
         )
-
-
-def summarize_timeline(vp, timeline) -> Optional[AttributionSummary]:
-    """Fold a :class:`repro.telemetry.spans.HostTimeline` into a summary.
-
-    Fallback for runs that carried telemetry but no ``repro.obs`` tap
-    (e.g. crash bundles): the timeline's events use the *ledger's* lanes
-    (collapsed to ``main`` in sequential mode), so the per-core projection
-    is unavailable, but phases, windows and the wall fold are identical.
-    """
-    ledger = getattr(vp, "ledger", None)
-    if ledger is None or timeline is None:
-        return None
-    fold = AttributionFold(ledger)
-    for window, events in timeline.window_events().items():
-        for lane, nanoseconds, category in events:
-            fold.record(window, lane, lane, nanoseconds, category)
-    fold.finalize()
-    return fold.summary(
-        platform=getattr(vp, "name", ""),
-        num_cores=len(getattr(vp, "cpus", ())) or ledger.num_cores,
-        sim_time_ps=vp.kernel.now.picoseconds,
-        instructions=vp.total_instructions(),
-    )
 
 
 def render_summary(summary: AttributionSummary) -> str:

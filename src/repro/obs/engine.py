@@ -5,13 +5,14 @@
 changes, pure observation, fully undoable.  It subscribes to four probe
 points of the platform kernel's bus (:mod:`repro.systemc.probes`):
 
-* ``host_bill`` — every modeled host-time billing event — is mirrored into
-  an :class:`~repro.obs.attribution.AttributionFold` with *two* lane views
-  per event: the actual ledger lane (so the per-window wall fold
-  reproduces :meth:`HostLedger.window_span_ns` bit-for-bit) and the
-  attribution lane the event would land on under the parallel fold (main
-  thread vs. per-core), which is how a sequential run already yields the
-  per-lane report the modeled parallel fold is compared with;
+* ``host_bill`` — every modeled host-time billing event — goes straight
+  to :meth:`AttributionFold.bill <repro.obs.attribution.AttributionFold.
+  bill>`, which keeps *two* lane views per event: the actual ledger lane
+  (so the per-window wall fold reproduces
+  :meth:`HostLedger.window_span_ns` bit-for-bit) and the attribution lane
+  the event would land on under the parallel fold (main thread vs.
+  per-core), which is how a sequential run already yields the per-lane
+  report the modeled parallel fold is compared with;
 * ``time_advance`` (after every simulated-time advance, never for delta
   cycles) closes quantum windows deterministically: when simulation
   reaches time *T*, every window ending before *T* can no longer receive
@@ -35,7 +36,6 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..host.machine import MAIN_LANE
 from ..systemc.probes import Subscription
 from .attribution import AttributionFold, AttributionSummary, WindowRecord
 from .stream import ObsStreamer, Sink
@@ -118,13 +118,6 @@ class Obs:
         fold = entry.fold
         window_ps = entry.window_ps
 
-        def host_bill(cpu, window, lane, nanoseconds, category,
-                      main_thread) -> None:
-            # Attribution lane: where the event lands under the parallel
-            # fold.  Actual lane: where the ledger put it now.
-            attr_lane = MAIN_LANE if main_thread else cpu.core_id
-            fold.record(window, attr_lane, lane, nanoseconds, category)
-
         def dispatch(kind: str, time_ps: int, name: str) -> None:
             fold.record_dispatch(time_ps // window_ps)
 
@@ -137,7 +130,7 @@ class Obs:
                                "shutdown_requested", False)):
                 self._seal(entry)
 
-        return {"host_bill": host_bill, "time_advance": fold.advance_to,
+        return {"host_bill": fold.bill, "time_advance": fold.advance_to,
                 "dispatch": dispatch, "run_return": run_return}
 
     # -- window snapshots ----------------------------------------------------

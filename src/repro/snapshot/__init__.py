@@ -26,7 +26,8 @@ dispatches, and must equal the digest of an uninterrupted cold run
 bit-for-bit — on both the serial and threads execution backends.
 """
 
-from .capture import TraceRecorder, capture_platform, serialize_config
+from ..systemc.kernel import TraceRecorder
+from .capture import capture_platform, serialize_config
 from .flight import snapshot_from_flight_bundle
 from .format import FORMAT, PAGE_SIZE, SnapshotError, manifest_digest
 from .image import Snapshot

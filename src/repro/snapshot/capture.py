@@ -26,11 +26,11 @@ exactly the class of state the RPR012 lint rule flags statically.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..host.wallclock import elapsed_since, wall_clock
 from ..systemc.event import Event
-from ..systemc.kernel import Kernel, _ProcessWakeup
+from ..systemc.kernel import TraceEntry, _ProcessWakeup
 from ..vp.config import VpConfig
 from .format import FORMAT, PAGE_SIZE, SnapshotError, blob_digest, encode_trace, split_pages
 from .image import Snapshot, _telemetry_registry
@@ -43,34 +43,6 @@ _RESTORABLE_PARKS = ("sync", "break_sync", "debug", "wait_irq_sync", "wait_irq")
 
 #: platform devices whose register files a snapshot stores under ``regs``
 REG_LABELS = ("timer", "uart", "rtc", "sdhci", "simctl")
-
-
-class TraceRecorder:
-    """Record the kernel dispatch stream for snapshot prefix replay.
-
-    Attach (as a context manager) before running the portion of the
-    simulation that will be snapshotted; pass :attr:`entries` to
-    ``capture``.  Registers at OBSERVER priority so DIGEST-tier hooks
-    (DET001, the divergence ledger) are unaffected — recording is
-    digest-neutral by construction.
-    """
-
-    def __init__(self):
-        self.entries: List[Tuple[str, int, str]] = []
-        self._handle = None
-
-    def _record(self, kind: str, time_ps: int, name: str) -> None:
-        self.entries.append((kind, time_ps, name))
-
-    def __enter__(self) -> "TraceRecorder":
-        self._handle = Kernel.add_trace_hook(self._record,
-                                             Kernel.TRACE_PRIORITY_OBSERVER)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._handle is not None:
-            Kernel.remove_trace_hook(self._handle)
-            self._handle = None
 
 
 def _check_quiescent(vp) -> Dict[int, object]:
@@ -191,7 +163,7 @@ def serialize_config(config: VpConfig) -> dict:
     }
 
 
-def capture_platform(vp, trace: Optional[List[Tuple[str, int, str]]] = None,
+def capture_platform(vp, trace: Optional[List[TraceEntry]] = None,
                      scenario: Optional[dict] = None) -> Snapshot:
     """Capture ``vp`` at a quiescent point into a :class:`Snapshot`.
 

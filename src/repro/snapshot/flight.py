@@ -18,9 +18,17 @@ from .format import FORMAT, SnapshotError
 from .image import Snapshot
 
 
-def _read_json(path: str):
-    with open(path, "r") as stream:
-        return json.load(stream)
+def _read_object(path: str) -> dict:
+    """One bundle file, which must hold a JSON object."""
+    try:
+        with open(path, "r") as stream:
+            value = json.load(stream)
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"{path}: unreadable bundle file ({exc})") from exc
+    if not isinstance(value, dict):
+        raise SnapshotError(f"{path}: expected a JSON object, "
+                            f"got {type(value).__name__}")
+    return value
 
 
 def snapshot_from_flight_bundle(path: str) -> Snapshot:
@@ -28,19 +36,22 @@ def snapshot_from_flight_bundle(path: str) -> Snapshot:
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
         raise SnapshotError(f"{path}: not a flight bundle (no meta.json)")
-    meta = _read_json(meta_path)
+    meta = _read_object(meta_path)
 
     cores = []
     cores_dir = os.path.join(path, "cores")
     if os.path.isdir(cores_dir):
         for name in sorted(os.listdir(cores_dir)):
             if name.endswith(".json"):
-                cores.append(_read_json(os.path.join(cores_dir, name)))
+                cores.append(_read_object(os.path.join(cores_dir, name)))
 
     metrics_path = os.path.join(path, "metrics.json")
-    metrics = _read_json(metrics_path) if os.path.isfile(metrics_path) else None
+    metrics = (_read_object(metrics_path) if os.path.isfile(metrics_path)
+               else None)
 
     platform = meta.get("platform", {})
+    if not isinstance(platform, dict):
+        raise SnapshotError(f"{meta_path}: platform is not a JSON object")
     kind = "aoa" if "Aoa" in str(platform.get("kind", "")) else "avp64"
     manifest = {
         "format": FORMAT,

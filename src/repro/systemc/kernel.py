@@ -23,6 +23,9 @@ time, then by scheduling order.
 
 Observers never patch the kernel: they subscribe to the named probe points
 of its :class:`~repro.systemc.probes.ProbeBus` (``Kernel.probes``).
+:class:`TraceRecorder` records the ``dispatch`` stream every digest of a
+run is taken over, and :func:`dispatch_line` is that digest's one line
+encoding.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import heapq
 import itertools
 import threading
 from collections import deque
+import hashlib
 from typing import Callable, Deque, Generator, List, Optional, Set, Tuple
 
 from . import probes
@@ -361,3 +365,49 @@ class _MethodWaiter:
 
     def _wake(self, kernel: "Kernel", timed_out: bool = False) -> None:
         self.method.trigger()
+
+
+#: one scheduler dispatch: ``(kind, time_ps, process name)``
+TraceEntry = Tuple[str, int, str]
+
+
+def dispatch_line(kind: str, time_ps: int, name: str) -> bytes:
+    """One dispatch as hashed by every dispatch-stream digest: DET001's and
+    the divergence ledger's root, which are therefore equal."""
+    return f"{kind}|{time_ps}|{name}\n".encode()
+
+
+class TraceRecorder:
+    """The kernel dispatch stream of a run, as :data:`TraceEntry` tuples.
+
+    As a context manager it records at OBSERVER priority, so DIGEST-tier
+    hooks (DET001, the divergence ledger) are unaffected — that is the
+    snapshot prefix recorder.  The DET001 digester subscribes
+    :meth:`record` itself at DIGEST priority.
+    """
+
+    def __init__(self):
+        self.entries: List[TraceEntry] = []
+        self._handle = None
+
+    def record(self, kind: str, time_ps: int, name: str) -> None:
+        self.entries.append((kind, time_ps, name))
+
+    def digest(self) -> str:
+        hasher = hashlib.sha256()
+        for entry in self.entries:
+            hasher.update(dispatch_line(*entry))
+        return hasher.hexdigest()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __enter__(self) -> "TraceRecorder":
+        self._handle = Kernel.add_trace_hook(self.record,
+                                             Kernel.TRACE_PRIORITY_OBSERVER)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._handle is not None:
+            Kernel.remove_trace_hook(self._handle)
+            self._handle = None

@@ -2,8 +2,9 @@
 
 The observability layer for the whole VP: labeled counters/gauges/
 histograms in a :class:`MetricsRegistry`, span capture on the modeled
-host-time axis (one track per :class:`~repro.host.accounting.HostLedger`
-lane) and on simulated time, and exporters for Perfetto-compatible Chrome
+host-time axis (one track per attribution lane, laid out from the
+:class:`~repro.obs.attribution.AttributionFold` window records) and on
+simulated time, and exporters for Perfetto-compatible Chrome
 trace JSON, a plain-text run report, and a metrics-sidecar JSON.
 
 Everything is opt-in and non-intrusive::
@@ -38,13 +39,12 @@ from .instrument import (
     maybe_attach,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .spans import HostTimeline, Span, SpanRecorder
+from .spans import Span, SpanRecorder
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HostTimeline",
     "MetricsRegistry",
     "Span",
     "SpanRecorder",

@@ -3,11 +3,13 @@
 The Chrome trace document loads directly into Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``: one *process* per
 attached platform for the modeled host-time axis with one *thread track*
-per host lane (main thread + parallel workers — lane overlap makes the
-sequential-sum vs parallel-max fold visible), per-lane utilization counter
-tracks (one sample per quantum window), cross-lane MMIO request→completion
-flow arrows in parallel mode, plus one process for simulated-time spans
-(WFI suspend→resume pairs).
+per attribution lane (the SystemC main thread + one per core, in either
+mode — lane overlap makes the sequential-sum vs parallel-max fold
+visible), per-lane utilization counter tracks (one sample per quantum
+window), cross-lane MMIO flow arrows in parallel mode, plus one process
+for simulated-time spans (WFI suspend→resume pairs).  Every host-time
+event derives from :func:`~repro.telemetry.spans.lay_out` over the
+platform's attribution-fold window records.
 
 Timestamps: Chrome traces use microseconds.  Host-time spans are modeled
 nanoseconds (÷ 1e3), simulated-time spans are picoseconds (÷ 1e6).  Both
@@ -18,19 +20,27 @@ different trace processes.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from ..obs.attribution import PHASE_MMIO, lane_name
 from .metrics import Histogram, MetricsRegistry
-
-#: lane-track ordering: main thread first, then workers by core id
-def _track_sort_key(track: str):
-    return (0, 0) if track == "main" else (1, track)
+from .spans import Span, lay_out
 
 
 def _lane_tid(track: str) -> int:
+    """Thread id of a lane track; also the track order (main, then cores)."""
     if track == "main":
         return 0
     return int(track.replace("core", "")) + 1
+
+
+def _mmio_flows(spans: List[Span]) -> List[Tuple[Span, Span]]:
+    """(worker MMIO span, same window's main-lane MMIO span) pairs."""
+    main_mmio = {span.args["window"]: span for span in spans
+                 if span.name == PHASE_MMIO and span.track == "main"}
+    return [(span, main_mmio[span.args["window"]]) for span in spans
+            if span.name == PHASE_MMIO and span.track != "main"
+            and span.args["window"] in main_mmio]
 
 
 # -- Chrome trace-event JSON ----------------------------------------------------
@@ -44,19 +54,19 @@ def chrome_trace(telemetry) -> Dict[str, object]:
                        "args": {"name": name}})
 
     # Host-time timelines: one process per platform.
-    for index, (key, _vp, timeline) in enumerate(telemetry.platforms):
-        if timeline is None:
+    for index, (key, _vp, fold) in enumerate(telemetry.platforms):
+        if fold is None:
             continue
         pid = index + 1
         metadata(pid, 0, f"{key} host-time (modeled)", "process_name")
-        spans = timeline.layout()
-        for track in sorted({span.track for span in spans},
-                            key=_track_sort_key):
-            tid = _lane_tid(track)
-            lane_name = ("SystemC main thread" if track == "main"
-                         else f"{track} worker")
-            metadata(pid, tid, lane_name, "thread_name")
-        for span in spans:
+        records = fold.records(include_open=True)
+        layout = lay_out(records, fold.ledger.parallel)
+        for track in sorted({span.track for span in layout.spans},
+                            key=_lane_tid):
+            label = ("SystemC main thread" if track == "main"
+                     else f"{track} worker")
+            metadata(pid, _lane_tid(track), label, "thread_name")
+        for span in layout.spans:
             events.append({
                 "name": span.name,
                 "ph": "X",
@@ -69,52 +79,40 @@ def chrome_trace(telemetry) -> Dict[str, object]:
             })
 
         # Per-lane utilization counter tracks: one sample per quantum
-        # window (busy_ns / window_span_ns), plus a trailing zero so the
-        # last sample has a visible extent in Perfetto.
-        table = timeline.window_table()
-        tracks = sorted({track for _w, _s, _n, busy in table
-                         for track in busy}, key=_track_sort_key)
-        end_ns = 0.0
-        for window, start_ns, span_ns, busy in table:
-            end_ns = start_ns + span_ns
-            for track in tracks:
-                utilization = (busy.get(track, 0.0) / span_ns
-                               if span_ns > 0 else 0.0)
+        # window (busy_ns / wall_ns), plus a trailing zero so the last
+        # sample has a visible extent in Perfetto.
+        lanes = sorted({lane for record in records for lane in record.busy_ns})
+        samples = [(start_ns, {lane: busy / record.wall_ns
+                               for lane, busy in record.busy_ns.items()})
+                   for record, start_ns in zip(records, layout.starts)
+                   if record.wall_ns > 0]
+        samples.append((layout.extent_ns, {}))
+        for start_ns, utilization in samples:
+            for lane in lanes:
                 events.append({
-                    "name": f"util.{track}",
+                    "name": f"util.{lane_name(lane)}",
                     "ph": "C",
                     "ts": start_ns / 1e3,
                     "pid": pid,
                     "tid": 0,
                     "cat": "host",
-                    "args": {"utilization": round(utilization, 6)},
-                })
-        if table:
-            for track in tracks:
-                events.append({
-                    "name": f"util.{track}",
-                    "ph": "C",
-                    "ts": end_ns / 1e3,
-                    "pid": pid,
-                    "tid": 0,
-                    "cat": "host",
-                    "args": {"utilization": 0},
+                    "args": {"utilization":
+                             round(utilization.get(lane, 0.0), 6)},
                 })
 
-        # Cross-lane MMIO request->completion flow arrows (parallel mode):
-        # "s" at the issuing core's round-trip slice, "f" at the main-lane
-        # completion slice.
-        for flow_id, (window, src_track, src_begin, dst_track,
-                      dst_begin) in enumerate(timeline.mmio_flows()):
+        # Cross-lane MMIO flow arrows (parallel mode only): "s" at a worker
+        # lane's MMIO span, "f" at the same window's main-lane MMIO span
+        # (the peripheral access that completes the round trip).
+        flows = _mmio_flows(layout.spans) if fold.ledger.parallel else []
+        for flow_id, (source, target) in enumerate(flows):
             common = {"cat": "mmio", "name": "mmio-roundtrip", "pid": pid,
-                      "id": f"{pid}.{flow_id}"}
-            events.append({**common, "ph": "s", "ts": src_begin / 1e3,
-                           "tid": _lane_tid(src_track),
-                           "args": {"window": window}})
+                      "id": f"{pid}.{flow_id}",
+                      "args": {"window": source.args["window"]}}
+            events.append({**common, "ph": "s", "ts": source.begin / 1e3,
+                           "tid": _lane_tid(source.track)})
             events.append({**common, "ph": "f", "bp": "e",
-                           "ts": dst_begin / 1e3,
-                           "tid": _lane_tid(dst_track),
-                           "args": {"window": window}})
+                           "ts": target.begin / 1e3,
+                           "tid": _lane_tid(target.track)})
 
     # Simulated-time spans (WFI suspends) in their own process.
     if telemetry.sim_spans.spans:
@@ -187,7 +185,7 @@ def run_report(telemetry) -> str:
     """
     registry = telemetry.registry
     lines: List[str] = ["=== telemetry run report ==="]
-    platform_keys = [key for key, _vp, _tl in telemetry.platforms]
+    platform_keys = [key for key, _vp, _fold in telemetry.platforms]
     lines.append("platforms: " + (", ".join(platform_keys) or "(none attached)"))
 
     # -- KVM exits ---------------------------------------------------------
@@ -256,21 +254,24 @@ def run_report(telemetry) -> str:
     # -- host timeline -------------------------------------------------------------
     lines.append("")
     lines.append("-- host timeline --")
-    for key, vp, timeline in telemetry.platforms:
-        if timeline is None:
+    for key, vp, fold in telemetry.platforms:
+        if fold is None:
             lines.append(f"{key}: (host-time tracking disabled)")
             continue
+        records = fold.records(include_open=True)
+        layout = lay_out(records, vp.ledger.parallel)
         ledger_ns = vp.ledger.wall_time_ns()
-        timeline_ns = timeline.total_ns()
-        delta_pct = (abs(timeline_ns - ledger_ns) / ledger_ns * 100.0
+        delta_pct = (abs(layout.extent_ns - ledger_ns) / ledger_ns * 100.0
                      if ledger_ns else 0.0)
         mode = "parallel(max)" if vp.ledger.parallel else "sequential(sum)"
-        lines.append(f"{key} [{mode}]: timeline={_fmt_ns(timeline_ns)} "
+        lines.append(f"{key} [{mode}]: timeline={_fmt_ns(layout.extent_ns)} "
                      f"ledger={_fmt_ns(ledger_ns)} delta={delta_pct:.3f}% "
-                     f"windows={timeline.window_count()}")
-        for track, total in sorted(timeline.lane_totals_ns().items(),
-                                   key=lambda item: _track_sort_key(item[0])):
-            lines.append(f"  lane {track}: busy {_fmt_ns(total)}")
+                     f"windows={len(records)}")
+        totals: Dict[str, float] = {}
+        for span in layout.spans:
+            totals[span.track] = totals.get(span.track, 0.0) + span.duration
+        for track in sorted(totals, key=_lane_tid):
+            lines.append(f"  lane {track}: busy {_fmt_ns(totals[track])}")
 
     # -- full catalog -----------------------------------------------------------------
     lines.append("")

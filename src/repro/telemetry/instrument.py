@@ -32,8 +32,12 @@ WFI / ``WAIT_IRQ``     suspend counter, idle cycles skipped, suspend→resume
                        (``fabric_access``)
 ``Kernel``             scheduler dispatch counters and a runnable-queue depth
                        gauge (``dispatch``)
-``HostLedger``         the span timeline (:class:`~repro.telemetry.spans.
-                       HostTimeline`) from every billing event (``host_bill``)
+``HostLedger``         one host-time attribution fold
+                       (:class:`~repro.obs.attribution.AttributionFold`) per
+                       platform, fed by ``host_bill``, windows closed on
+                       ``time_advance`` and the rest on detach; the span
+                       timeline is laid out from its window records
+                       (:func:`~repro.telemetry.spans.lay_out`)
 =====================  ========================================================
 """
 
@@ -42,10 +46,11 @@ from __future__ import annotations
 import contextlib
 from typing import List, Optional, Tuple
 
+from ..obs.attribution import AttributionFold
 from ..systemc.probes import Subscription
 from ..vcml.processor import SimulateAction
 from .metrics import MetricsRegistry
-from .spans import HostTimeline, SpanRecorder
+from .spans import SpanRecorder
 
 #: fraction-valued histogram bounds (quantum utilization)
 FRACTION_BUCKETS = tuple(i / 10 for i in range(1, 11)) + (1.5, 2.0)
@@ -75,16 +80,18 @@ class Telemetry:
         self.registry = registry if registry is not None else MetricsRegistry()
         #: simulated-time spans (picoseconds): WFI suspend→resume pairs
         self.sim_spans = SpanRecorder(unit="ps")
-        #: (key, platform, HostTimeline or None) per attached platform
-        self.platforms: List[Tuple[str, object, Optional[HostTimeline]]] = []
+        #: (key, platform, AttributionFold or None) per attached platform
+        self.platforms: List[Tuple[str, object, Optional[AttributionFold]]] = []
         self._subscriptions: List[Subscription] = []
 
     def detach(self) -> None:
-        """Cancel every probe subscription."""
+        """Cancel every probe subscription and seal every host-time fold."""
         for subscription in self._subscriptions:
             subscription.cancel()
         self._subscriptions.clear()
-        for _key, vp, _timeline in self.platforms:
+        for _key, vp, fold in self.platforms:
+            if fold is not None:
+                fold.finalize()
             if getattr(vp, "telemetry", None) is self:
                 vp.telemetry = None
 
@@ -94,15 +101,14 @@ class Telemetry:
         if getattr(vp, "telemetry", None) is not None:
             raise ValueError(f"platform {vp.name!r} already has telemetry attached")
         key = f"{vp.name}#{len(self.platforms)}"
-        timeline = HostTimeline(vp.ledger) if vp.ledger is not None else None
-        self.platforms.append((key, vp, timeline))
+        fold = AttributionFold(vp.ledger) if vp.ledger is not None else None
+        self.platforms.append((key, vp, fold))
         vp.telemetry = self
         handlers = self._platform_probes(vp.kernel)
         handlers.update(self._core_probes(key, vp.cpus))
-        if timeline is not None:
-            handlers["host_bill"] = (
-                lambda cpu, window, lane, nanoseconds, category, main_thread:
-                timeline.record(window, lane, nanoseconds, category))
+        if fold is not None:
+            handlers["host_bill"] = fold.bill
+            handlers["time_advance"] = fold.advance_to
         bus = vp.kernel.probes
         self._subscriptions += [bus.subscribe(point, handler)
                                 for point, handler in handlers.items()]

@@ -2,22 +2,24 @@
 
 The paper's figures are host wall-clock numbers, so the interesting
 timeline for a run is *modeled host time*, not Python runtime and not
-simulated time: where did each lane (the SystemC main thread, each
-parallel worker) spend its nanoseconds, and how do the lanes overlap?
+simulated time: where did each lane (the SystemC main thread, each core)
+spend its nanoseconds, and how do the lanes overlap?
 
-:class:`HostTimeline` derives exactly that from the existing
-:class:`repro.host.accounting.HostLedger`: it observes every billing event
-(window, lane, nanoseconds, category) and lays the events out as spans —
+:func:`lay_out` derives exactly that from the sealed window records
+(:class:`~repro.obs.attribution.WindowRecord`) of the host-time
+attribution fold — the one fold of the ``host_bill`` stream — as one span
+per (window, attribution lane, billed phase):
 
-* **sequential** mode: one shared cursor per quantum window; every billed
-  slice lands after the previous one, so span durations *sum* to the
-  ledger's window fold;
+* **sequential** mode: one shared cursor per quantum window; ``main``
+  first, then the cores in order, each lane's work after the previous
+  lane's, so span durations *sum* to the window's fold;
 * **parallel** mode: one cursor per lane, all starting at the window's
-  fold offset, so lanes overlap and the window's extent is the *max* lane;
+  start, so lanes overlap and the window's extent is the *max* lane;
 
-plus one synthetic ``overhead`` span per window covering the dispatch/join
-and kernel-per-window costs the fold adds on top of the billed work.  By
-construction the laid-out timeline ends exactly at
+plus one synthetic ``overhead`` span per window on ``main`` covering the
+dispatch/join and kernel-per-window costs the fold adds on top of the
+billed work.  Window starts advance by each record's ``wall_ns`` in
+finalize order, so the laid-out timeline ends exactly at
 ``HostLedger.wall_time_ns()``.
 
 :class:`SpanRecorder` is the generic begin/end recorder used for spans that
@@ -27,7 +29,9 @@ live on *simulated* time instead (WFI suspend→resume pairs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
+
+from ..obs.attribution import PHASES, WindowRecord, lane_name
 
 
 @dataclass
@@ -93,137 +97,36 @@ class SpanRecorder:
         return len(self.spans)
 
 
-class HostTimeline:
-    """Lays HostLedger billing events out as an overlap-aware timeline."""
+class HostLayout(NamedTuple):
+    """Attribution windows laid out on the modeled host-time axis."""
 
-    def __init__(self, ledger):
-        self.ledger = ledger
-        #: window -> ordered list of (lane, nanoseconds, category)
-        self._events: Dict[int, List[Tuple[int, float, str]]] = {}
+    spans: List[Span]
+    starts: List[float]             # host-time start of each record's window
+    extent_ns: float                # Σ record.wall_ns, in finalize order
 
-    # -- recording ----------------------------------------------------------
-    def record(self, window: int, lane: int, nanoseconds: float,
-               category: str) -> None:
-        """One billing event, in billing order (fed from ``host_bill``)."""
-        self._events.setdefault(window, []).append((lane, nanoseconds, category))
 
-    # -- layout ---------------------------------------------------------------
-    @staticmethod
-    def lane_track(lane: int) -> str:
-        from ..host.machine import MAIN_LANE
-        return "main" if lane == MAIN_LANE else f"core{lane}"
-
-    def layout(self) -> List[Span]:
-        """Place every billed slice on the host-time axis.
-
-        Windows are folded in ascending window order with the ledger's own
-        per-window arithmetic, so the returned spans tile the interval
-        ``[0, ledger.wall_time_ns()]`` without gaps.
-        """
-        spans: List[Span] = []
-        cursor = 0.0
-        for window in sorted(self._events):
-            events = self._events[window]
-            lane_totals: Dict[int, float] = {}
-            for lane, nanoseconds, _category in events:
-                lane_totals[lane] = lane_totals.get(lane, 0.0) + nanoseconds
-            window_span = self.ledger.window_span_ns(lane_totals)
-            if self.ledger.parallel:
-                lane_cursor = {lane: cursor for lane in lane_totals}
-                for lane, nanoseconds, category in events:
-                    spans.append(Span(self.lane_track(lane), category,
-                                      lane_cursor[lane], nanoseconds,
-                                      {"window": window}))
-                    lane_cursor[lane] += nanoseconds
-                busy = max(lane_totals.values()) if lane_totals else 0.0
-            else:
-                shared = cursor
-                for lane, nanoseconds, category in events:
-                    spans.append(Span(self.lane_track(lane), category,
-                                      shared, nanoseconds, {"window": window}))
-                    shared += nanoseconds
-                busy = shared - cursor
-            overhead = window_span - busy
-            if overhead > 0:
-                spans.append(Span("main", "overhead", cursor + busy, overhead,
-                                  {"window": window}))
-            cursor += window_span
-        return spans
-
-    def total_ns(self) -> float:
-        """Extent of the laid-out timeline (== ledger fold by construction)."""
-        spans = self.layout()
-        return max((span.end for span in spans), default=0.0)
-
-    def lane_totals_ns(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for span in self.layout():
-            totals[span.track] = totals.get(span.track, 0.0) + span.duration
-        return totals
-
-    def window_count(self) -> int:
-        return len(self._events)
-
-    def window_events(self) -> Dict[int, List[Tuple[int, float, str]]]:
-        """Per-window billing events in arrival order (read-only copy)."""
-        return {window: list(events) for window, events in self._events.items()}
-
-    # -- derived views (Perfetto enrichment) ---------------------------------
-    def window_table(self) -> List[Tuple[int, float, float, Dict[str, float]]]:
-        """Per-window ``(window, start_ns, span_ns, {track: busy_ns})``.
-
-        Windows in ascending order with the same fold as :meth:`layout`, so
-        start offsets line up with the laid-out spans.  This is what the
-        Chrome-trace exporter turns into per-lane utilization counter
-        tracks.
-        """
-        table = []
-        cursor = 0.0
-        for window in sorted(self._events):
-            lane_totals: Dict[int, float] = {}
-            for lane, nanoseconds, _category in self._events[window]:
-                lane_totals[lane] = lane_totals.get(lane, 0.0) + nanoseconds
-            span = self.ledger.window_span_ns(lane_totals)
-            busy = {self.lane_track(lane): total
-                    for lane, total in lane_totals.items()}
-            table.append((window, cursor, span, busy))
-            cursor += span
-        return table
-
-    def mmio_flows(self) -> List[Tuple[int, str, float, str, float]]:
-        """Cross-lane MMIO request→completion pairs, for flow arrows.
-
-        In parallel mode an MMIO access starts on the issuing core's lane
-        (the round-trip slice) and completes on the main lane (the
-        peripheral access, billed ``main_thread=True``); this pairs each
-        worker-lane ``mmio`` slice with the next main-lane ``mmio`` slice
-        of the same window, in order.  Returns ``(window, source_track,
-        source_begin_ns, destination_track, destination_begin_ns)`` on the
-        laid-out host-time axis.  Sequential mode has a single lane — no
-        cross-lane hop, so no flows.
-        """
-        if not self.ledger.parallel:
-            return []
-        flows = []
-        cursor = 0.0
-        for window in sorted(self._events):
-            events = self._events[window]
-            lane_totals: Dict[int, float] = {}
-            lane_cursor: Dict[int, float] = {}
-            pending: List[Tuple[int, float]] = []   # (lane, begin) of requests
-            for lane, nanoseconds, category in events:
-                begin = lane_cursor.setdefault(lane, cursor)
-                if category == "mmio":
-                    from ..host.machine import MAIN_LANE
-                    if lane == MAIN_LANE:
-                        if pending:
-                            src_lane, src_begin = pending.pop(0)
-                            flows.append((window, self.lane_track(src_lane),
-                                          src_begin, self.lane_track(lane),
-                                          begin))
-                    else:
-                        pending.append((lane, begin))
-                lane_cursor[lane] = begin + nanoseconds
-                lane_totals[lane] = lane_totals.get(lane, 0.0) + nanoseconds
-            cursor += self.ledger.window_span_ns(lane_totals)
-        return flows
+def lay_out(records: Sequence[WindowRecord], parallel: bool) -> HostLayout:
+    """Place every window's billed phases on the host-time axis."""
+    spans: List[Span] = []
+    starts: List[float] = []
+    cursor = 0.0
+    for record in records:
+        starts.append(cursor)
+        args = {"window": record.window}
+        shared = cursor
+        for lane in sorted(record.phases):          # MAIN_LANE (-1) first
+            begin = cursor if parallel else shared
+            track = lane_name(lane)
+            phases = record.phases[lane]
+            for phase in PHASES:
+                nanoseconds = phases.get(phase, 0.0)
+                if nanoseconds > 0:
+                    spans.append(Span(track, phase, begin, nanoseconds, args))
+                    begin += nanoseconds
+            shared = begin
+        overhead = record.wall_ns - record.fold_busy_ns
+        if overhead > 0:
+            spans.append(Span("main", "overhead", cursor + record.fold_busy_ns,
+                              overhead, args))
+        cursor += record.wall_ns
+    return HostLayout(spans, starts, cursor)

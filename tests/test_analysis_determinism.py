@@ -5,6 +5,9 @@ end to end."""
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +105,17 @@ def test_trace_run_coexists_with_other_digest_tier_hooks():
     # both observed the identical stream
     assert run.root_digest == trace.digest()
     assert ProbeBus().dispatch is None
+
+
+@pytest.mark.parametrize("package", ["repro.analysis", "repro.divergence",
+                                     "repro.snapshot"])
+def test_trace_recorder_users_import_first_without_a_cycle(package):
+    # All three share systemc.kernel.TraceRecorder; each must import first
+    # in a fresh interpreter.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run([sys.executable, "-c", f"import {package}"], env=env,
+                   check=True)
 
 
 def test_digest_tier_hooks_dispatch_fifo_within_the_band():

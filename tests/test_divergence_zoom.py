@@ -6,10 +6,10 @@ from __future__ import annotations
 import json
 import os
 
+from repro.analysis.determinism import first_divergence
 from repro.divergence import (
     bisect,
     capture_ledger,
-    diff_zooms,
     localize_divergence,
     zoom_run,
 )
@@ -57,14 +57,14 @@ class TestZoomRun:
     def test_identical_windows_have_no_diff(self):
         first = zoom_run(lambda: seeded_sim(None), 1, WINDOW_PS)
         second = zoom_run(lambda: seeded_sim(None), 1, WINDOW_PS)
-        assert diff_zooms(first, second) is None
+        assert first_divergence(first.trace(), second.trace()) is None
 
     def test_diff_names_first_differing_entry(self):
         # glitch at iteration 25 (t=250us): core1 takes an extra 1ns event,
         # so within window 2 the streams agree up to the glitch point.
         clean = zoom_run(lambda: seeded_sim(None), 2, WINDOW_PS)
         glitched = zoom_run(lambda: seeded_sim(25), 2, WINDOW_PS)
-        divergence = diff_zooms(clean, glitched)
+        divergence = first_divergence(clean.trace(), glitched.trace())
         assert divergence is not None
         assert clean.entries[:divergence.index] == \
             glitched.entries[:divergence.index]

@@ -13,6 +13,8 @@ The central invariants:
 """
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +26,7 @@ from repro.host.machine import MAIN_LANE, apple_m2_pro
 from repro.obs import SubscriberSink, enable_obs, observing
 from repro.obs import __main__ as obs_main
 from repro.obs.attribution import (AttributionFold, CATEGORY_PHASES, PHASES,
-                                   render_summary, summarize_timeline)
+                                   render_summary)
 from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import enable_telemetry
@@ -74,12 +76,13 @@ def make_ledger(parallel, num_cores=2, quantum_us=100):
 
 
 def mirror(ledger, fold, window, lane, ns, category, parallel):
-    """Bill the ledger and record the same event in the fold, the way the
-    engine's ``bill_host_time`` wrap does (lane < 0 means main thread)."""
+    """Bill the ledger and the fold the way ``Processor.bill_host_time``
+    and its ``host_bill`` probe do (lane < 0 means main thread)."""
     main_thread = lane == MAIN_LANE
     actual = lane if (parallel and not main_thread) else MAIN_LANE
     ledger.add(window, actual, ns, category)
-    fold.record(window, lane, actual, ns, category)
+    fold.bill(SimpleNamespace(core_id=lane), window, actual, ns, category,
+              main_thread)
 
 
 class TestFold:
@@ -151,7 +154,8 @@ class TestFold:
         fold = AttributionFold(ledger)
         mirror(ledger, fold, 1, 0, 10.0, "guest", parallel=False)
         fold.advance_to(2 * ledger.window_size.picoseconds)
-        fold.record(0, 0, MAIN_LANE, 5.0, "guest")     # window 0 is closed
+        fold.bill(SimpleNamespace(core_id=0), 0, MAIN_LANE, 5.0, "guest",
+                  False)                               # window 0 is closed
         assert fold.late_events == 1
         assert fold.summary().verify()                 # reported as a problem
 
@@ -313,13 +317,20 @@ class TestEngineLifecycle:
                 assert 0.0 <= lane["utilization"] <= 1.0 + 1e-9
 
 
-class TestTimelineFallback:
-    def test_summarize_timeline_matches_ledger(self):
-        vp = make_vp()
+class TestTelemetryFold:
+    @pytest.mark.parametrize("cores,parallel", [(1, False), (2, True)])
+    def test_telemetry_folds_the_same_windows_as_obs(self, cores, parallel):
+        vp = make_vp(cores=cores, parallel=parallel)
         telemetry = enable_telemetry(vp)
+        obs = enable_obs(vp)
         vp.run(SimTime.ms(50))
-        timeline = telemetry.platforms[0][2]
-        summary = summarize_timeline(vp, timeline)
+        telemetry.detach()
+        (_key, _vp, fold) = telemetry.platforms[0]
+        (entry,) = obs.platforms
+        # obs also counts kernel dispatches per window; telemetry does not.
+        assert fold.records() == [replace(record, dispatches=0)
+                                  for record in entry.fold.records()]
+        summary = fold.summary()
         assert summary.verify() == []
         assert summary.wall_time_ns == vp.ledger.wall_time_ns()
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import lint_paths
-from repro.analysis.determinism import KernelTrace
+from repro.analysis.determinism import trace_run
 from repro.snapshot import (
     PAGE_SIZE,
     Snapshot,
@@ -33,7 +33,6 @@ from repro.snapshot.format import (
     split_pages,
     write_container,
 )
-from repro.systemc.kernel import Kernel
 from repro.systemc.time import SimTime
 from repro.vp.config import VpConfig
 from repro.vp.linux import LinuxBootParams, linux_boot_software
@@ -56,16 +55,6 @@ def make_config(**kwargs) -> VpConfig:
     kwargs.setdefault("quantum", SimTime.us(100))
     kwargs.setdefault("parallel", False)
     return VpConfig(**kwargs)
-
-
-def digest_run(action) -> KernelTrace:
-    trace = KernelTrace()
-    handle = Kernel.add_trace_hook(trace.record, Kernel.TRACE_PRIORITY_DIGEST)
-    try:
-        action()
-    finally:
-        Kernel.remove_trace_hook(handle)
-    return trace
 
 
 def boot_capture(kind: str = "aoa", until: SimTime = HALF, **config_kwargs):
@@ -233,7 +222,7 @@ class TestColdVsResumed:
             vp = build_platform(kind, make_config(), software())
             vp.run(FULL)
 
-        cold_trace = digest_run(cold)
+        cold_trace = trace_run(cold)
 
         captured = {}
 
@@ -243,14 +232,14 @@ class TestColdVsResumed:
                 vp.run(HALF)
             captured["snap"] = capture_platform(vp, trace=recorder.entries)
 
-        digest_run(warm_boot)
+        trace_run(warm_boot)
         snapshot = captured["snap"]
 
         def resume():
             vp = restore_platform(snapshot, software())
             vp.run(FULL - SimTime(snapshot.sim_time_ps))
 
-        warm_trace = digest_run(resume)
+        warm_trace = trace_run(resume)
         assert warm_trace.digest() == cold_trace.digest()
         assert len(warm_trace) == len(cold_trace)
 
@@ -470,7 +459,7 @@ class TestFork:
             def resume(child=child):
                 vp = restore_platform(child, software())
                 vp.run(FULL - SimTime(child.sim_time_ps))
-            digests.append(digest_run(resume).digest())
+            digests.append(trace_run(resume).digest())
         assert digests[0] == digests[1]
 
     def test_divergent_uart_input_diverges_state_after_fork(self, aoa_warm):
@@ -483,7 +472,7 @@ class TestFork:
                 vp.uart.inject_rx(data)
                 vp.run(FULL - SimTime(snapshot.sim_time_ps))
                 bucket.append(capture_platform(vp).snapshot_id)
-            traces.append(digest_run(resume))
+            traces.append(trace_run(resume))
         # Children share the replayed pre-fork prefix bit-for-bit ...
         assert traces[0].entries[:prefix_len] == traces[1].entries[:prefix_len]
         # ... and the differing input shows up in the final state.
@@ -507,7 +496,7 @@ class TestForkHypothesis:
                 vp = restore_platform(child, software())
                 vp.run(FULL - SimTime(child.sim_time_ps))
                 bucket.append(capture_platform(vp).snapshot_id)
-            traces.append(digest_run(resume))
+            traces.append(trace_run(resume))
         assert traces[0].entries[:prefix_len] == traces[1].entries[:prefix_len]
         # The guest never touches the poked page, so the final states differ
         # exactly when the page contents differ (trailing zeros are the
@@ -561,6 +550,25 @@ class TestFlightBundle:
         with pytest.raises(SnapshotError, match="no meta.json"):
             snapshot_from_flight_bundle(str(tmp_path))
 
+    @pytest.mark.parametrize("relpath,content", [
+        ("meta.json", '{"reason": "watch'),              # truncated
+        ("meta.json", "[]"),
+        ("meta.json", '{"platform": ["AoaPlatform"]}'),
+        ("cores/core0.json", '{"pc": 40'),               # truncated
+        ("cores/core0.json", "7"),
+        ("metrics.json", '["mips", 1.5]'),
+        ("metrics.json", b"\xff\xfe"),                   # not UTF-8
+    ])
+    def test_malformed_bundle_raises_snapshot_error(self, bundle, relpath,
+                                                     content):
+        target = bundle / relpath
+        if isinstance(content, bytes):
+            target.write_bytes(content)
+        else:
+            target.write_text(content)
+        with pytest.raises(SnapshotError, match=relpath.split("/")[-1]):
+            Snapshot.from_flight_bundle(str(bundle))
+
 
 # -- bench CLI ------------------------------------------------------------------------
 
@@ -612,9 +620,9 @@ class TestTelemetry:
             vp = build_platform("aoa", make_config(), software())
             vp.run(SimTime.ms(1))
 
-        bare = digest_run(run)
+        bare = trace_run(run)
         with collecting():
-            instrumented = digest_run(run)
+            instrumented = trace_run(run)
         assert bare.digest() == instrumented.digest()
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.arch.assembler import assemble
+from repro.host.machine import MAIN_LANE
+from repro.obs.attribution import lane_name
 from repro.systemc.time import SimTime
 from repro.telemetry import (
     chrome_trace,
@@ -13,6 +15,7 @@ from repro.telemetry import (
     run_report,
     write_metrics_json,
 )
+from repro.telemetry.spans import lay_out
 from repro.trace import attach_platform
 from repro.vp import GuestSoftware, VpConfig, build_platform
 
@@ -25,6 +28,11 @@ def traced_run(source=HELLO, **kwargs):
     telemetry = enable_telemetry(vp)
     vp.run(SimTime.ms(max_ms))
     return vp, telemetry
+
+
+def fold_records(telemetry):
+    (_key, _vp, fold) = telemetry.platforms[0]
+    return fold.records(include_open=True)
 
 
 class TestChromeTrace:
@@ -48,18 +56,21 @@ class TestChromeTrace:
                 assert event["cat"] == "mmio"
                 assert "id" in event
 
-    def test_one_thread_track_per_billed_host_lane(self):
-        vp, telemetry = traced_run(cores=2, parallel=True)
-        (_key, _vp, timeline) = telemetry.platforms[0]
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_one_thread_track_per_billed_attribution_lane(self, parallel):
+        vp, telemetry = traced_run(cores=2, parallel=parallel)
         document = chrome_trace(telemetry)
         thread_names = [event["args"]["name"] for event in document["traceEvents"]
                         if event["ph"] == "M" and event["name"] == "thread_name"
                         and event["pid"] == 1]
-        # Exactly the lanes the ledger billed (a parked secondary core
-        # bills nothing and gets no track).
-        assert len(thread_names) == len(timeline.lane_totals_ns())
+        # Exactly the lanes the fold billed, plus main (which carries the
+        # per-window overhead); a parked secondary core bills nothing and
+        # gets no track.  Sequential runs get per-core tracks too.
+        lanes = {lane for record in fold_records(telemetry)
+                 for lane in record.busy_ns} | {MAIN_LANE}
+        assert len(thread_names) == len(set(thread_names)) == len(lanes)
         assert "SystemC main thread" in thread_names
-        assert any("core0" in name for name in thread_names)
+        assert "core0 worker" in thread_names
 
     def test_host_spans_total_matches_ledger(self):
         vp, telemetry = traced_run()
@@ -68,7 +79,11 @@ class TestChromeTrace:
                       if event["ph"] == "X" and event["cat"] == "host"]
         total_us = sum(event["dur"] for event in host_spans)
         assert total_us * 1e3 == pytest.approx(vp.ledger.wall_time_ns(),
-                                               rel=0.01)
+                                               rel=1e-9)
+        # One span per (window, lane, phase), never two.
+        keys = [(event["args"]["window"], event["tid"], event["name"])
+                for event in host_spans]
+        assert len(keys) == len(set(keys))
 
     def test_sim_process_has_wfi_spans(self):
         _, telemetry = traced_run(source=WFI_GUEST, annotations=True)
@@ -80,37 +95,46 @@ class TestChromeTrace:
 
     def test_utilization_counter_tracks_per_window(self):
         vp, telemetry = traced_run()
-        (_key, _vp, timeline) = telemetry.platforms[0]
-        table = timeline.window_table()
-        assert table
+        records = fold_records(telemetry)
+        assert records
+        layout = lay_out(records, vp.ledger.parallel)
         document = chrome_trace(telemetry)
         counters = [event for event in document["traceEvents"]
                     if event["ph"] == "C"]
         tracks = {event["name"] for event in counters}
-        assert tracks == {f"util.{track}"
-                          for _w, _s, _n, busy in table for track in busy}
+        assert tracks == {f"util.{lane_name(lane)}"
+                          for record in records for lane in record.busy_ns}
         # One sample per window per track, plus a trailing zero per track
         # so the final sample has extent.
-        assert len(counters) == len(table) * len(tracks) + len(tracks)
+        assert len(counters) == len(records) * len(tracks) + len(tracks)
         for track in tracks:
             samples = sorted((e for e in counters if e["name"] == track),
                              key=lambda e: e["ts"])
             assert samples[-1]["args"]["utilization"] == 0
+            assert samples[-1]["ts"] == layout.extent_ns / 1e3
             assert any(e["args"]["utilization"] > 0 for e in samples[:-1])
         # Counter start offsets line up with the laid-out window starts.
         starts = sorted({event["ts"] for event in counters})
-        assert starts[:len(table)] == [start / 1e3
-                                       for _w, start, _n, _b in table]
+        assert starts[:len(records)] == [start / 1e3
+                                         for start in layout.starts]
 
     def test_mmio_flows_pair_worker_and_main_lane_in_parallel_mode(self):
         _, telemetry = traced_run(cores=2, parallel=True)
-        (_key, _vp, timeline) = telemetry.platforms[0]
-        assert timeline.mmio_flows()
+        # One flow per (window, worker lane with MMIO time) whose window
+        # also has main-lane MMIO time.
+        expected = [(record.window, lane) for record in fold_records(telemetry)
+                    if record.phases.get(MAIN_LANE, {}).get("mmio", 0.0) > 0
+                    for lane in sorted(record.phases) if lane != MAIN_LANE
+                    and record.phases[lane].get("mmio", 0.0) > 0]
+        assert expected
         document = chrome_trace(telemetry)
         starts = [e for e in document["traceEvents"] if e["ph"] == "s"]
         finishes = [e for e in document["traceEvents"] if e["ph"] == "f"]
-        assert len(starts) == len(finishes) == len(timeline.mmio_flows())
+        assert len(starts) == len(finishes) == len(expected)
         by_id = {event["id"]: event for event in finishes}
+        spans = {(event["args"]["window"], event["tid"], event["ts"]): event
+                 for event in document["traceEvents"]
+                 if event["ph"] == "X" and event["name"] == "mmio"}
         for start in starts:
             finish = by_id[start["id"]]
             assert finish["bp"] == "e"
@@ -118,8 +142,12 @@ class TestChromeTrace:
             # (No ts ordering claim: parallel layout stacks each lane from
             # the window start, so the completion slice may sit earlier on
             # the folded axis than the request slice.)
-            assert start["tid"] != finish["tid"]
-            assert start["args"]["window"] == finish["args"]["window"]
+            assert start["tid"] != finish["tid"] == 0
+            window = start["args"]["window"]
+            assert window == finish["args"]["window"]
+            # Both ends sit on that window's MMIO spans.
+            assert (window, start["tid"], start["ts"]) in spans
+            assert (window, finish["tid"], finish["ts"]) in spans
 
     def test_sequential_mode_has_no_flow_events(self):
         _, telemetry = traced_run()

@@ -3,8 +3,8 @@
 The central invariants: every probe is purely observational (identical
 simulation results and identical DET001 scheduler digests with telemetry
 on and off), detaching cancels every probe subscription, and the host
-timeline tiles to exactly the ledger's wall-clock fold in both sequential
-(sum) and parallel (max) modes.
+timeline laid out from the attribution fold ends exactly at the ledger's
+wall-clock fold in both sequential (sum) and parallel (max) modes.
 """
 
 import pytest
@@ -14,7 +14,9 @@ from repro.arch.assembler import assemble
 from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import MetricsRegistry, Telemetry, collecting, enable_telemetry
+from repro.telemetry.spans import lay_out
 from repro.vp import GuestSoftware, VpConfig, build_platform
+from repro.vp.linux import LinuxBootParams, linux_boot_software
 
 HEADER = """
 .equ GICD_BASE_HI, 0x0800
@@ -227,30 +229,59 @@ class TestMetricsCapture:
             assert span.duration > 0
 
 
+def host_layout(vp, telemetry):
+    (_key, _vp, fold) = telemetry.platforms[0]
+    return lay_out(fold.records(include_open=True), vp.ledger.parallel)
+
+
 class TestTimelineMatchesLedger:
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_timeline_total_within_1pct_of_ledger(self, parallel):
+    @pytest.mark.parametrize("cores,parallel", [(1, False), (2, False),
+                                                (1, True), (2, True)])
+    def test_extent_equals_ledger_exactly(self, cores, parallel):
         vp, telemetry = run_instrumented(source=WFI_GUEST, annotations=True,
-                                         cores=1, parallel=parallel)
-        (_key, _vp, timeline) = telemetry.platforms[0]
+                                         cores=cores, parallel=parallel)
         ledger_ns = vp.ledger.wall_time_ns()
         assert ledger_ns > 0
-        assert timeline.total_ns() == pytest.approx(ledger_ns, rel=0.01)
+        assert host_layout(vp, telemetry).extent_ns == ledger_ns
 
     def test_sequential_spans_sum_to_ledger(self):
         vp, telemetry = run_instrumented(parallel=False)
-        (_key, _vp, timeline) = telemetry.platforms[0]
-        spans = timeline.layout()
+        spans = host_layout(vp, telemetry).spans
         assert sum(span.duration for span in spans) == pytest.approx(
-            vp.ledger.wall_time_ns(), rel=0.01)
+            vp.ledger.wall_time_ns(), rel=1e-9)
+
+    def test_sequential_mode_has_one_track_per_core(self):
+        # Attribution lanes are per-core even though the ledger bills every
+        # sequential event on the main lane.
+        vp, telemetry = run_instrumented(cores=2, parallel=False)
+        tracks = {span.track for span in host_layout(vp, telemetry).spans}
+        assert {"main", "core0"} <= tracks <= {"main", "core0", "core1"}
 
     def test_parallel_multicore_lanes_max_to_ledger(self):
         vp, telemetry = run_instrumented(cores=2, parallel=True)
-        (_key, _vp, timeline) = telemetry.platforms[0]
-        assert timeline.total_ns() == pytest.approx(
-            vp.ledger.wall_time_ns(), rel=0.01)
+        layout = host_layout(vp, telemetry)
+        assert layout.extent_ns == vp.ledger.wall_time_ns()
         # Parallel mode bills each worker on its own lane.
-        assert len(timeline.lane_totals_ns()) >= 2
+        assert len({span.track for span in layout.spans}) >= 2
+
+
+class TestHostTimeMemory:
+    """Telemetry's host-time state is O(windows), not O(billing events)."""
+
+    @pytest.mark.parametrize("length_ms", [5, 20])
+    def test_fold_keeps_window_records_not_billing_events(self, length_ms):
+        config = VpConfig(num_cores=2, quantum=SimTime.us(100), parallel=True)
+        software = linux_boot_software(2, LinuxBootParams().scaled(0.02))
+        with collecting() as telemetry:
+            vp = build_platform("aoa", config, software)
+            vp.run(SimTime.ms(length_ms))
+            (_key, _vp, fold) = telemetry.platforms[0]
+            # Mid-scope only the windows simulated time has not yet passed
+            # can hold billing events.
+            assert len(fold._events) <= 2
+        assert not fold._events
+        assert len(fold.records()) == vp.ledger.window_count()
+        assert len(fold.records()) >= length_ms * 10 - 1
 
 
 class TestTransparency:
@@ -288,7 +319,8 @@ class TestTransparency:
         assert subscribed_points(vp) == {
             "dispatch", "watchdog_arm", "watchdog_fire", "quantum_sync",
             "simulate_call", "simulate_return", "fabric_access", "vcpu_exit",
-            "mmio_request", "mmio_response", "kick", "host_bill"}
+            "mmio_request", "mmio_response", "kick", "host_bill",
+            "time_advance"}
         telemetry.detach()
         assert subscribed_points(vp) == set()
         assert vp.telemetry is None
