@@ -317,6 +317,19 @@ class TestEngineLifecycle:
                 assert 0.0 <= lane["utilization"] <= 1.0 + 1e-9
 
 
+class TestTimelineFallback:
+    def test_summarize_timeline_matches_ledger(self):
+        # Without obs, the flight bundle summarizes telemetry's own fold,
+        # open windows included.
+        vp = make_vp()
+        telemetry = enable_telemetry(vp)
+        vp.run(SimTime.ms(50))
+        (_key, _vp, fold) = telemetry.platforms[0]
+        summary = fold.summary(include_open=True)
+        assert summary.verify() == []
+        assert summary.wall_time_ns == vp.ledger.wall_time_ns()
+
+
 class TestTelemetryFold:
     @pytest.mark.parametrize("cores,parallel", [(1, False), (2, True)])
     def test_telemetry_folds_the_same_windows_as_obs(self, cores, parallel):

@@ -56,21 +56,24 @@ class TestChromeTrace:
                 assert event["cat"] == "mmio"
                 assert "id" in event
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_one_thread_track_per_billed_attribution_lane(self, parallel):
-        vp, telemetry = traced_run(cores=2, parallel=parallel)
-        document = chrome_trace(telemetry)
-        thread_names = [event["args"]["name"] for event in document["traceEvents"]
-                        if event["ph"] == "M" and event["name"] == "thread_name"
-                        and event["pid"] == 1]
-        # Exactly the lanes the fold billed, plus main (which carries the
-        # per-window overhead); a parked secondary core bills nothing and
-        # gets no track.  Sequential runs get per-core tracks too.
-        lanes = {lane for record in fold_records(telemetry)
-                 for lane in record.busy_ns} | {MAIN_LANE}
-        assert len(thread_names) == len(set(thread_names)) == len(lanes)
-        assert "SystemC main thread" in thread_names
-        assert "core0 worker" in thread_names
+    def test_one_thread_track_per_billed_host_lane(self):
+        for parallel in (False, True):
+            vp, telemetry = traced_run(cores=2, parallel=parallel)
+            document = chrome_trace(telemetry)
+            thread_names = [event["args"]["name"]
+                            for event in document["traceEvents"]
+                            if event["ph"] == "M"
+                            and event["name"] == "thread_name"
+                            and event["pid"] == 1]
+            # Exactly the attribution lanes the fold billed, plus main
+            # (which carries the per-window overhead); a parked secondary
+            # core bills nothing and gets no track.  Sequential runs get
+            # per-core tracks too.
+            lanes = {lane for record in fold_records(telemetry)
+                     for lane in record.busy_ns} | {MAIN_LANE}
+            assert len(thread_names) == len(set(thread_names)) == len(lanes)
+            assert "SystemC main thread" in thread_names
+            assert "core0 worker" in thread_names
 
     def test_host_spans_total_matches_ledger(self):
         vp, telemetry = traced_run()
