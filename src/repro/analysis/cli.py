@@ -25,22 +25,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .determinism import check_script_determinism
+from .determinism import check_script_determinism, script_argv
 from .engine import LintEngine, registered_rules
 from .findings import Finding, summarize
 from .sanitize import sanitized
-
-
-@contextlib.contextmanager
-def _script_argv(script: Path):
-    """Run a script with its own ``sys.argv`` (argparse in examples would
-    otherwise choke on our flags)."""
-    saved = sys.argv
-    sys.argv = [str(script)]
-    try:
-        yield
-    finally:
-        sys.argv = saved
 
 
 def _default_paths() -> List[str]:
@@ -106,7 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"no such script: {script}")
         with sanitized() as scope:
             with contextlib.redirect_stdout(io.StringIO()) as captured, \
-                    _script_argv(script):
+                    script_argv(script):
                 runpy.run_path(str(script), run_name="__main__")
         findings = scope.findings
         _emit(findings, args.json, mode="sanitize")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import runpy
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -149,12 +150,25 @@ def check_determinism(action: Callable[[], object], runs: int = 2) -> Determinis
     )
 
 
+@contextlib.contextmanager
+def script_argv(path: str):
+    """Run a script with its own ``sys.argv`` (argparse in examples would
+    otherwise choke on the caller's flags)."""
+    saved = sys.argv
+    sys.argv = [str(path)]
+    try:
+        yield
+    finally:
+        sys.argv = saved
+
+
 def check_script_determinism(path: str, runs: int = 2) -> DeterminismReport:
-    """Execute a script (e.g. ``examples/quickstart.py``) ``runs`` times,
-    stdout suppressed, and compare the kernel traces."""
+    """Execute a script (e.g. ``examples/quickstart.py``) ``runs`` times
+    with its own ``sys.argv``, stdout suppressed, and compare the kernel
+    traces."""
 
     def action():
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), script_argv(path):
             runpy.run_path(path, run_name="__main__")
 
     return check_determinism(action, runs=runs)

@@ -34,6 +34,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from ..analysis.determinism import script_argv
 from .bisect import bisect
 from .ledger import DEFAULT_WINDOW, RunLedger, WindowLedger
 from .zoom import localize_divergence
@@ -59,17 +60,6 @@ def _parse_meta(pairs: List[str]) -> dict:
     return meta
 
 
-@contextlib.contextmanager
-def _script_argv(script: Path):
-    """Run a script with its own ``sys.argv`` (mirrors repro.analysis)."""
-    saved = sys.argv
-    sys.argv = [str(script)]
-    try:
-        yield
-    finally:
-        sys.argv = saved
-
-
 def _load(path: str) -> RunLedger:
     try:
         return RunLedger.load(path)
@@ -85,7 +75,7 @@ def _cmd_capture(args) -> int:
     ledger.attach()
     try:
         with contextlib.redirect_stdout(io.StringIO()) as captured, \
-                _script_argv(script):
+                script_argv(script):
             runpy.run_path(str(script), run_name="__main__")
     finally:
         run = ledger.detach()

@@ -21,9 +21,11 @@ points of the platform kernel's bus (:mod:`repro.systemc.probes`):
 * ``run_return`` *seals* the platform once its run has finished (all cores
   halted or the guest requested shutdown): the final windows fold, the
   terminal summary streams, every subscription is cancelled, and the
-  engine drops its platform reference.  One ``observing()`` scope can
-  therefore span a whole bench matrix without keeping dozens of finished
-  platforms (and their RAM backings) alive.
+  engine drops its platform reference.  Entries hold their platform
+  weakly in any case (a ``stop_on_boot`` run ends through ``sim.stop()``
+  and never seals itself), so one ``observing()`` scope can span a whole
+  bench matrix without keeping dozens of finished platforms (and their
+  RAM backings) alive.
 
 Digest neutrality: no subscriber touches simulation state, and DET001 and
 the divergence ledger run in an earlier band of the same dispatch point,
@@ -33,6 +35,7 @@ so they see identical event streams with obs on or off.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -44,7 +47,10 @@ from .stream import ObsStreamer, Sink
 @dataclass
 class _PlatformEntry:
     key: str
-    vp: Optional[object]                 # dropped when the entry seals
+    #: weak, so an unsealed entry (a ``stop_on_boot`` run halts no core
+    #: and requests no shutdown) does not keep a finished platform alive;
+    #: None once the entry seals
+    vp_ref: Optional[weakref.ref]
     fold: Optional[AttributionFold]
     subscriptions: List[Subscription] = field(default_factory=list)
     window_ps: int = 0
@@ -52,19 +58,26 @@ class _PlatformEntry:
     cumulative_wall_ns: float = 0.0
     windows_closed: int = 0
     sealed: bool = False
-    #: last-known run state, authoritative once the entry is sealed
+    #: last-known run state, refreshed at every ``run_return``;
+    #: authoritative once the entry is sealed or its platform is gone
     cached_instructions: int = 0
     cached_sim_ps: int = 0
     lanes_cache: Dict[int, None] = field(default_factory=dict)
 
+    @property
+    def vp(self):
+        return self.vp_ref() if self.vp_ref is not None else None
+
     def instructions(self) -> int:
-        if self.vp is not None:
-            self.cached_instructions = self.vp.total_instructions()
+        vp = self.vp
+        if vp is not None:
+            self.cached_instructions = vp.total_instructions()
         return self.cached_instructions
 
     def sim_time_ps(self) -> int:
-        if self.vp is not None:
-            self.cached_sim_ps = self.vp.kernel.now.picoseconds
+        vp = self.vp
+        if vp is not None:
+            self.cached_sim_ps = vp.kernel.now.picoseconds
         return self.cached_sim_ps
 
 
@@ -91,11 +104,11 @@ class Obs:
         ledger = getattr(vp, "ledger", None)
         num_cores = len(getattr(vp, "cpus", ()))
         if ledger is None:
-            entry = _PlatformEntry(key, vp, None, num_cores=num_cores)
+            entry = _PlatformEntry(key, weakref.ref(vp), None, num_cores=num_cores)
             self.platforms.append(entry)
             vp.obs = self
             return self
-        entry = _PlatformEntry(key, vp, AttributionFold(ledger),
+        entry = _PlatformEntry(key, weakref.ref(vp), AttributionFold(ledger),
                                window_ps=ledger.window_size.picoseconds,
                                num_cores=num_cores or ledger.num_cores)
         entry.fold.on_window = (
@@ -121,13 +134,17 @@ class Obs:
         def dispatch(kind: str, time_ps: int, name: str) -> None:
             fold.record_dispatch(time_ps // window_ps)
 
-        # Seal the entry when the run is over, releasing the platform.
+        # Refresh the run-state caches after every run, so a platform
+        # collected before the scope closes still summarizes; seal the
+        # entry when the run is over, releasing the platform.
         def run_return(now) -> None:
             vp = entry.vp
-            if vp is not None and (
-                    vp.all_halted
-                    or getattr(getattr(vp, "simctl", None),
-                               "shutdown_requested", False)):
+            if vp is None:
+                return
+            entry.instructions()
+            entry.sim_time_ps()
+            if vp.all_halted or getattr(getattr(vp, "simctl", None),
+                                        "shutdown_requested", False):
                 self._seal(entry)
 
         return {"host_bill": fold.bill, "time_advance": fold.advance_to,
@@ -191,7 +208,7 @@ class Obs:
         for subscription in entry.subscriptions:
             subscription.cancel()
         entry.subscriptions.clear()
-        vp, entry.vp = entry.vp, None
+        vp, entry.vp_ref = entry.vp, None
         if vp is not None and getattr(vp, "obs", None) is self:
             vp.obs = None
 

@@ -127,6 +127,28 @@ def test_cli_determinism_run_quickstart(capsys):
     assert "trace digests" in capsys.readouterr().out
 
 
+def test_cli_determinism_run_gives_the_script_its_own_argv(tmp_path, monkeypatch, capsys):
+    script = tmp_path / "argparse_scenario.py"
+    script.write_text(
+        "import argparse\n"
+        "from repro.systemc.kernel import Kernel\n"
+        "from repro.systemc.time import SimTime\n"
+        "parser = argparse.ArgumentParser()\n"
+        "parser.add_argument('--steps', type=int, default=3)\n"
+        "args = parser.parse_args()\n"
+        "kernel = Kernel()\n"
+        "def body():\n"
+        "    for _ in range(args.steps):\n"
+        "        yield SimTime.ns(10)\n"
+        "kernel.spawn(body, name='stepper')\n"
+        "kernel.run()\n"
+    )
+    argv = ["--fail-on-findings", "--determinism-run", str(script)]
+    monkeypatch.setattr("sys.argv", ["repro.analysis", *argv])
+    assert main(argv) == 0
+    assert "trace digests" in capsys.readouterr().out
+
+
 def test_cli_rejects_missing_script():
     with pytest.raises(SystemExit):
         main(["--sanitize-run", "/no/such/script.py"])

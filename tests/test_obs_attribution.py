@@ -12,7 +12,9 @@ The central invariants:
   reference dropped, while summaries stay available from the cache.
 """
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -27,10 +29,12 @@ from repro.obs import SubscriberSink, enable_obs, observing
 from repro.obs import __main__ as obs_main
 from repro.obs.attribution import (AttributionFold, CATEGORY_PHASES, PHASES,
                                    render_summary)
+from repro.systemc.kernel import Kernel
 from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import enable_telemetry
 from repro.vp import GuestSoftware, VpConfig, build_platform
+from repro.vp.linux import LinuxBootParams, linux_boot_software
 
 HEADER = """
 .equ UART_BASE_HI, 0x0904
@@ -282,6 +286,33 @@ class TestEngineLifecycle:
             assert vp.obs is obs
             vp.run(SimTime.ms(50))
         assert obs.summaries()[f"{vp.name}#0"].verify() == []
+
+    def test_scope_keeps_no_finished_stop_on_boot_platform_alive(self):
+        # A stop_on_boot run ends through sim.stop(): no core halts and no
+        # shutdown is requested, so its entry never seals itself.
+        params = LinuxBootParams().scaled(0.01)
+        alive, expected = [], {}
+        with observing() as obs:
+            for index in range(3):
+                config = VpConfig(num_cores=2, quantum=SimTime.ms(1))
+                vp = build_platform("aoa", config, linux_boot_software(2, params))
+                vp.simctl.on_boot_done = lambda _t, vp=vp: vp.sim.stop()
+                vp.run(SimTime.seconds(3000))
+                assert vp.simctl.boot_done_at is not None
+                assert not obs.platforms[index].sealed
+                expected[f"{vp.name}#{index}"] = (
+                    vp.total_instructions(), vp.kernel.now.picoseconds,
+                    vp.ledger.wall_time_ns())
+                alive.append(weakref.ref(vp))
+                del vp
+            Kernel()   # drop the ambient kernel's hold on the last platform
+            gc.collect()
+            assert [ref() for ref in alive] == [None, None, None]
+        summaries = obs.summaries()
+        assert {key: (summary.instructions, summary.sim_time_ps,
+                      summary.wall_time_ns)
+                for key, summary in summaries.items()} == expected
+        assert all(summary.verify() == [] for summary in summaries.values())
 
     def test_platform_without_ledger_attaches_inert(self):
         vp = make_vp(track_host_time=False)
