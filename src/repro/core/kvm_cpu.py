@@ -30,12 +30,17 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..host.params import DEFAULT_KVM_COSTS, DEFAULT_SIM_COSTS, KvmCostParams, SimulationCostParams
+from ..host.machine import MAIN_LANE
 from ..kvm.api import KvmExitReason, Vcpu
 from ..systemc.module import Module
 from ..tlm.quantum import GlobalQuantum
 from ..vcml.processor import Processor, SimulateAction, SimulateResult
 from .watchdog import KickGuard, Watchdog
 from .wfi import WfiAnnotator
+
+_INTR = KvmExitReason.INTR
+_MMIO = KvmExitReason.MMIO
+_CONTINUE = SimulateAction.CONTINUE
 
 
 class KvmCpu(Processor):
@@ -119,45 +124,61 @@ class KvmCpu(Processor):
     def simulate(self, cycles: int) -> SimulateResult:
         costs = self.costs
         freq_hz = self.clk.frequency_hz
+        core_id = self.core_id
+        guard = self.kick_guard
+        # Every amount the leg bills lands in one window; core work lands
+        # on one lane.
+        window = self._bill_window()
+        lane = core_id if self.parallel else MAIN_LANE
         # (1) allowed runtime from the cycle budget (1 cycle == 1 instruction).
         budget_ns = cycles * 1e9 / freq_hz
         # (2) program the software watchdog for the current kick id.
-        self.kick_guard.arm(self.watchdog, self.core_id, self.host_now_ns, budget_ns)
-        self.bill_host_time(costs.watchdog_program_ns, "watchdog")
+        guard.arm(self.watchdog, core_id, self.host_now_ns, budget_ns)
+        self._bill(window, lane, costs.watchdog_program_ns, "watchdog", False)
         # (3) pending interrupts were injected by on_interrupt; store the
         # timestamp and enter the guest.
         exit_info = self.vcpu.run(budget_ns, self.lane_speed)
         self._exited(exit_info)
         # (4) measure the run time, fire due watchdog timers, bump the id.
-        self.host_now_ns += exit_info.wall_ns
-        self.watchdog.advance(self.core_id, self.host_now_ns)
-        if exit_info.reason is KvmExitReason.INTR:
+        wall_ns = exit_info.wall_ns
+        self.host_now_ns += wall_ns
+        self.watchdog.advance(core_id, self.host_now_ns)
+        reason = exit_info.reason
+        if reason is _INTR:
             # The signal that ended this run is consumed by its EINTR return.
             self.vcpu.immediate_exit = False
-        self.kick_guard.next_run()
-        consumed = self._cycles_from_wall(exit_info.wall_ns, cycles, freq_hz)
-        category = "wfi_blocked" if exit_info.blocked_in_wfi else "guest"
-        self.bill_host_time(exit_info.wall_ns, category)
+        guard.m_kickid += 1
+        # The paper's timing approximation: measured wall time -> cycles,
+        # clamped to [1, 2x budget].  The watchdog bounds overshoot, and a
+        # minimum of one cycle guarantees forward progress of simulated time.
+        consumed = round(wall_ns * freq_hz / 1e9)
+        if consumed > 2 * cycles:
+            consumed = 2 * cycles
+        if consumed < 1:
+            consumed = 1
+        self._bill(window, lane, wall_ns,
+                   "wfi_blocked" if exit_info.blocked_in_wfi else "guest", False)
         # (5) dispatch the exit reason.
-        if exit_info.reason is KvmExitReason.MMIO:
-            consumed += self._handle_mmio(exit_info.mmio)
-            return SimulateResult(consumed, SimulateAction.CONTINUE)
-        if exit_info.reason is KvmExitReason.DEBUG:
+        if reason is _INTR:
+            return SimulateResult(consumed, _CONTINUE)
+        if reason is _MMIO:
+            consumed += self._handle_mmio(exit_info.mmio, window, lane)
+            return SimulateResult(consumed, _CONTINUE)
+        if reason is KvmExitReason.DEBUG:
             return self._handle_debug(exit_info.pc, consumed)
-        if exit_info.reason is KvmExitReason.EMULATION:
-            consumed += self._handle_emulation()
-            return SimulateResult(consumed, SimulateAction.CONTINUE)
-        if exit_info.reason is KvmExitReason.INTR:
-            return SimulateResult(consumed, SimulateAction.CONTINUE)
-        if exit_info.reason is KvmExitReason.SYSTEM_EVENT:
+        if reason is KvmExitReason.EMULATION:
+            consumed += self._handle_emulation(window, lane)
+            return SimulateResult(consumed, _CONTINUE)
+        if reason is KvmExitReason.SYSTEM_EVENT:
             return SimulateResult(consumed, SimulateAction.HALT)
         raise RuntimeError(
             f"{self.name}: KVM internal error at pc=0x{exit_info.pc:x}: {exit_info.message}"
         )
 
     # -- exit handlers ----------------------------------------------------------------
-    def _handle_mmio(self, request) -> int:
-        """Forward the trapped access through the fabric port (main thread)."""
+    def _handle_mmio(self, request, window: Optional[int], lane: int) -> int:
+        """Forward the trapped access through the fabric port (main thread);
+        ``window`` and ``lane`` are the leg's (see :meth:`simulate`)."""
         self.num_mmio += 1
         fire = self.probes.mmio_request
         if fire is not None:
@@ -169,13 +190,15 @@ class KvmCpu(Processor):
         # Host cost: the exit already paid entry/exit; add the user-space
         # round trip, the peripheral model, and (in parallel mode) the shift
         # of the access back into the main thread [16].
-        self.bill_host_time(self.costs.mmio_roundtrip_ns, "mmio")
+        bill = self._bill
+        bill(window, lane, self.costs.mmio_roundtrip_ns, "mmio", False)
         self.host_now_ns += self.costs.mmio_roundtrip_ns
-        self.bill_host_time(self.sim_costs.peripheral_access_ns, "mmio", main_thread=True)
+        sim_costs = self.sim_costs
+        bill(window, MAIN_LANE, sim_costs.peripheral_access_ns, "mmio", True)
         if self.parallel:
-            self.bill_host_time(self.sim_costs.parallel_mmio_shift_ns, "mmio", main_thread=True)
-            self.bill_host_time(self.sim_costs.parallel_mmio_shift_ns, "mmio")
-            self.host_now_ns += self.sim_costs.parallel_mmio_shift_ns
+            bill(window, MAIN_LANE, sim_costs.parallel_mmio_shift_ns, "mmio", True)
+            bill(window, lane, sim_costs.parallel_mmio_shift_ns, "mmio", False)
+            self.host_now_ns += sim_costs.parallel_mmio_shift_ns
         if result.ok:
             data = result.data if not request.is_write else None
         else:
@@ -194,7 +217,7 @@ class KvmCpu(Processor):
             fire(self, request, cycles, result.ok)
         return cycles
 
-    def _handle_emulation(self) -> int:
+    def _handle_emulation(self, window: Optional[int], lane: int) -> int:
         """User-space emulation of a host-unsupported instruction (§VI).
 
         The trapped instruction's architectural effect is produced by the
@@ -202,7 +225,7 @@ class KvmCpu(Processor):
         handles it.  Returns additionally consumed cycles.
         """
         self.num_emulations += 1
-        self.bill_host_time(self.costs.emulation_step_ns, "emulation")
+        self._bill(window, lane, self.costs.emulation_step_ns, "emulation", False)
         self.host_now_ns += self.costs.emulation_step_ns
         info = self.vcpu.emulate_instruction()
         fire = self.probes.retire
@@ -211,7 +234,7 @@ class KvmCpu(Processor):
         extra_cycles = 1
         from ..iss.executor import ExitReason
         if info.reason is ExitReason.MMIO:
-            extra_cycles += self._handle_mmio(info.mmio)
+            extra_cycles += self._handle_mmio(info.mmio, window, lane)
         return extra_cycles
 
     def _handle_debug(self, pc: int, consumed: int) -> SimulateResult:
@@ -229,16 +252,6 @@ class KvmCpu(Processor):
         return SimulateResult(consumed, SimulateAction.CONTINUE)
 
     # -- helpers ----------------------------------------------------------------------
-    @staticmethod
-    def _cycles_from_wall(wall_ns: float, budget_cycles: int, freq_hz: float) -> int:
-        """The paper's timing approximation: measured wall time -> cycles.
-
-        Clamped to [1, 2x budget]: the watchdog bounds overshoot, and a
-        minimum of one cycle guarantees forward progress of simulated time.
-        """
-        cycles = round(wall_ns * freq_hz / 1e9)
-        return max(1, min(cycles, 2 * budget_cycles))
-
     @property
     def instructions_retired(self) -> int:
         return self.vcpu.total_instructions

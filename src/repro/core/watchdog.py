@@ -46,16 +46,21 @@ class WatchdogFire(NamedTuple):
 
 
 class WatchdogEntry:
-    """One armed timer: the handle :meth:`Watchdog.cancel` takes."""
+    """One armed timer: the handle :meth:`Watchdog.cancel` takes.
 
-    __slots__ = ("deadline_ns", "callback", "cancelled", "core_id",
+    A kick-guard timer carries its ``guard`` and ``kick_id`` and fires as
+    ``guard.kick(kick_id)``; a raw timer (no guard) calls ``callback()``.
+    """
+
+    __slots__ = ("deadline_ns", "callback", "guard", "cancelled", "core_id",
                  "kick_id", "budget_ns")
 
-    def __init__(self, deadline_ns: float, callback: Callable[[], None],
+    def __init__(self, deadline_ns: float, callback: Optional[Callable[[], None]],
                  core_id: int = 0, kick_id: Optional[int] = None,
-                 budget_ns: Optional[float] = None):
+                 budget_ns: Optional[float] = None, guard=None):
         self.deadline_ns = deadline_ns
         self.callback = callback
+        self.guard = guard
         self.cancelled = False
         self.core_id = core_id
         self.kick_id = kick_id
@@ -84,22 +89,28 @@ class Watchdog:
         self.probes = ProbeBus()
 
     def schedule(self, core_id: int, now_ns: float, timeout_ns: float,
-                 callback: Callable[[], None], kick_id: Optional[int] = None,
-                 budget_ns: Optional[float] = None) -> WatchdogEntry:
-        """Arm a timer that calls ``callback`` once ``timeout_ns`` from now.
+                 callback: Optional[Callable[[], None]],
+                 kick_id: Optional[int] = None,
+                 budget_ns: Optional[float] = None,
+                 guard=None) -> WatchdogEntry:
+        """Arm a timer that fires once ``timeout_ns`` from now.
 
-        ``kick_id`` and ``budget_ns`` are pure metadata carried into the
-        fire notification so observers (the flight recorder, humans reading
-        a crash bundle) can correlate stale kicks with the run that armed
-        them.
+        It calls ``guard.kick(kick_id)`` when a ``guard`` is given (how
+        :meth:`KickGuard.arm` schedules), else ``callback()``.  Without a
+        guard, ``kick_id`` and ``budget_ns`` are pure metadata carried into
+        the fire notification so observers (the flight recorder, humans
+        reading a crash bundle) can correlate stale kicks with the run that
+        armed them.
         """
         if timeout_ns < 0:
             raise ValueError(f"negative watchdog timeout: {timeout_ns}")
         deadline_ns = now_ns + timeout_ns
-        entry = WatchdogEntry(deadline_ns, callback, core_id=core_id,
-                              kick_id=kick_id, budget_ns=budget_ns)
-        heapq.heappush(self._timelines.setdefault(core_id, []),
-                       (deadline_ns, next(self._seq), entry))
+        entry = WatchdogEntry(deadline_ns, callback, core_id, kick_id,
+                              budget_ns, guard)
+        timeline = self._timelines.get(core_id)
+        if timeline is None:
+            timeline = self._timelines[core_id] = []
+        heapq.heappush(timeline, (deadline_ns, next(self._seq), entry))
         self.num_scheduled += 1
         fire = self.probes.watchdog_arm
         if fire is not None:
@@ -114,14 +125,19 @@ class Watchdog:
     def advance(self, core_id: int, now_ns: float) -> int:
         """Fire every due timer on this core's timeline; returns count fired."""
         timeline = self._timelines.get(core_id)
-        if not timeline:
+        if not timeline or timeline[0][0] > now_ns:
             return 0
         fired = 0
+        heappop = heapq.heappop
         while timeline and timeline[0][0] <= now_ns:
-            entry = heapq.heappop(timeline)[2]
+            entry = heappop(timeline)[2]
             if entry.cancelled:
                 continue
-            entry.callback()
+            guard = entry.guard
+            if guard is not None:
+                guard.kick(entry.kick_id)
+            else:
+                entry.callback()
             fired += 1
             self.num_fired += 1
             fire = self.probes.watchdog_fire
@@ -142,7 +158,7 @@ class Watchdog:
         order with the seq replaced by its rank — seqs only break ties, so
         fresh ones assigned in the same order on restore preserve firing
         order while keeping snapshot bytes independent of how many entries
-        ever existed.  Cancelled entries are dropped.  The callback is not
+        ever existed.  Cancelled entries are dropped.  The guard is not
         serialized: every live entry was armed through a kick guard, and
         :meth:`restore_state` re-targets it at the restored guard by core.
         """
@@ -173,11 +189,8 @@ class Watchdog:
             guard = kick_guards[core_id]
             timeline: List[_Slot] = []
             for data in entries:
-                kick_id = data["kick_id"]
-                entry = WatchdogEntry(data["deadline_ns"],
-                                      (lambda g=guard, k=kick_id: g.kick(k)),
-                                      core_id=core_id, kick_id=kick_id,
-                                      budget_ns=data["budget_ns"])
+                entry = WatchdogEntry(data["deadline_ns"], None, core_id,
+                                      data["kick_id"], data["budget_ns"], guard)
                 timeline.append((entry.deadline_ns, next(self._seq), entry))
             heapq.heapify(timeline)
             self._timelines[core_id] = timeline
@@ -196,6 +209,9 @@ class KickGuard:
             if (id == m_kickid)
                 pthread_kill(m_self, SIGUSR1);
         }
+
+    The CPU model increments ``m_kickid`` each time a KVM_RUN returns
+    (§IV-A).
     """
 
     def __init__(self, deliver_signal: Callable[[], None]):
@@ -233,14 +249,8 @@ class KickGuard:
     def arm(self, watchdog: Watchdog, core_id: int, now_ns: float,
             timeout_ns: float) -> WatchdogEntry:
         """Schedule a kick for the *current* run id (Listing 1, lines 7-8)."""
-        kick_id = self.m_kickid
-        return watchdog.schedule(core_id, now_ns, timeout_ns,
-                                 lambda: self.kick(kick_id),
-                                 kick_id=kick_id, budget_ns=timeout_ns)
-
-    def next_run(self) -> None:
-        """Increment ``m_kickid`` after a KVM_RUN returns (§IV-A)."""
-        self.m_kickid += 1
+        return watchdog.schedule(core_id, now_ns, timeout_ns, None,
+                                 self.m_kickid, timeout_ns, self)
 
 
 class UnguardedKick:
@@ -267,10 +277,5 @@ class UnguardedKick:
 
     def arm(self, watchdog: Watchdog, core_id: int, now_ns: float,
             timeout_ns: float) -> WatchdogEntry:
-        kick_id = self.m_kickid
-        return watchdog.schedule(core_id, now_ns, timeout_ns,
-                                 lambda: self.kick(kick_id),
-                                 kick_id=kick_id, budget_ns=timeout_ns)
-
-    def next_run(self) -> None:
-        self.m_kickid += 1
+        return watchdog.schedule(core_id, now_ns, timeout_ns, None,
+                                 self.m_kickid, timeout_ns, self)

@@ -424,23 +424,28 @@ class PhaseExecutor:
             # through *first* and only then takes the interrupt.
             if (self.irq_line and self._handler is None
                     and self.ctx.irq_protocol is not None
-                    and not (isinstance(self._current, Wfi) and not self._wfi_completed)):
+                    and not (type(self._current) is Wfi and not self._wfi_completed)):
                 self._handler = _HandlerState(self.ctx.irq_protocol)
                 self.irqs_taken += 1
                 self.exceptions += 1
             if self._handler is not None:
                 result = self._handler_step(executed, max_instructions)
-                if isinstance(result, ExitInfo):
-                    return result
-                executed = result
-                continue
-            phase = self._current_phase()
-            if phase is None:
-                self._finished = True
-                return ExitInfo(ExitReason.HALT, executed, self.pc,
-                                halt_code=self._halt_code)
-            result = self._phase_step(phase, executed, max_instructions)
-            if isinstance(result, ExitInfo):
+            else:
+                phase = self._current
+                if phase is None:
+                    self._advance_program()
+                    phase = self._current
+                    if phase is None:
+                        self._finished = True
+                        return ExitInfo(ExitReason.HALT, executed, self.pc,
+                                        halt_code=self._halt_code)
+                step = _PHASE_STEPS.get(type(phase))
+                if step is None:
+                    raise TypeError(f"phase program yielded a non-phase: {phase!r}")
+                result = step(self, phase, executed, max_instructions)
+            # A step returns the new ``executed`` count, or the ExitInfo
+            # that ends this run.
+            if type(result) is ExitInfo:
                 return result
             executed = result
         return ExitInfo(ExitReason.BUDGET, executed, self.pc)
@@ -474,11 +479,6 @@ class PhaseExecutor:
             raise AssertionError(f"unknown MMIO sink {sink!r}")
 
     # -- internals ---------------------------------------------------------------
-    def _current_phase(self) -> Optional[Phase]:
-        if self._current is None:
-            self._advance_program()
-        return self._current
-
     def _advance_program(self) -> None:
         value, self._send_value = self._send_value, None
         if self.ctx._replay is None:
@@ -491,7 +491,7 @@ class PhaseExecutor:
             return
         finally:
             self.ctx._in_generator = False
-        if isinstance(self._current, Compute):
+        if type(self._current) is Compute:
             self._compute_left = self._current.instructions
             self._charge_translation(self._current)
 
@@ -503,91 +503,6 @@ class PhaseExecutor:
         if key not in self._translated_keys:
             self._translated_keys.add(key)
             self.new_blocks += phase.static_blocks
-
-    def _finish_phase(self) -> None:
-        self._current = None
-
-    def _phase_step(self, phase: Phase, executed: int, budget: int):
-        """Process (part of) one phase; returns new ``executed`` or ExitInfo."""
-        left = budget - executed
-        if isinstance(phase, Compute):
-            take = min(self._compute_left, left)
-            self._account_compute(take, phase.mem_fraction, phase.tlb_miss_rate,
-                                  phase.avg_block_len)
-            executed += take
-            self._compute_left -= take
-            if self._compute_left <= 0:
-                self._finish_phase()
-                self._advance_program()
-            return executed
-        if isinstance(phase, Mmio):
-            request = MmioRequest(phase.address, phase.size, phase.is_write,
-                                  phase.value.to_bytes(phase.size, "little")
-                                  if phase.is_write else None, 0)
-            self._pending_mmio = request
-            self._pending_mmio_sink = "program"
-            self._finish_phase()
-            self.memory_ops += 1
-            return ExitInfo(ExitReason.MMIO, executed, self.pc, mmio=request)
-        if isinstance(phase, Wfi):
-            if self._wfi_completed:
-                # Waking up after a WFI: only now advance the program, so
-                # flag checks in wfi_wait() observe memory written by the
-                # peer that raised the wake-up interrupt.
-                self._wfi_completed = False
-                self._finish_phase()
-                self._advance_program()
-                return executed
-            self.pc = self.ctx.wfi_pc
-            if self.pc in self.breakpoints and not self._skip_breakpoint_once:
-                self._skip_breakpoint_once = True
-                return ExitInfo(ExitReason.BREAKPOINT, executed, self.pc)
-            self._skip_breakpoint_once = False
-            self.instructions += 1
-            executed += 1
-            self._wfi_completed = True
-            if self.irq_line:
-                # Pending interrupt: WFI falls through immediately; the
-                # handler runs next, and only after it does the idle loop
-                # re-check its wake condition (program advance).
-                return executed
-            return ExitInfo(ExitReason.WFI, executed, self.pc)
-        if isinstance(phase, SpinUntil):
-            if self.ctx.flag_set(phase.address, phase.value, phase.ge):
-                self._finish_phase()
-                self._advance_program()
-                return executed
-            if self.irq_line and self.ctx.irq_protocol is not None:
-                # Spin at least one poll iteration, then let the handler in.
-                take = min(phase.check_instructions, budget - executed)
-                self._account_compute(take, phase.mem_fraction, 0.0, 4)
-                return executed + take
-            # Guest RAM cannot change during one run() call (no other actor
-            # executes), so an unset flag stays unset: burn the whole budget
-            # in one accounting step instead of poll-sized chunks.
-            take = budget - executed
-            self._account_compute(take, phase.mem_fraction, 0.0, 4)
-            return executed + take
-        if isinstance(phase, StoreFlag):
-            self.ctx.write_u64(phase.address, phase.value)
-            self._account_compute(phase.instructions, 0.5, 0.0, 4)
-            self._finish_phase()
-            self._advance_program()
-            return executed + phase.instructions
-        if isinstance(phase, AtomicAdd):
-            current = self.ctx.read_u64(phase.address)
-            self.ctx.write_u64(phase.address, current + phase.delta)
-            self._account_compute(phase.instructions, 0.6, 0.0, 4)
-            self._finish_phase()
-            self._advance_program()
-            return executed + phase.instructions
-        if isinstance(phase, Halt):
-            self._finished = True
-            self._halt_code = phase.code
-            self.instructions += 1
-            return ExitInfo(ExitReason.HALT, executed + 1, self.pc,
-                            halt_code=phase.code)
-        raise TypeError(f"phase program yielded a non-phase: {phase!r}")
 
     def _handler_step(self, executed: int, budget: int):
         handler = self._handler
@@ -639,3 +554,107 @@ class PhaseExecutor:
         self.memory_ops += mem_ops
         self.blocks_entered += max(1, instructions // max(1, avg_block_len))
         self.tlb_misses += int(mem_ops * tlb_miss_rate)
+
+
+# --------------------------------------------------------------------------
+# Phase steps: one per phase type, dispatched through ``_PHASE_STEPS``
+# --------------------------------------------------------------------------
+# Each step processes (part of) the current phase of ``ex`` and returns
+# the new ``executed`` count, or the :class:`ExitInfo` that ends the run.
+# Phase types are matched exactly, so a subclass of a phase type is not a
+# phase.
+
+def _step_compute(ex: PhaseExecutor, phase: Compute, executed: int, budget: int):
+    take = min(ex._compute_left, budget - executed)
+    ex._account_compute(take, phase.mem_fraction, phase.tlb_miss_rate,
+                        phase.avg_block_len)
+    executed += take
+    ex._compute_left -= take
+    if ex._compute_left <= 0:
+        ex._advance_program()
+    return executed
+
+
+def _step_mmio(ex: PhaseExecutor, phase: Mmio, executed: int, budget: int):
+    request = MmioRequest(phase.address, phase.size, phase.is_write,
+                          phase.value.to_bytes(phase.size, "little")
+                          if phase.is_write else None, 0)
+    ex._pending_mmio = request
+    ex._pending_mmio_sink = "program"
+    ex._current = None
+    ex.memory_ops += 1
+    return ExitInfo(ExitReason.MMIO, executed, ex.pc, mmio=request)
+
+
+def _step_wfi(ex: PhaseExecutor, phase: Wfi, executed: int, budget: int):
+    if ex._wfi_completed:
+        # Waking up after a WFI: only now advance the program, so flag
+        # checks in wfi_wait() observe memory written by the peer that
+        # raised the wake-up interrupt.
+        ex._wfi_completed = False
+        ex._advance_program()
+        return executed
+    ex.pc = ex.ctx.wfi_pc
+    if ex.pc in ex.breakpoints and not ex._skip_breakpoint_once:
+        ex._skip_breakpoint_once = True
+        return ExitInfo(ExitReason.BREAKPOINT, executed, ex.pc)
+    ex._skip_breakpoint_once = False
+    ex.instructions += 1
+    executed += 1
+    ex._wfi_completed = True
+    if ex.irq_line:
+        # Pending interrupt: WFI falls through immediately; the handler
+        # runs next, and only after it does the idle loop re-check its
+        # wake condition (program advance).
+        return executed
+    return ExitInfo(ExitReason.WFI, executed, ex.pc)
+
+
+def _step_spin_until(ex: PhaseExecutor, phase: SpinUntil, executed: int, budget: int):
+    if ex.ctx.flag_set(phase.address, phase.value, phase.ge):
+        ex._advance_program()
+        return executed
+    if ex.irq_line and ex.ctx.irq_protocol is not None:
+        # Spin at least one poll iteration, then let the handler in.
+        take = min(phase.check_instructions, budget - executed)
+        ex._account_compute(take, phase.mem_fraction, 0.0, 4)
+        return executed + take
+    # Guest RAM cannot change during one run() call (no other actor
+    # executes), so an unset flag stays unset: burn the whole budget in
+    # one accounting step instead of poll-sized chunks.
+    take = budget - executed
+    ex._account_compute(take, phase.mem_fraction, 0.0, 4)
+    return executed + take
+
+
+def _step_store_flag(ex: PhaseExecutor, phase: StoreFlag, executed: int, budget: int):
+    ex.ctx.write_u64(phase.address, phase.value)
+    ex._account_compute(phase.instructions, 0.5, 0.0, 4)
+    ex._advance_program()
+    return executed + phase.instructions
+
+
+def _step_atomic_add(ex: PhaseExecutor, phase: AtomicAdd, executed: int, budget: int):
+    current = ex.ctx.read_u64(phase.address)
+    ex.ctx.write_u64(phase.address, current + phase.delta)
+    ex._account_compute(phase.instructions, 0.6, 0.0, 4)
+    ex._advance_program()
+    return executed + phase.instructions
+
+
+def _step_halt(ex: PhaseExecutor, phase: Halt, executed: int, budget: int):
+    ex._finished = True
+    ex._halt_code = phase.code
+    ex.instructions += 1
+    return ExitInfo(ExitReason.HALT, executed + 1, ex.pc, halt_code=phase.code)
+
+
+_PHASE_STEPS = {
+    Compute: _step_compute,
+    Mmio: _step_mmio,
+    Wfi: _step_wfi,
+    SpinUntil: _step_spin_until,
+    StoreFlag: _step_store_flag,
+    AtomicAdd: _step_atomic_add,
+    Halt: _step_halt,
+}

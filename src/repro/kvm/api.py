@@ -64,8 +64,20 @@ class KvmExitReason(enum.Enum):
     INTERNAL_ERROR = "internal_error"
 
 
+#: hot-path aliases for the exits ``Vcpu.run`` sees most
+_BUDGET = ExitReason.BUDGET
+_MMIO = ExitReason.MMIO
+_WFI = ExitReason.WFI
+_INTR = KvmExitReason.INTR
+
+
 class KvmExit:
-    """Result of one ``Vcpu.run`` call."""
+    """Result of one ``Vcpu.run`` call: the vcpu's exit record.
+
+    Each :class:`Vcpu` owns one and every run rewrites it in place (KVM's
+    shared ``kvm_run`` page carries ``exit_reason`` and the exit data the
+    same way), so a holder that keeps a field across runs copies it.
+    """
 
     __slots__ = ("reason", "wall_ns", "instructions", "mmio", "pc", "halt_code",
                  "blocked_in_wfi", "message")
@@ -156,6 +168,8 @@ class Vcpu:
         self.num_emulation_exits = 0
         self.num_wfi_blocks = 0
         self.num_intr_exits = 0
+        #: the exit record every :meth:`run` rewrites and returns
+        self.exit = KvmExit(KvmExitReason.INTR, 0.0, 0, 0)
 
     # -- snapshot support --------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -230,69 +244,99 @@ class Vcpu:
         vcpu thread landed on (efficiency cores run slower).  The budget is
         what the software watchdog allows; budget exhaustion surfaces as an
         ``INTR`` exit, exactly like a SIGUSR1 interrupting KVM_RUN.
+
+        Returns this vcpu's one exit record (:attr:`exit`), rewritten in
+        place by every run: it is valid until the next ``run``.
         """
         costs = self.costs
         self.num_runs += 1
-        ns_per_inst = costs.native_ns_per_inst / speed_factor
         elapsed = costs.entry_exit_ns
         executed_total = 0
+        mmio = None
+        halt_code = 0
+        blocked_in_wfi = False
+        message = ""
         if self.immediate_exit:
             self.immediate_exit = False
             self.num_intr_exits += 1
-            return KvmExit(KvmExitReason.INTR, elapsed, 0, self._pc())
-        while True:
-            budget_left = wall_budget_ns - elapsed
-            max_instructions = int(budget_left / ns_per_inst)
-            if max_instructions <= 0:
-                elapsed += costs.signal_delivery_ns
-                self.num_intr_exits += 1
-                return KvmExit(KvmExitReason.INTR, max(elapsed, wall_budget_ns),
-                               executed_total, self._pc())
-            info = self.executor.run(max_instructions)
-            executed_total += info.instructions
-            self.total_instructions += info.instructions
-            elapsed += info.instructions * ns_per_inst
-            if info.reason is ExitReason.BUDGET:
-                # Watchdog fires and SIGUSR1 yanks us back to user space.
-                elapsed += costs.signal_delivery_ns
-                self.num_intr_exits += 1
-                return KvmExit(KvmExitReason.INTR, max(elapsed, wall_budget_ns),
-                               executed_total, info.pc)
-            if info.reason is ExitReason.MMIO:
-                self.num_mmio_exits += 1
-                return KvmExit(KvmExitReason.MMIO, elapsed, executed_total,
-                               info.pc, mmio=info.mmio)
-            if info.reason is ExitReason.BREAKPOINT:
-                elapsed += costs.debug_exit_ns
-                self.num_debug_exits += 1
-                return KvmExit(KvmExitReason.DEBUG, elapsed, executed_total, info.pc)
-            if info.reason is ExitReason.EMULATION:
-                elapsed += costs.emulation_exit_ns
-                self.num_emulation_exits += 1
-                return KvmExit(KvmExitReason.EMULATION, elapsed, executed_total,
-                               info.pc)
-            if info.reason is ExitReason.WFI:
-                # In-kernel WFI handling: the vcpu thread blocks until an
-                # interrupt arrives or the watchdog signal ends the run.  No
-                # other simulation progress can happen meanwhile (the models
-                # that would raise the interrupt run in the SystemC thread),
-                # so the block always lasts until the watchdog kick.
-                elapsed += costs.wfi_trap_ns
-                if self.irq_level:
-                    continue   # interrupt already pending: WFI falls through
-                self.num_wfi_blocks += 1
-                blocked = max(0.0, wall_budget_ns - elapsed)
-                elapsed += blocked + costs.signal_delivery_ns
-                self.num_intr_exits += 1
-                return KvmExit(KvmExitReason.INTR, elapsed, executed_total,
-                               info.pc, blocked_in_wfi=True)
-            if info.reason is ExitReason.HALT:
-                return KvmExit(KvmExitReason.SYSTEM_EVENT, elapsed, executed_total,
-                               info.pc, halt_code=info.halt_code)
-            if info.reason is ExitReason.ERROR:
-                return KvmExit(KvmExitReason.INTERNAL_ERROR, elapsed, executed_total,
-                               info.pc, message=info.message)
-            raise AssertionError(f"unhandled executor exit {info.reason}")  # pragma: no cover
+            reason = _INTR
+            pc = self._pc()
+        else:
+            ns_per_inst = costs.native_ns_per_inst / speed_factor
+            executor = self.executor
+            while True:
+                budget_left = wall_budget_ns - elapsed
+                max_instructions = int(budget_left / ns_per_inst)
+                if max_instructions <= 0:
+                    elapsed = max(elapsed + costs.signal_delivery_ns, wall_budget_ns)
+                    self.num_intr_exits += 1
+                    reason = _INTR
+                    pc = self._pc()
+                    break
+                info = executor.run(max_instructions)
+                executed = info.instructions
+                executed_total += executed
+                self.total_instructions += executed
+                elapsed += executed * ns_per_inst
+                pc = info.pc
+                exit_reason = info.reason
+                if exit_reason is _BUDGET:
+                    # Watchdog fires and SIGUSR1 yanks us back to user space.
+                    elapsed = max(elapsed + costs.signal_delivery_ns, wall_budget_ns)
+                    self.num_intr_exits += 1
+                    reason = _INTR
+                    break
+                if exit_reason is _MMIO:
+                    self.num_mmio_exits += 1
+                    reason = KvmExitReason.MMIO
+                    mmio = info.mmio
+                    break
+                if exit_reason is _WFI:
+                    # In-kernel WFI handling: the vcpu thread blocks until an
+                    # interrupt arrives or the watchdog signal ends the run.
+                    # No other simulation progress can happen meanwhile (the
+                    # models that would raise the interrupt run in the
+                    # SystemC thread), so the block always lasts until the
+                    # watchdog kick.
+                    elapsed += costs.wfi_trap_ns
+                    if self.irq_level:
+                        continue   # interrupt already pending: WFI falls through
+                    self.num_wfi_blocks += 1
+                    blocked = max(0.0, wall_budget_ns - elapsed)
+                    elapsed += blocked + costs.signal_delivery_ns
+                    self.num_intr_exits += 1
+                    reason = _INTR
+                    blocked_in_wfi = True
+                    break
+                if exit_reason is ExitReason.BREAKPOINT:
+                    elapsed += costs.debug_exit_ns
+                    self.num_debug_exits += 1
+                    reason = KvmExitReason.DEBUG
+                    break
+                if exit_reason is ExitReason.EMULATION:
+                    elapsed += costs.emulation_exit_ns
+                    self.num_emulation_exits += 1
+                    reason = KvmExitReason.EMULATION
+                    break
+                if exit_reason is ExitReason.HALT:
+                    reason = KvmExitReason.SYSTEM_EVENT
+                    halt_code = info.halt_code
+                    break
+                if exit_reason is ExitReason.ERROR:
+                    reason = KvmExitReason.INTERNAL_ERROR
+                    message = info.message
+                    break
+                raise AssertionError(f"unhandled executor exit {exit_reason}")  # pragma: no cover
+        record = self.exit
+        record.reason = reason
+        record.wall_ns = elapsed
+        record.instructions = executed_total
+        record.pc = pc
+        record.mmio = mmio
+        record.halt_code = halt_code
+        record.blocked_in_wfi = blocked_in_wfi
+        record.message = message
+        return record
 
     def complete_mmio(self, read_data: Optional[bytes] = None) -> None:
         self.executor.complete_mmio(read_data)

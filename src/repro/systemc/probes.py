@@ -23,8 +23,11 @@ bus, present and future (:meth:`Kernel.add_trace_hook` — the determinism
 checker and other whole-process tools observe kernels they never saw
 created).  Subscribers are pure observers: they must not change
 simulation state, which is what keeps digests bit-identical with any set
-of them attached.  DESIGN.md ("The probe bus") lists every point with its
-emission site and subscribers.
+of them attached.  A payload object is only valid during the call: the
+``info`` of ``vcpu_exit`` is the vcpu's one exit record, which the next
+``Vcpu.run`` rewrites in place, so a subscriber copies the fields it
+keeps.  DESIGN.md ("The probe bus") lists every point with its emission
+site and subscribers.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ POINTS: Dict[str, str] = {
     "simulate_return": "(cpu, result)",
     "quantum_sync": "(cpu,)",
     # execution backends
+    # ``info`` is valid during the call only: the next run rewrites it
     "vcpu_exit": "(cpu, info)",
     "mmio_request": "(cpu, request)",
     "mmio_response": "(cpu, request, cycles, ok)",

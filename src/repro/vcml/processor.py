@@ -31,6 +31,7 @@ import enum
 from typing import Dict, Optional
 
 from ..fabric.port import MemoryPort
+from ..host.machine import MAIN_LANE
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
 from ..tlm.quantum import GlobalQuantum, QuantumKeeper
@@ -58,6 +59,12 @@ class SimulateResult:
 
     def __repr__(self) -> str:
         return f"SimulateResult(cycles={self.cycles}, action={self.action.value})"
+
+
+_CONTINUE = SimulateAction.CONTINUE
+_WAIT_IRQ = SimulateAction.WAIT_IRQ
+_HALT = SimulateAction.HALT
+_BREAK = SimulateAction.BREAK
 
 
 class Processor(Component):
@@ -142,15 +149,36 @@ class Processor(Component):
         lane; core work lands on the core's own lane when parallel mode is
         enabled, otherwise also on the main lane.
         """
-        if self.host_ledger is None or nanoseconds <= 0:
-            return
         if main_thread or not self.parallel:
-            lane = self.host_ledger.MAIN_LANE
+            lane = MAIN_LANE
         else:
             lane = self.core_id
-        window = ((self._kernel._now_ps + self.keeper.offset_ps)
-                  // self.host_ledger.window_ps)
-        self.host_ledger.add(window, lane, nanoseconds, category)
+        self._bill(self._bill_window(), lane, nanoseconds, category, main_thread)
+
+    def _bill_window(self) -> Optional[int]:
+        """The ledger window of work billed now (None without a ledger):
+        the window holding this core's local time, i.e. kernel time plus
+        the quantum keeper's offset.  Neither moves inside a ``simulate``
+        leg, so a leg computes it once for all the amounts it bills."""
+        ledger = self.host_ledger
+        if ledger is None:
+            return None
+        return (self._kernel._now_ps + self.keeper.offset_ps) // ledger.window_ps
+
+    def _bill(self, window: Optional[int], lane: int, nanoseconds: float,
+              category: str, main_thread: bool) -> None:
+        """Bill one amount to a known window and lane.
+
+        Every billing funnels through here: one ledger add and one
+        ``host_bill`` event per amount.  Callers bill each amount
+        separately and in order, never a pre-summed total, because float
+        addition order is what keeps :meth:`HostLedger.wall_time_ns`
+        bit-identical.
+        """
+        ledger = self.host_ledger
+        if ledger is None or nanoseconds <= 0:
+            return
+        ledger.add(window, lane, nanoseconds, category)
         fire = self.probes.host_bill
         if fire is not None:
             fire(self, window, lane, nanoseconds, category, main_thread)
@@ -159,10 +187,6 @@ class Processor(Component):
     def simulate(self, cycles: int) -> SimulateResult:
         """Execute up to ``cycles`` target cycles; must be overridden."""
         raise NotImplementedError
-
-    def wants_stop(self) -> bool:
-        """Subclass hook: request the processor thread to end."""
-        return False
 
     def _invoke_simulate(self, cycles: int) -> SimulateResult:
         """One counted backend call, emitted as ``simulate_call``/``_return``.
@@ -203,30 +227,40 @@ class Processor(Component):
     def _processor_thread(self):
         keeper = self.keeper
         global_quantum = keeper.global_quantum
-        while not self.halted and not self.wants_stop():
-            if self.in_reset:
+        while not self.halted:
+            rst = self.rst
+            if rst is not None and rst.asserted:
                 self._park = "reset"
-                yield self.rst.deasserted_event
+                yield rst.deasserted_event
                 continue
             remaining_ps = global_quantum.quantum_ps - keeper.offset_ps
             if remaining_ps <= 0:
                 self._park = "sync"
                 yield self._sync_wait()
                 continue
-            clock = self._clock()
-            cycles = clock.ps_to_cycles(remaining_ps)
+            # Clock.ps_to_cycles and Clock.cycles_to_ps, inlined with the
+            # same float formulas so cycle counts stay bit-identical.
+            frequency_hz = self._clock().frequency_hz
+            cycles = int(remaining_ps / 1_000_000_000_000 * frequency_hz)
             if cycles <= 0:
                 # Quantum finer than one clock cycle: force minimal progress.
                 cycles = 1
             result = self._invoke_simulate(cycles)
-            self.total_cycles += result.cycles
-            keeper.offset_ps += clock.cycles_to_ps(result.cycles)
-            if result.action is SimulateAction.HALT:
+            consumed = result.cycles
+            self.total_cycles += consumed
+            keeper.offset_ps += round(consumed * 1_000_000_000_000 / frequency_hz)
+            action = result.action
+            if action is _CONTINUE:
+                if keeper.offset_ps >= global_quantum.quantum_ps:
+                    self._park = "sync"
+                    yield self._sync_wait()
+                continue
+            if action is _HALT:
                 self.halted = True
                 self._park = "sync"
                 yield self._sync_wait()
                 break
-            if result.action is SimulateAction.BREAK:
+            if action is _BREAK:
                 # Debugger stop: realize local time, park until resumed,
                 # and hand control back to the host (the debugger).
                 self._park = "break_sync"
@@ -237,7 +271,7 @@ class Processor(Component):
                 yield self.debug_resume_event
                 self.debug_paused = False
                 continue
-            if result.action is SimulateAction.WAIT_IRQ:
+            if action is _WAIT_IRQ:
                 # Realize local time, then sleep until an interrupt arrives.
                 self._park = "wait_irq_sync"
                 yield self._sync_wait()
@@ -246,10 +280,6 @@ class Processor(Component):
                     self._park = "wait_irq"
                     yield self.irq_event
                     self.waiting_for_irq = False
-                continue
-            if keeper.offset_ps >= global_quantum.quantum_ps:
-                self._park = "sync"
-                yield self._sync_wait()
         self.on_halt()
         if self.halt_callback is not None:
             self.halt_callback(self)

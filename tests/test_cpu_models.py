@@ -192,8 +192,16 @@ class TestKvmCpuLoop:
         assert 800_000 < sim_ns < 3_000_000
 
     def test_cycles_from_wall_clamps(self):
-        assert KvmCpu._cycles_from_wall(0.0, 1000, 1e9) == 1
-        assert KvmCpu._cycles_from_wall(10**9, 1000, 1e9) == 2000
+        def program(ctx):
+            yield Wfi()
+
+        # A kicked run that costs no wall time still consumes one cycle.
+        rig = Rig(program, costs=KvmCostParams(entry_exit_ns=0.0))
+        rig.cpu.vcpu.kick()
+        assert rig.cpu.simulate(1000).cycles == 1
+        # A run blocked in WFI far past its 1000 ns budget consumes 2x it.
+        rig = Rig(program, costs=KvmCostParams(signal_delivery_ns=10**9))
+        assert rig.cpu.simulate(1000).cycles == 2000
 
 
 class TestIssCpuLoop:

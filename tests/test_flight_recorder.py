@@ -131,6 +131,25 @@ class TestPlatformProbes:
         assert all(event.t_ps >= 0 for event in exits)
         flight.detach()
 
+    def test_kvm_exit_entries_keep_per_exit_values(self):
+        # Every run rewrites the vcpu's one exit record, so the journal
+        # must copy each exit's fields while the record is current.
+        vp = make_vp()
+        seen = []
+        vp.kernel.probes.subscribe("vcpu_exit", lambda cpu, info: seen.append(
+            (info, info.reason.value, info.pc, info.instructions,
+             round(info.wall_ns, 3), info.blocked_in_wfi)))
+        flight = enable_flight(vp, bundles=False)
+        vp.run(SimTime.ms(100))
+        assert {id(info) for info, *_ in seen} == {id(vp.cpus[0].vcpu.exit)}
+        journal = [(data["reason"], data["pc"], data["instructions"],
+                    data["wall_ns"], data["blocked_in_wfi"])
+                   for data in (dict(event.data) for event
+                                in flight.recorder.of_kind("kvm_exit"))]
+        assert journal == [tuple(values) for _, *values in seen]
+        assert len(set(journal)) > 1
+        flight.detach()
+
     def test_detach_cancels_every_subscription(self):
         vp = make_vp()
         on_tx = vp.uart.on_tx

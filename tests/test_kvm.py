@@ -49,6 +49,22 @@ class TestKvmObjectModel:
 
 
 class TestRunExits:
+    def test_run_rewrites_one_exit_record(self):
+        def program(ctx):
+            yield Mmio(0x0900_0000, 4, True, 0x1)
+            yield Compute(10**12, key="endless")
+
+        vcpu, _ = make_vcpu(program)
+        first = vcpu.run(1_000_000.0)
+        assert first.reason is KvmExitReason.MMIO
+        assert first.mmio.address == 0x0900_0000
+        vcpu.complete_mmio(None)
+        second = vcpu.run(100_000.0)
+        assert second is first is vcpu.exit
+        assert second.reason is KvmExitReason.INTR
+        assert second.mmio is None
+        assert second.instructions > 0
+
     def test_budget_exhaustion_is_intr(self):
         def program(ctx):
             yield Compute(10**12, key="endless")

@@ -86,8 +86,8 @@ class TestFireNotifications:
 
     def test_kickguard_arm_fills_metadata(self):
         guard = KickGuard(lambda: None)
-        guard.next_run()
-        guard.next_run()
+        guard.m_kickid += 1
+        guard.m_kickid += 1
         watchdog = Watchdog()
         fires = []
         watchdog.probes.subscribe("watchdog_fire", fires.append)
@@ -131,7 +131,7 @@ class TestKickGuard:
         watchdog = Watchdog()
         guard.arm(watchdog, 0, now_ns=0, timeout_ns=100)
         # The KVM run exits early (MMIO at t=30) and the id moves on.
-        guard.next_run()
+        guard.m_kickid += 1
         # A fresh watchdog is armed for the next run ...
         guard.arm(watchdog, 0, now_ns=30, timeout_ns=100)
         # ... and the *stale* timer expires while the new run is active.
@@ -150,7 +150,7 @@ class TestKickGuard:
         for _ in range(10):
             guard.arm(watchdog, 0, now, 100)
             now += 5                 # early exit after 5 ns each time
-            guard.next_run()
+            guard.m_kickid += 1
         watchdog.advance(0, now + 1000)
         assert signals == []
         assert guard.num_kicks_filtered == 10
@@ -176,7 +176,7 @@ class TestKickGuard:
                                kicks.append((kick_id, delivered)))
         watchdog = Watchdog()
         guard.arm(watchdog, 0, 0, 10)
-        guard.next_run()
+        guard.m_kickid += 1
         guard.arm(watchdog, 0, 0, 20)
         watchdog.advance(0, 20)
         assert kicks == [(0, False), (1, True)]
@@ -190,7 +190,7 @@ class TestKickGuard:
         for _ in range(5):
             guard.arm(watchdog, 0, 0, 10)
             watchdog.advance(0, 10)
-            guard.next_run()
+            guard.m_kickid += 1
         assert guard.num_kicks_delivered == 5
         assert guard.num_repeat_kicks == 0
         assert wedges == []
@@ -203,6 +203,6 @@ class TestUnguardedKick:
         unguarded = UnguardedKick(lambda: signals.append(1))
         watchdog = Watchdog()
         unguarded.arm(watchdog, 0, now_ns=0, timeout_ns=100)
-        unguarded.next_run()
+        unguarded.m_kickid += 1
         watchdog.advance(0, 100)
         assert signals == [1]       # the stale kick was delivered anyway
