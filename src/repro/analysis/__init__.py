@@ -3,12 +3,12 @@
 Two halves, one findings model:
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
-  AST-walking lint framework with VP-specific rules (RPR001–RPR007, and
-  the opt-in RPR012) that keep the simulator free of the nondeterminism and TLM misuse that would
-  invalidate the paper's "parallel mode changes performance, not semantics"
-  claim.
+  AST-walking lint framework with VP-specific rules (RPR001–RPR004,
+  RPR006, RPR007) that keep the simulator free of the nondeterminism and
+  TLM misuse that would invalidate the paper's "parallel mode changes
+  performance, not semantics" claim.
 * :mod:`repro.analysis.sanitize` + :mod:`repro.analysis.determinism` —
-  opt-in runtime instrumentation (SAN001–SAN004) and an event-queue-order
+  an opt-in probe-bus sanitizer (SAN004) and an event-queue-order
   determinism checker (DET001).
 
 CLI: ``python -m repro.analysis --help``.

@@ -57,7 +57,7 @@ def _emit(findings: List[Finding], as_json: bool, mode: str) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="VP-aware static lint + runtime TLM/determinism sanitizers.",
+        description="VP-aware static lint, runtime sanitizers, determinism check.",
     )
     parser.add_argument("paths", nargs="*", help="files/directories to lint "
                         "(default: src/repro)")

@@ -4,7 +4,7 @@ The engine parses every Python file under the requested paths once, then
 runs each registered :class:`Rule` in two passes:
 
 1. ``prescan`` — every rule sees every module first.  Rules use this to
-   build cross-file knowledge (enum member lists, global constant tables)
+   build cross-file knowledge (the ``SimulateAction`` member list)
    before judging any single file.
 2. ``check`` — the rule inspects one module at a time and yields findings.
 
@@ -81,9 +81,6 @@ class Rule:
     rule_id = "RPR000"
     title = "unnamed rule"
     severity = Severity.ERROR
-    #: rules with ``default = False`` only run when selected explicitly
-    #: (``--select``); the plain lint pass skips them
-    default = True
 
     def prescan(self, ctx: LintContext, module: SourceModule) -> None:
         """First pass over every module; build cross-file state in ``ctx``."""
@@ -127,10 +124,7 @@ class LintEngine:
     def __init__(self, select: Optional[Sequence[str]] = None,
                  ignore: Optional[Sequence[str]] = None):
         available = registered_rules()
-        if select:
-            wanted = set(select)
-        else:
-            wanted = {rule_id for rule_id, rule in available.items() if rule.default}
+        wanted = set(select) if select else set(available)
         wanted -= set(ignore or ())
         unknown = wanted - set(available)
         if unknown:

@@ -27,7 +27,7 @@ class Severity(enum.Enum):
 class Finding:
     """One diagnostic: where, which rule, how bad, and what happened."""
 
-    rule: str                 # e.g. "RPR001" or "SAN003"
+    rule: str                 # e.g. "RPR001" or "SAN004"
     severity: Severity
     path: str                 # repo-relative (lint) or logical location (sanitizers)
     line: int                 # 1-based; 0 when no source location applies

@@ -7,10 +7,9 @@ platform kernel's probe bus (:mod:`repro.systemc.probes`), so behaviour is
 bit-for-bit identical with the recorder on and off (the determinism
 checker's DET001 digests do not move) and ``detach()`` cancels every
 subscription.  Telemetry and flight may be attached to the same platform
-in either order; each receives the same events.  The guest console
-(``uart.on_tx``) and the ``SimControl`` callbacks are callback slots other
-code sets too, so flight chains to whatever is installed there and
-restores it on detach.
+in either order; each receives the same events.  The guest console and the
+``SimControl`` device reach flight through the ``console_tx`` and
+``simctl`` points, so their ``on_*`` slots stay free for harness code.
 
 Crash-bundle triggers (see ``repro.flight.bundle``):
 
@@ -79,8 +78,6 @@ class Flight:
         #: (key, platform) per attached platform
         self.platforms: List[Tuple[str, object]] = []
         self._subscriptions: List[Subscription] = []
-        #: (object, slot, previous callback) per chained callback slot
-        self._chained: List[Tuple[object, str, object]] = []
         self._console_buffers: List[Tuple[str, object, bytearray]] = []
         #: ring stats already published (publish_metrics records deltas)
         self._published_recorded = 0
@@ -94,9 +91,8 @@ class Flight:
         key = f"{vp.name}#{len(self.platforms)}"
         self.platforms.append((key, vp))
         vp.flight = self
-        self._attach_simctl(vp)
-        self._attach_console(key, vp)
         handlers = self._platform_probes(vp)
+        handlers.update(self._guest_probes(key, vp))
         handlers.update(self._core_probes(key, vp))
         bus = vp.kernel.probes
         self._subscriptions += [bus.subscribe(point, handler)
@@ -104,8 +100,8 @@ class Flight:
         return self
 
     def detach(self) -> None:
-        """Cancel every subscription, restore chained callback slots, and
-        flush pending console/profile state."""
+        """Cancel every subscription and flush pending console/profile
+        state."""
         for key, vp, buffer in self._console_buffers:
             if buffer:
                 self._record_console(key, vp, buffer)
@@ -116,9 +112,6 @@ class Flight:
         for subscription in self._subscriptions:
             subscription.cancel()
         self._subscriptions.clear()
-        for target, slot, previous in reversed(self._chained):
-            setattr(target, slot, previous)
-        self._chained.clear()
         for _key, vp in self.platforms:
             if getattr(vp, "flight", None) is self:
                 vp.flight = None
@@ -211,49 +204,16 @@ class Flight:
                 "watchdog_fire": watchdog_fire,
                 "sanitizer_finding": sanitizer_finding}
 
-    def _chain(self, target, slot: str, body) -> None:
-        """Install ``body`` in a callback slot after whatever is there."""
-        previous = getattr(target, slot)
-
-        def callback(*args):
-            if previous is not None:
-                previous(*args)
-            body(*args)
-
-        self._chained.append((target, slot, previous))
-        setattr(target, slot, callback)
-
-    # -- SimControl -----------------------------------------------------------
-    def _attach_simctl(self, vp) -> None:
-        simctl = getattr(vp, "simctl", None)
-        if simctl is None:
-            return
+    # -- guest console and SimControl -----------------------------------------
+    def _guest_probes(self, key: str, vp) -> dict:
         kernel = vp.kernel
-        self._chain(simctl, "on_boot_done", lambda when: self.recorder.record(
-            "simctl", kernel.now.picoseconds, what="boot_done"))
-        self._chain(simctl, "on_checkpoint", lambda value, when: self.recorder.record(
-            "simctl", kernel.now.picoseconds, what="checkpoint", value=value))
-        self._chain(simctl, "on_shutdown", lambda code: self.recorder.record(
-            "simctl", kernel.now.picoseconds, what="shutdown", code=code))
-
-        def on_panic(code: int) -> None:
-            self.recorder.record("simctl", kernel.now.picoseconds,
-                                 what="panic", code=code)
-            if self.bundler is not None:
-                self.bundler.trigger(vp, "guest-panic",
-                                     detail=f"guest panic, code {code}")
-
-        self._chain(simctl, "on_panic", on_panic)
-
-    # -- guest console ----------------------------------------------------------
-    def _attach_console(self, key: str, vp) -> None:
-        uart = getattr(vp, "uart", None)
-        if uart is None:
-            return
+        uart = vp.uart
         buffer = bytearray()
         self._console_buffers.append((key, vp, buffer))
 
-        def on_tx(byte: int) -> None:
+        def console_tx(source, byte: int) -> None:
+            if source is not uart:
+                return
             if byte == 0x0A:
                 self._record_console(key, vp, buffer)
             else:
@@ -261,7 +221,19 @@ class Flight:
                 if len(buffer) >= CONSOLE_LINE_LIMIT:
                     self._record_console(key, vp, buffer)
 
-        self._chain(uart, "on_tx", on_tx)
+        def simctl(what: str, value: int) -> None:
+            now_ps = kernel.now.picoseconds
+            if what == "boot_done":
+                self.recorder.record("simctl", now_ps, what=what)
+            elif what == "checkpoint":
+                self.recorder.record("simctl", now_ps, what=what, value=value)
+            else:
+                self.recorder.record("simctl", now_ps, what=what, code=value)
+            if what == "panic" and self.bundler is not None:
+                self.bundler.trigger(vp, "guest-panic",
+                                     detail=f"guest panic, code {value}")
+
+        return {"console_tx": console_tx, "simctl": simctl}
 
     def _record_console(self, key: str, vp, buffer: bytearray) -> None:
         text = bytes(buffer).decode("utf-8", errors="replace")

@@ -128,9 +128,11 @@ class Gic400(Component):
         self.irq_out: List[IrqLine] = [
             IrqLine(f"{self.name}.irq_out{cpu}", self.kernel) for cpu in range(num_cpus)
         ]
-        self.dist_socket = TargetSocket(f"{self.name}.dist", self._dist_transport)
+        self.dist_socket = TargetSocket(f"{self.name}.dist", self._dist_transport,
+                                        probes=self.kernel.probes)
         self.cpu_sockets = [
-            TargetSocket(f"{self.name}.cpu{cpu}", self._make_cpu_transport(cpu))
+            TargetSocket(f"{self.name}.cpu{cpu}", self._make_cpu_transport(cpu),
+                         probes=self.kernel.probes)
             for cpu in range(num_cpus)
         ]
         self.num_sgis_sent = 0

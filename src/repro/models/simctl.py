@@ -15,6 +15,10 @@ offset  name        function
 0x20    PANIC       write: stop the simulation, reason "panic"
 ======  ==========  ==============================================
 
+Each write calls the matching ``on_*`` slot (harness wiring, one callable
+each) and then emits the kernel's ``simctl`` probe point as ``(what,
+value)``, which observers subscribe to instead of taking over a slot.
+
 SHUTDOWN and PANIC both end the run, but with distinct
 ``stop_reason`` values: an orderly guest exit and a guest-reported
 fatal error are different events for post-mortem tooling (the flight
@@ -63,7 +67,7 @@ class SimControl(Peripheral):
     def snapshot_state(self) -> dict:
         """Serializable control state.  The ``on_*`` callbacks are harness
         wiring, not guest state — the restoring platform re-installs its
-        own (RPR012 flags exactly this class of attribute)."""
+        own."""
         return {
             "shutdown_requested": self.shutdown_requested,
             "exit_code": self.exit_code,
@@ -87,6 +91,11 @@ class SimControl(Peripheral):
         self.checkpoints = [(number, SimTime(ps))
                             for number, ps in state["checkpoints"]]
 
+    def _emit(self, what: str, value: int) -> None:
+        fire = self.kernel.probes.simctl
+        if fire is not None:
+            fire(what, value)
+
     def _write_shutdown(self, value: int) -> None:
         self.shutdown_requested = True
         self.exit_code = value
@@ -94,6 +103,7 @@ class SimControl(Peripheral):
             self.stop_reason = "shutdown"
         if self.on_shutdown is not None:
             self.on_shutdown(value)
+        self._emit("shutdown", value)
         self.kernel.stop()
 
     def _write_panic(self, value: int) -> None:
@@ -103,6 +113,7 @@ class SimControl(Peripheral):
             self.stop_reason = "panic"
         if self.on_panic is not None:
             self.on_panic(value)
+        self._emit("panic", value)
         self.kernel.stop()
 
     def _write_boot_done(self, value: int) -> None:
@@ -110,8 +121,10 @@ class SimControl(Peripheral):
             self.boot_done_at = self.now
         if self.on_boot_done is not None:
             self.on_boot_done(self.now)
+        self._emit("boot_done", value)
 
     def _write_checkpoint(self, value: int) -> None:
         self.checkpoints.append((value, self.now))
         if self.on_checkpoint is not None:
             self.on_checkpoint(value, self.now)
+        self._emit("checkpoint", value)

@@ -1,8 +1,9 @@
 """PL011-style UART.
 
 The VP's console device.  Transmit data lands in a host-side buffer (and an
-optional callback), receive data is injected from the host side and raises
-a level-triggered interrupt while the FIFO is non-empty and unmasked.
+optional callback, and the kernel's ``console_tx`` probe point), receive
+data is injected from the host side and raises a level-triggered interrupt
+while the FIFO is non-empty and unmasked.
 
 Register subset (ARM PL011 offsets):
 
@@ -121,6 +122,9 @@ class Pl011Uart(Peripheral):
         self.tx_log.append(byte)
         if self.on_tx is not None:
             self.on_tx(byte)
+        fire = self.kernel.probes.console_tx
+        if fire is not None:
+            fire(self, byte)
 
     def _read_dr(self) -> int:
         if not self._rx_fifo:

@@ -19,8 +19,7 @@ three descriptor shapes:
   ``schedule_callback`` (timer channel expiry, RTC match, clock tick),
   stored as (owner path, method name).
 
-Anything else (a raw closure, a lambda) is a capture error — which is
-exactly the class of state the RPR012 lint rule flags statically.
+Anything else (a raw closure, a lambda) is a capture error.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def _serialize_heap(kernel, event_names: Dict[str, Event],
         else:
             raise SnapshotError(
                 f"timed-heap entry due at {due_ps} ps holds a non-introspectable "
-                f"action {action!r} (closure/lambda); see lint rule RPR012")
+                f"action {action!r} (closure/lambda)")
         out.append({"due_ps": due_ps, "action": descriptor})
     return out
 

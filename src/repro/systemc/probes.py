@@ -2,7 +2,8 @@
 
 Every :class:`~repro.systemc.kernel.Kernel` owns one :class:`ProbeBus`;
 the models of a platform emit on their kernel's bus (``Processor.probes``,
-and the watchdog, kick guards and fabric ports the platform wires to it).
+``TargetSocket.probes``, the UART and ``SimControl``, and the watchdog,
+kick guards and fabric ports the platform wires to it).
 Each point is a plain attribute of the bus that holds ``None`` while the
 point has no subscribers, so an unobserved emission site costs one
 attribute check::
@@ -64,9 +65,13 @@ POINTS: Dict[str, str] = {
     "watchdog_fire": "(fire,)",
     "kick": "(guard, kick_id, delivered)",
     "wedge": "(guard, kick_id)",
-    # fabric and sanitizers
+    # fabric, TLM targets and sanitizers
     "fabric_access": "(port, path, ok)",
+    "transport": "(socket, payload, delay_in, delay_out)",
     "sanitizer_finding": "(finding,)",
+    # guest-to-harness devices
+    "console_tx": "(uart, byte)",
+    "simctl": "(what, value)",
 }
 
 _seq = itertools.count()

@@ -8,12 +8,18 @@ latency.  Because our kernel processes are generators, the transport call is
 a plain Python call — the initiator process adds the returned delay to its
 quantum keeper and yields when the quantum expires, exactly as a
 loosely-timed C++ initiator would.
+
+Every completed ``b_transport`` through a :class:`TargetSocket` emits the
+``transport`` probe point as ``(socket, payload, delay_in, delay_out)`` on
+the socket's bus (see :mod:`repro.systemc.probes`); models pass their
+kernel's bus, so tracers observe them without touching the socket.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Protocol
 
+from ..systemc.probes import ProbeBus
 from ..systemc.time import SimTime
 from .dmi import DmiRegion
 from .payload import Command, GenericPayload, ResponseStatus, TlmError
@@ -39,16 +45,22 @@ class TargetSocket:
         debug_fn: Optional[Callable[[GenericPayload], int]] = None,
         dmi_fn: Optional[Callable[[GenericPayload], Optional[DmiRegion]]] = None,
         invalidate_hook: Optional[Callable[[Callable[[int, int], None]], None]] = None,
+        probes: Optional[ProbeBus] = None,
     ):
         self.name = name
         self._transport_fn = transport_fn
         self._debug_fn = debug_fn
         self._dmi_fn = dmi_fn
         self._invalidate_hook = invalidate_hook
-        self._bound_initiators = []
+        #: emits ``transport``; the owning module passes its kernel's bus
+        self.probes = probes if probes is not None else ProbeBus()
 
     def b_transport(self, payload: GenericPayload, delay: SimTime) -> SimTime:
-        return self._transport_fn(payload, delay)
+        delay_out = self._transport_fn(payload, delay)
+        fire = self.probes.transport
+        if fire is not None:
+            fire(self, payload, delay, delay_out)
+        return delay_out
 
     def transport_dbg(self, payload: GenericPayload) -> int:
         if self._debug_fn is not None:

@@ -5,9 +5,10 @@ key advantages of virtual platforms, citing the authors' NISTT tool — a
 non-intrusive SystemC-TLM-2.0 tracer that observes transactions without
 modifying the models.  This package provides the equivalent for this VP:
 
-* :class:`TlmTracer` wraps already-bound target sockets and records every
-  transaction (timestamp, initiator, command, address, data, response,
-  annotated latency) without touching the models;
+* :class:`TlmTracer` subscribes to the ``transport`` probe point of
+  target sockets and records every transaction (timestamp, initiator,
+  command, address, data, response, annotated latency) without touching
+  the models;
 * IRQ lines can be attached the same way, and their level changes can be
   exported as a VCD waveform;
 * recorded traces support filtering, bandwidth/statistics summaries and

@@ -1,8 +1,9 @@
 """The tracer implementation.
 
-Sockets are instrumented by *wrapping* their transport callable — models
-never know they are being observed, which is what "non-intrusive" means in
-NISTT [5]: no recompilation, no inheritance, no changed interfaces.
+Sockets are observed through the ``transport`` point of their probe bus —
+models never know they are being observed, which is what "non-intrusive"
+means in NISTT [5]: no recompilation, no inheritance, no changed
+interfaces, and nothing of the socket is replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..systemc.kernel import Kernel, current_kernel
+from ..systemc.probes import Subscription
 from ..systemc.signal import IrqLine
 from ..systemc.time import SimTime
 from ..tlm.payload import Command, GenericPayload
@@ -82,50 +84,21 @@ class TlmTracer:
         self.num_dropped = 0
         self.num_irq_dropped = 0
         self.enabled = True
-        self._attached_sockets: Dict[str, TargetSocket] = {}
-        self._original_transports: Dict[str, Callable] = {}
+        #: attached socket -> its label in the records
+        self._labels: Dict[TargetSocket, str] = {}
+        self._subscriptions: List[Subscription] = []
         self._irq_connections: List[Tuple[IrqLine, Callable]] = []
 
     # -- attachment -----------------------------------------------------------
     def attach_socket(self, socket: TargetSocket, name: Optional[str] = None) -> None:
-        """Instrument a target socket; every b_transport is recorded.
-
-        A socket whose transport callable is already a tracer wrapper (this
-        tracer or any other) is rejected: silently stacking wrappers would
-        record every transaction twice and make detaching restore a wrapper
-        instead of the model's own callable.
-        """
+        """Record every b_transport through ``socket``."""
         label = name or socket.name
-        if label in self._attached_sockets:
+        if socket in self._labels or label in self._labels.values():
             raise ValueError(f"socket {label!r} already attached")
-        original = socket._transport_fn
-        if getattr(original, "_repro_tracer", None) is not None:
-            raise ValueError(
-                f"socket {label!r} is already instrumented by a TlmTracer; "
-                "detach_all() the existing tracer before attaching another")
-        self._attached_sockets[label] = socket
-        self._original_transports[label] = original
-
-        def traced_transport(payload: GenericPayload, delay: SimTime,
-                             _original=original, _label=label) -> SimTime:
-            before = delay
-            result = _original(payload, delay)
-            if self.enabled:
-                self._append_record(TraceRecord(
-                    timestamp=self._kernel.now,
-                    socket=_label,
-                    command=payload.command,
-                    address=payload.address,
-                    length=payload.length,
-                    data=bytes(payload.data) if self.capture_data else b"",
-                    response=payload.response_status.value,
-                    latency_ps=(result - before).picoseconds if result >= before else 0,
-                    initiator_id=payload.initiator_id,
-                ))
-            return result
-
-        traced_transport._repro_tracer = self
-        socket._transport_fn = traced_transport
+        self._labels[socket] = label
+        if not any(sub.bus is socket.probes for sub in self._subscriptions):
+            self._subscriptions.append(
+                socket.probes.subscribe("transport", self._record_transport))
 
     def attach_irq(self, line: IrqLine, name: Optional[str] = None) -> None:
         label = name or line.name
@@ -134,28 +107,36 @@ class TlmTracer:
         line.connect(callback)
 
     def detach_all(self) -> None:
-        """Restore every instrumented socket and IRQ line to its original
-        state.  After this the tracer no longer observes anything; its
-        recorded history stays readable."""
-        for label, socket in self._attached_sockets.items():
-            wrapper = socket._transport_fn
-            if getattr(wrapper, "_repro_tracer", None) is not self:
-                raise RuntimeError(
-                    f"socket {label!r} transport was re-wrapped after this "
-                    "tracer attached; detach the newer instrumentation first")
-            socket._transport_fn = self._original_transports[label]
-        self._attached_sockets.clear()
-        self._original_transports.clear()
+        """Stop observing every attached socket and IRQ line.  The recorded
+        history stays readable."""
+        for subscription in self._subscriptions:
+            subscription.cancel()
+        self._subscriptions.clear()
+        self._labels.clear()
         for line, callback in self._irq_connections:
             line.disconnect(callback)
         self._irq_connections.clear()
 
     # -- recording ----------------------------------------------------------------
-    def _append_record(self, record: TraceRecord) -> None:
+    def _record_transport(self, socket: TargetSocket, payload: GenericPayload,
+                          delay_in: SimTime, delay_out: SimTime) -> None:
+        label = self._labels.get(socket)
+        if label is None or not self.enabled:
+            return
         if (self.max_records is not None
                 and len(self.records) == self.max_records):
             self.num_dropped += 1
-        self.records.append(record)
+        self.records.append(TraceRecord(
+            timestamp=self._kernel.now,
+            socket=label,
+            command=payload.command,
+            address=payload.address,
+            length=payload.length,
+            data=bytes(payload.data) if self.capture_data else b"",
+            response=payload.response_status.value,
+            latency_ps=(delay_out - delay_in).picoseconds if delay_out >= delay_in else 0,
+            initiator_id=payload.initiator_id,
+        ))
 
     def _record_irq(self, label: str, level: bool) -> None:
         if self.enabled:
@@ -273,7 +254,7 @@ def attach_platform(vp, trace_bus: bool = True, trace_irqs: bool = True,
                     capture_data: bool = True) -> TlmTracer:
     """Instrument a whole virtual platform in one call.
 
-    Wraps the bus input socket (all CPU-visible traffic) and the standard
+    Observes the bus input socket (all CPU-visible traffic) and the standard
     peripheral interrupt lines.  Purely observational: simulation results
     are bit-for-bit identical with and without the tracer.
     """

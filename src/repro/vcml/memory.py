@@ -45,6 +45,7 @@ class Memory(Component):
             debug_fn=self._transport_dbg,
             dmi_fn=self._get_direct_mem_ptr,
             invalidate_hook=self._dmi_invalidation_callbacks.append,
+            probes=self.kernel.probes,
         )
         self.num_reads = 0
         self.num_writes = 0

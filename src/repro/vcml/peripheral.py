@@ -32,6 +32,7 @@ class Peripheral(Component):
             f"{self.name}.in",
             transport_fn=self._b_transport,
             debug_fn=self._transport_dbg,
+            probes=self.kernel.probes,
         )
         self.num_reads = 0
         self.num_writes = 0

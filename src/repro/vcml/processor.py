@@ -191,9 +191,10 @@ class Processor(Component):
     def _invoke_simulate(self, cycles: int) -> SimulateResult:
         """One counted backend call, emitted as ``simulate_call``/``_return``.
 
-        Single funnel between the loop and ``simulate()`` so instrumentation
-        (e.g. the quantum sanitizer in :mod:`repro.analysis.sanitize`) can
-        observe the granted budget next to the consumed cycles.
+        Single funnel between the loop and ``simulate()``: the point pair
+        carries the granted budget and then the consumed cycles, which is
+        what the quantum sanitizer (SAN004, :mod:`repro.analysis.sanitize`)
+        subscribes to.
         """
         self.num_simulate_calls += 1
         fire = self.probes.simulate_call

@@ -82,6 +82,7 @@ class Router(Component):
             debug_fn=self._transport_dbg,
             dmi_fn=self._get_direct_mem_ptr,
             invalidate_hook=self._register_invalidation,
+            probes=self.kernel.probes,
         )
         self._invalidation_callbacks = []
         # Statistics (diagnostics only).

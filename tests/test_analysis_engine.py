@@ -23,21 +23,25 @@ def test_self_lint_is_clean():
     assert findings == [], "\n".join(finding.format() for finding in findings)
 
 
-def test_cli_self_lint_exits_zero(capsys):
-    assert main([str(SRC), "--fail-on-findings"]) == 0
+def test_cli_clean_file_exits_zero(capsys):
+    assert main([str(FIXTURES / "rpr001_good.py"), "--fail-on-findings"]) == 0
     assert "no findings" in capsys.readouterr().out
 
 
 # -- rule registry -----------------------------------------------------------------
 
+VP_RULES = {"RPR001", "RPR002", "RPR003", "RPR004", "RPR006", "RPR007"}
+
+
 def test_all_five_vp_rules_registered():
-    assert set(registered_rules()) >= {"RPR001", "RPR002", "RPR003", "RPR004", "RPR005"}
+    assert set(registered_rules()) == VP_RULES
+    assert {rule.rule_id for rule in LintEngine().rules} == VP_RULES
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     output = capsys.readouterr().out
-    for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
+    for rule_id in VP_RULES:
         assert rule_id in output
 
 
@@ -65,18 +69,6 @@ def test_cli_fail_on_findings_exit_code():
 def test_cli_ignore_filters_rules():
     assert main([str(FIXTURES / "rpr001_bad.py"), "--ignore", "RPR001",
                  "--fail-on-findings"]) == 0
-
-
-def test_non_default_rules_run_only_when_selected(capsys):
-    assert registered_rules()["RPR012"].default is False
-    assert "RPR012" not in {rule.rule_id for rule in LintEngine().rules}
-    bad = str(FIXTURES / "rpr012_bad.py")
-    # The plain lint pass skips RPR012 ...
-    assert main([bad, "--fail-on-findings"]) == 0
-    assert "no findings" in capsys.readouterr().out
-    # ... and --select runs it.
-    assert main([bad, "--select", "RPR012", "--fail-on-findings"]) == 1
-    assert "RPR012" in capsys.readouterr().out
 
 
 # -- findings model ----------------------------------------------------------------
@@ -111,14 +103,16 @@ def test_cli_sanitize_run_reports_seeded_violation(tmp_path, capsys):
     script.write_text(
         "from repro.systemc.kernel import Kernel\n"
         "from repro.systemc.time import SimTime\n"
-        "from repro.tlm.payload import GenericPayload\n"
-        "from repro.vcml.memory import Memory\n"
+        "from repro.tlm.quantum import GlobalQuantum\n"
+        "from repro.vcml.processor import Processor, SimulateAction, SimulateResult\n"
+        "class Greedy(Processor):\n"
+        "    def simulate(self, cycles):\n"
+        "        return SimulateResult(cycles + 1, SimulateAction.CONTINUE)\n"
         "kernel = Kernel()\n"
-        "memory = Memory('ram', 64)\n"
-        "memory.in_socket.b_transport(GenericPayload.read(0, 4), SimTime.zero())\n"
+        "Greedy('greedy', GlobalQuantum(SimTime.us(1)))._invoke_simulate(100)\n"
     )
     assert main(["--sanitize-run", str(script), "--fail-on-findings"]) == 1
-    assert "SAN002" in capsys.readouterr().out
+    assert "SAN004" in capsys.readouterr().out
 
 
 def test_cli_determinism_run_quickstart(capsys):

@@ -4,12 +4,14 @@ import json
 
 from repro.arch.assembler import assemble
 from repro.analysis.determinism import trace_run
+from repro.bench.measure import make_config, run_workload
 from repro.flight import enable_flight, read_jsonl, recording
 from repro.flight.recorder import FlightRecorder
 from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import enable_telemetry
 from repro.vp import GuestSoftware, VpConfig, build_platform
+from repro.vp.linux import LinuxBootParams, linux_boot_software
 
 GUEST = """
 .equ UART_HI, 0x0904
@@ -152,15 +154,37 @@ class TestPlatformProbes:
 
     def test_detach_cancels_every_subscription(self):
         vp = make_vp()
-        on_tx = vp.uart.on_tx
         flight = enable_flight(vp, bundles=False)
         assert {"vcpu_exit", "mmio_request", "kick", "wedge", "retire",
-                "watchdog_fire", "kernel_error"} <= subscribed_points(vp)
-        assert vp.uart.on_tx is not on_tx
+                "watchdog_fire", "kernel_error", "console_tx",
+                "simctl"} <= subscribed_points(vp)
+        # The harness slots stay free while flight is attached.
+        assert vp.uart.on_tx is None and vp.simctl.on_boot_done is None
         flight.detach()
         assert subscribed_points(vp) == set()
-        assert vp.uart.on_tx is on_tx
         assert vp.flight is None
+
+    def test_harness_slot_set_after_attach_keeps_the_console_journal(self):
+        vp = make_vp()
+        flight = enable_flight(vp, bundles=False)
+        seen = bytearray()
+        vp.uart.on_tx = seen.append
+        vp.run(SimTime.ms(100))
+        assert seen == b"hi\n"
+        assert [dict(e.data)["text"]
+                for e in flight.recorder.of_kind("console")] == ["hi"]
+        flight.detach()
+
+    def test_stop_on_boot_run_journals_boot_done_once(self):
+        # run_workload sets simctl.on_boot_done after build_platform has
+        # attached flight; the journal must still record the boot marker.
+        software = linux_boot_software(1, LinuxBootParams().scaled(0.01))
+        config = make_config(1, 1000, parallel=False)
+        with recording(bundles=False, profile_interval=None) as flight:
+            metrics = run_workload("aoa", config, software, stop_on_boot=True)
+        assert metrics.boot_seconds is not None
+        simctl_events = [dict(e.data) for e in flight.recorder.of_kind("simctl")]
+        assert simctl_events == [{"what": "boot_done"}]
 
     def test_observers_see_the_same_events_in_either_attach_order(self):
         def observe(flight_first: bool):

@@ -1,7 +1,6 @@
 """repro.snapshot: container format, canonical bytes, per-device round
 trips, cold-vs-resumed DET001 digest equality, copy-on-write forking with
-divergent inputs, flight-bundle import, the bench CLI paths and the RPR012
-lint rule."""
+divergent inputs, flight-bundle import and the bench CLI paths."""
 
 from __future__ import annotations
 
@@ -9,13 +8,11 @@ import copy
 import json
 import struct
 import zlib
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import lint_paths
 from repro.analysis.determinism import trace_run
 from repro.snapshot import (
     PAGE_SIZE,
@@ -38,7 +35,6 @@ from repro.vp.config import VpConfig
 from repro.vp.linux import LinuxBootParams, linux_boot_software
 from repro.vp.platform import build_platform
 
-FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
 CORES = 2
 SCALE = 0.01
@@ -252,10 +248,10 @@ class TestCaptureErrors:
         with pytest.raises(SnapshotError, match="no SC_THREAD"):
             capture_platform(vp)
 
-    def test_lambda_in_timed_heap_names_rpr012(self):
+    def test_lambda_in_timed_heap_rejected(self):
         vp, _ = boot_capture(until=SimTime.ms(1))
         vp.kernel.schedule_callback(SimTime.ms(1), lambda: None)
-        with pytest.raises(SnapshotError, match="RPR012"):
+        with pytest.raises(SnapshotError, match="closure/lambda"):
             capture_platform(vp)
 
     def test_retired_exec_backend_key_is_ignored(self, aoa_warm):
@@ -624,27 +620,3 @@ class TestTelemetry:
         with collecting():
             instrumented = trace_run(run)
         assert bare.digest() == instrumented.digest()
-
-
-# -- RPR012 ---------------------------------------------------------------------------
-
-class TestRpr012:
-    def test_fires_on_non_serializable_module_state(self):
-        findings = lint_paths([str(FIXTURES / "rpr012_bad.py")],
-                              select=["RPR012"])
-        assert {finding.rule for finding in findings} == {"RPR012"}
-        messages = " ".join(finding.message for finding in findings)
-        assert "LoggingUart.log" in messages
-        assert "CallbackTimer.on_expire" in messages
-        assert "ThreadedBackend.worker" in messages
-        assert "ThreadedBackend.inbox" in messages
-        assert len(findings) == 7
-
-    def test_silent_on_serializable_patterns(self):
-        findings = lint_paths([str(FIXTURES / "rpr012_good.py")],
-                              select=["RPR012"])
-        assert findings == []
-
-    def test_not_in_default_pass(self):
-        findings = lint_paths([str(FIXTURES / "rpr012_bad.py")])
-        assert not any(finding.rule == "RPR012" for finding in findings)
