@@ -170,8 +170,9 @@ def main(argv: List[str] = None) -> int:
                 ledger_scope as ledger, obs_scope as obs:
             result = experiment.run(scale=args.scale)
             if obs is not None:
-                # Summaries must be taken inside the scope: exit detaches
-                # and drops per-platform state.
+                # Seal the platforms no finished run sealed (stop_on_boot
+                # boots) so each summary covers the whole run; sealed
+                # summaries outlive their platforms.
                 obs.finalize()
                 obs_summaries = [summary.to_json() for summary in
                                  obs.summaries().values()]

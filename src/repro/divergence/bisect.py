@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional, Tuple
 
+from ..telemetry import scope_registry
 from .ledger import EMPTY_DIGEST, LaneDigest, RunLedger, WindowRecord
 
 
@@ -242,10 +243,7 @@ def bisect(ledger_a: RunLedger, ledger_b: RunLedger,
 
 
 def _count(registry, comparison: LedgerComparison) -> None:
-    if registry is None:
-        from ..telemetry import active_telemetry
-        active = active_telemetry()
-        registry = active.registry if active is not None else None
+    registry = scope_registry(registry)
     if registry is None:
         return
     registry.counter("divergence.compares").inc()

@@ -53,6 +53,7 @@ from ..host.machine import MAIN_LANE
 from ..host.wallclock import elapsed_since, wall_clock
 from ..systemc.kernel import Kernel, dispatch_line
 from ..systemc.time import SimTime
+from ..telemetry import scope_registry
 
 #: ledger file format tag; bump on incompatible schema changes
 LEDGER_FORMAT = "repro.divergence.ledger/1"
@@ -341,11 +342,7 @@ class WindowLedger:
 
     # -- telemetry --------------------------------------------------------------
     def _flush_telemetry(self) -> None:
-        registry = self.registry
-        if registry is None:
-            from ..telemetry import active_telemetry
-            active = active_telemetry()
-            registry = active.registry if active is not None else None
+        registry = scope_registry(self.registry)
         if registry is None:
             return
         registry.counter("divergence.ledger.entries").inc(self._seq)

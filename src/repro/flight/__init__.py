@@ -34,11 +34,7 @@ or scoped, auto-attaching every platform built inside (the hook
         vp.run()
 """
 
-from __future__ import annotations
-
-import contextlib
-from typing import List, Optional
-
+from ..obs.scope import opened
 from .attach import Flight, enable_flight
 from .bundle import CrashBundler
 from .profiler import GuestProfiler, parse_folded
@@ -47,36 +43,11 @@ from .recorder import FlightEvent, FlightRecorder, read_jsonl
 __all__ = [
     "Flight", "FlightEvent", "FlightRecorder", "CrashBundler",
     "GuestProfiler", "parse_folded", "read_jsonl",
-    "enable_flight", "recording", "active_flight", "maybe_attach",
+    "enable_flight", "recording",
 ]
 
 
-# -- collection context (used by repro.bench and repro.vp.build_platform) ------
-
-_ACTIVE: List[Flight] = []
-
-
-def active_flight() -> Optional[Flight]:
-    """The innermost open ``recording()`` scope, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-def maybe_attach(vp) -> Optional[Flight]:
-    """Attach ``vp`` to the active recording scope (no-op without one)."""
-    flight = active_flight()
-    if flight is not None:
-        flight.attach(vp)
-    return flight
-
-
-@contextlib.contextmanager
 def recording(**kwargs):
     """Scope within which every ``build_platform`` auto-attaches a flight
     recorder (and profiler); mirrors ``repro.telemetry.collecting``."""
-    flight = Flight(**kwargs)
-    _ACTIVE.append(flight)
-    try:
-        yield flight
-    finally:
-        _ACTIVE.remove(flight)
-        flight.detach()
+    return opened(Flight(**kwargs))

@@ -1,13 +1,16 @@
 """Wiring the flight recorder, profiler and crash bundler into a platform.
 
-:class:`Flight` is the observability twin of
-:class:`repro.telemetry.instrument.Telemetry`: one ``attach(vp)`` call, no
-model changes, pure observation.  Every probe is a subscriber on the
-platform kernel's probe bus (:mod:`repro.systemc.probes`), so behaviour is
-bit-for-bit identical with the recorder on and off (the determinism
-checker's DET001 digests do not move) and ``detach()`` cancels every
-subscription.  Telemetry and flight may be attached to the same platform
-in either order; each receives the same events.  The guest console and the
+:class:`Flight`, like :class:`~repro.telemetry.Telemetry` and
+:class:`~repro.obs.Obs`, is an :class:`~repro.obs.scope.ObserverScope`:
+one ``attach(vp)`` call, no model changes, pure observation.  Every probe
+is a subscriber on the platform kernel's probe bus
+(:mod:`repro.systemc.probes`), so behaviour is bit-for-bit identical with
+the recorder on and off (the determinism checker's DET001 digests do not
+move).  A finished run seals the platform (every subscription cancelled,
+the platform released); ``detach()`` seals the rest, then journals each
+platform's unfinished console line and publishes the ring statistics.
+Telemetry and flight may be attached to the same platform in either
+order; each receives the same events.  The guest console and the
 ``SimControl`` device reach flight through the ``console_tx`` and
 ``simctl`` points, so their ``on_*`` slots stay free for harness code.
 
@@ -27,7 +30,8 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Tuple
 
-from ..systemc.probes import Subscription
+from ..obs.scope import ObserverScope
+from ..telemetry import scope_registry
 from ..vcml.processor import SimulateAction
 from .bundle import CrashBundler
 from .profiler import GuestProfiler
@@ -60,14 +64,17 @@ class _Core:
         return self.cpu.host_now_ns if self.kvm else None
 
 
-class Flight:
+class Flight(ObserverScope):
     """One black-box scope: recorder + profiler + bundler, attached platforms."""
+
+    attr = "flight"
 
     def __init__(self, capacity: int = 4096,
                  profile_interval: Optional[int] = 10_000,
                  crash_dir: Optional[str] = None,
                  last_n: int = 256, max_bundles: int = 5,
                  bundles: bool = True):
+        super().__init__()
         self.recorder = FlightRecorder(capacity)
         self.profiler = (GuestProfiler(profile_interval)
                          if profile_interval else None)
@@ -75,46 +82,36 @@ class Flight:
             crash_dir = os.environ.get("REPRO_FLIGHT_CRASH_DIR", "crash-bundles")
         self.bundler = (CrashBundler(self, crash_dir, last_n, max_bundles)
                         if bundles else None)
-        #: (key, platform) per attached platform
-        self.platforms: List[Tuple[str, object]] = []
-        self._subscriptions: List[Subscription] = []
-        self._console_buffers: List[Tuple[str, object, bytearray]] = []
+        #: (entry, pending console bytes) per attached platform
+        self._console_buffers: List[Tuple[object, bytearray]] = []
+        #: the attached platforms' telemetry registries, seen at attach or seal
+        self._registries: list = []
         #: ring stats already published (publish_metrics records deltas)
         self._published_recorded = 0
         self._published_dropped = 0
 
-    # -- attachment -----------------------------------------------------------
-    def attach(self, vp) -> "Flight":
-        """Instrument a whole virtual platform (idempotence-guarded)."""
-        if getattr(vp, "flight", None) is not None:
-            raise ValueError(f"platform {vp.name!r} already has a flight recorder")
-        key = f"{vp.name}#{len(self.platforms)}"
-        self.platforms.append((key, vp))
-        vp.flight = self
-        handlers = self._platform_probes(vp)
-        handlers.update(self._guest_probes(key, vp))
-        handlers.update(self._core_probes(key, vp))
-        bus = vp.kernel.probes
-        self._subscriptions += [bus.subscribe(point, handler)
-                                for point, handler in handlers.items()]
-        return self
+    def _bind(self, vp, scope) -> None:
+        vp.flight = scope
+
+    def _on_seal(self, entry, vp) -> None:
+        self._note_registry(vp)
+
+    def _note_registry(self, vp) -> None:
+        """Remember ``vp``'s telemetry registry for :meth:`publish_metrics`."""
+        registry = getattr(getattr(vp, "telemetry", None), "registry", None)
+        if registry is not None and not any(r is registry
+                                            for r in self._registries):
+            self._registries.append(registry)
 
     def detach(self) -> None:
-        """Cancel every subscription and flush pending console/profile
-        state."""
-        for key, vp, buffer in self._console_buffers:
+        """Seal every platform, then flush pending console/profile state."""
+        super().detach()
+        for entry, buffer in self._console_buffers:
             if buffer:
-                self._record_console(key, vp, buffer)
-        self._console_buffers.clear()
+                self._record_console(entry.sim_time_ps, buffer)
         if self.profiler is not None:
             self.profiler.flush()
         self.publish_metrics()
-        for subscription in self._subscriptions:
-            subscription.cancel()
-        self._subscriptions.clear()
-        for _key, vp in self.platforms:
-            if getattr(vp, "flight", None) is self:
-                vp.flight = None
 
     def publish_metrics(self) -> None:
         """Publish journal ring statistics as telemetry metrics.
@@ -127,18 +124,10 @@ class Flight:
         :meth:`detach`; safe to call again (counters record deltas since
         the last publish).
         """
-        registries = []
-        for _key, vp in self.platforms:
-            telemetry = getattr(vp, "telemetry", None)
-            registry = getattr(telemetry, "registry", None)
-            if registry is not None and not any(r is registry
-                                                for r in registries):
-                registries.append(registry)
+        registries = self._registries
         if not registries:
-            from ..telemetry import active_telemetry
-            active = active_telemetry()
-            if active is not None:
-                registries.append(active.registry)
+            active = scope_registry()
+            registries = [active] if active is not None else []
         recorded = self.recorder.num_recorded - self._published_recorded
         dropped = self.recorder.num_dropped - self._published_dropped
         self._published_recorded = self.recorder.num_recorded
@@ -156,7 +145,12 @@ class Flight:
         """Simulate a wedged core for demos/tests: the same run id is armed
         twice with a zero budget, so advancing the watchdog delivers two
         kicks for one kick id — the bundler's wedge trigger.  Returns the
-        bundle path (None if bundling is off or the cap was hit)."""
+        bundle path (None if bundling is off or the cap was hit).  A
+        platform whose finished run sealed it is probed again for the
+        forced fire only."""
+        transient = vp.flight is not self
+        if transient:
+            self.attach(vp)
         cpu = vp.cpus[core]
         guard = cpu.kick_guard
         now_ns = cpu.host_now_ns
@@ -164,12 +158,15 @@ class Flight:
         guard.arm(vp.watchdog, core, now_ns, 0.0)
         guard.arm(vp.watchdog, core, now_ns, 0.0)
         vp.watchdog.advance(core, now_ns)
+        if transient:
+            self._seal(self.platforms[-1])
         if self.bundler and len(self.bundler.bundles) > bundles_before:
             return self.bundler.bundles[-1]
         return None
 
     # -- kernel, watchdog and sanitizers --------------------------------------
-    def _platform_probes(self, vp) -> dict:
+    def _probes(self, entry, vp) -> dict:
+        self._note_registry(vp)
         kernel = vp.kernel
         record = self.recorder.record
 
@@ -202,24 +199,26 @@ class Flight:
 
         return {"kernel_error": kernel_error, "watchdog_arm": watchdog_arm,
                 "watchdog_fire": watchdog_fire,
-                "sanitizer_finding": sanitizer_finding}
+                "sanitizer_finding": sanitizer_finding,
+                **self._guest_probes(entry, vp),
+                **self._core_probes(entry.key, vp)}
 
     # -- guest console and SimControl -----------------------------------------
-    def _guest_probes(self, key: str, vp) -> dict:
+    def _guest_probes(self, entry, vp) -> dict:
         kernel = vp.kernel
         uart = vp.uart
         buffer = bytearray()
-        self._console_buffers.append((key, vp, buffer))
+        self._console_buffers.append((entry, buffer))
 
         def console_tx(source, byte: int) -> None:
             if source is not uart:
                 return
             if byte == 0x0A:
-                self._record_console(key, vp, buffer)
+                self._record_console(kernel.now.picoseconds, buffer)
             else:
                 buffer.append(byte)
                 if len(buffer) >= CONSOLE_LINE_LIMIT:
-                    self._record_console(key, vp, buffer)
+                    self._record_console(kernel.now.picoseconds, buffer)
 
         def simctl(what: str, value: int) -> None:
             now_ps = kernel.now.picoseconds
@@ -235,10 +234,10 @@ class Flight:
 
         return {"console_tx": console_tx, "simctl": simctl}
 
-    def _record_console(self, key: str, vp, buffer: bytearray) -> None:
+    def _record_console(self, time_ps: int, buffer: bytearray) -> None:
         text = bytes(buffer).decode("utf-8", errors="replace")
         del buffer[:]
-        self.recorder.record("console", vp.kernel.now.picoseconds, text=text)
+        self.recorder.record("console", time_ps, text=text)
 
     # -- CPU cores ---------------------------------------------------------------
     def _core_probes(self, key: str, vp) -> dict:

@@ -31,6 +31,8 @@ import os
 import sys
 from typing import List, Optional
 
+from ..obs.scope import fold_of
+
 #: disassembly window: this many instructions before and after the PC
 DISASM_BEFORE = 8
 DISASM_AFTER = 8
@@ -176,7 +178,7 @@ class CrashBundler:
             metrics["telemetry"] = telemetry.metrics_snapshot()
         if self.flight.profiler is not None:
             metrics["profile_per_symbol"] = self.flight.profiler.per_symbol()
-        attribution = self._attribution_snapshot(vp, telemetry)
+        attribution = self._attribution_snapshot(vp)
         if attribution is not None:
             metrics["attribution"] = attribution
         with open(path, "w") as stream:
@@ -184,31 +186,23 @@ class CrashBundler:
             stream.write("\n")
 
     @staticmethod
-    def _attribution_snapshot(vp, telemetry) -> Optional[dict]:
-        """Last-known host-time attribution (phases per lane) for the wreck.
-
-        Best source first: a live ``repro.obs`` engine; else telemetry's
-        attribution fold of the same platform (both per-core lanes even in
-        sequential mode, open windows included); else nothing.  A crash
-        dump must never die on its own bookkeeping.
+    def _attribution_snapshot(vp) -> Optional[dict]:
+        """Last-known host-time attribution (phases per lane) for the wreck:
+        the platform's one attribution fold, kept while telemetry or obs is
+        attached, open windows included; else nothing.  A crash dump must
+        never die on its own bookkeeping.
         """
+        fold = fold_of(vp)
+        if fold is None:
+            return None
         try:
-            obs = getattr(vp, "obs", None)
-            if obs is not None:
-                summary = obs.summary_for(vp, include_open=True)
-                if summary is not None:
-                    return summary.to_json()
-            if telemetry is not None:
-                for _key, platform, fold in telemetry.platforms:
-                    if platform is vp and fold is not None:
-                        return fold.summary(
-                            platform=vp.name, num_cores=len(vp.cpus),
-                            sim_time_ps=vp.kernel.now.picoseconds,
-                            instructions=vp.total_instructions(),
-                            include_open=True).to_json()
+            return fold.summary(
+                platform=vp.name, num_cores=len(vp.cpus),
+                sim_time_ps=vp.kernel.now.picoseconds,
+                instructions=vp.total_instructions(),
+                include_open=True).to_json()
         except Exception:
             return None
-        return None
 
     def _write_meta(self, vp, path: str, reason: str, detail: str,
                     payload) -> None:

@@ -10,6 +10,9 @@ sealed window records.
   efficiency that the modeled parallel fold (Fig. 7) is compared with;
 * :mod:`.engine` — ``enable_obs(vp)`` / ``observing()`` non-intrusive
   attachment (digest-neutral by construction);
+* :mod:`.scope` — the lifecycle every observer shares: open scopes,
+  weakly held platform entries, the seal rule and the one fold per
+  platform;
 * :mod:`.stream` — bounded, drop-accounted snapshot streaming to JSONL
   files, Unix sockets, and in-process subscribers;
 * :mod:`.top` — plain-text live view helpers (``python -m repro.obs top``).
@@ -17,12 +20,12 @@ sealed window records.
 
 from .attribution import (AttributionFold, AttributionSummary,
                           CATEGORY_PHASES, PHASES, render_summary)
-from .engine import Obs, active_obs, enable_obs, maybe_attach, observing
+from .engine import Obs, enable_obs, observing
 from .stream import JsonlSink, ObsStreamer, Sink, SocketSink, SubscriberSink
 
 __all__ = [
     "AttributionFold", "AttributionSummary", "CATEGORY_PHASES", "PHASES",
     "render_summary",
-    "Obs", "active_obs", "enable_obs", "maybe_attach", "observing",
+    "Obs", "enable_obs", "observing",
     "JsonlSink", "ObsStreamer", "Sink", "SocketSink", "SubscriberSink",
 ]

@@ -30,9 +30,10 @@ from typing import Dict, List, Optional
 from ..host.wallclock import elapsed_since, wall_clock
 from ..systemc.event import Event
 from ..systemc.kernel import TraceEntry, _ProcessWakeup
+from ..telemetry import scope_registry
 from ..vp.config import VpConfig
 from .format import FORMAT, PAGE_SIZE, SnapshotError, blob_digest, encode_trace, split_pages
-from .image import Snapshot, _telemetry_registry
+from .image import Snapshot
 from .registry import build_registries, owner_paths_by_id
 
 #: park sites a snapshot can represent.  "start" (thread never ran) is a
@@ -239,7 +240,7 @@ def capture_platform(vp, trace: Optional[List[TraceEntry]] = None,
         "scenario": dict(scenario or {}),
     }
     snapshot = Snapshot(manifest, blobs)
-    registry = _telemetry_registry()
+    registry = scope_registry()
     if registry is not None:
         registry.histogram("snapshot.save_ns").observe(
             int(elapsed_since(started) * 1e9))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from ..telemetry import scope_registry
 from .format import (
     FORMAT,
     SnapshotError,
@@ -22,12 +23,6 @@ from .format import (
     read_container,
     write_container,
 )
-
-
-def _telemetry_registry():
-    from ..telemetry import active_telemetry
-    active = active_telemetry()
-    return None if active is None else active.registry
 
 
 class Snapshot:
@@ -94,7 +89,7 @@ class Snapshot:
         """Write a standalone container file; returns bytes written."""
         blobs = {sha: self.blob(sha) for sha in self.referenced_shas()}
         written = write_container(path, self.manifest, blobs)
-        registry = _telemetry_registry()
+        registry = scope_registry()
         if registry is not None:
             registry.counter("snapshot.bytes").inc(written)
         return written
@@ -137,7 +132,7 @@ class Snapshot:
             manifest = json.loads(canonical_manifest_bytes(self.manifest).decode("utf-8"))
             manifest["lineage"] = {"parent": parent_id, "fork_index": index}
             children.append(Snapshot(manifest, {}, parent=self))
-        registry = _telemetry_registry()
+        registry = scope_registry()
         if registry is not None:
             registry.counter("fork.count").inc(count)
         return children

@@ -31,11 +31,12 @@ from ..host.params import IssCostParams, KvmCostParams, SimulationCostParams
 from ..host.wallclock import elapsed_since, wall_clock
 from ..systemc.process import Process, ProcessState
 from ..systemc.time import SimTime
+from ..telemetry import scope_registry
 from ..vp.config import VpConfig
 from ..vp.platform import build_platform
 from .capture import _RESTORABLE_PARKS, REG_LABELS, software_descriptor
 from .format import SnapshotError, decode_trace
-from .image import Snapshot, _telemetry_registry
+from .image import Snapshot
 from .registry import build_registries
 
 #: the bound methods the models schedule, each mapped to the owner-side
@@ -223,7 +224,7 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc!r}") from exc
 
-    registry = _telemetry_registry()
+    registry = scope_registry()
     if registry is not None:
         registry.histogram("snapshot.restore_ns").observe(
             int(elapsed_since(started) * 1e9))

@@ -83,7 +83,7 @@ _buses: "weakref.WeakSet[ProbeBus]" = weakref.WeakSet()
 class Subscription:
     """One subscriber on one point, of one bus or (``bus is None``) of all."""
 
-    __slots__ = ("point", "fn", "band", "seq", "bus")
+    __slots__ = ("point", "fn", "band", "seq", "bus", "__weakref__")
 
     def __init__(self, point: str, fn: Callable, band: int,
                  bus: Optional["ProbeBus"]):

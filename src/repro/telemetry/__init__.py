@@ -31,13 +31,7 @@ from .export import (
     write_metrics_json,
     write_run_report,
 )
-from .instrument import (
-    Telemetry,
-    active_telemetry,
-    collecting,
-    enable_telemetry,
-    maybe_attach,
-)
+from .instrument import Telemetry, collecting, enable_telemetry, scope_registry
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import Span, SpanRecorder
 
@@ -49,13 +43,12 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Telemetry",
-    "active_telemetry",
     "chrome_trace",
     "collecting",
     "enable_telemetry",
-    "maybe_attach",
     "metrics_json",
     "run_report",
+    "scope_registry",
     "write_chrome_trace",
     "write_metrics_json",
     "write_run_report",

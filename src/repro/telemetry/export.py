@@ -54,11 +54,12 @@ def chrome_trace(telemetry) -> Dict[str, object]:
                        "args": {"name": name}})
 
     # Host-time timelines: one process per platform.
-    for index, (key, _vp, fold) in enumerate(telemetry.platforms):
+    for index, entry in enumerate(telemetry.platforms):
+        fold = entry.fold
         if fold is None:
             continue
         pid = index + 1
-        metadata(pid, 0, f"{key} host-time (modeled)", "process_name")
+        metadata(pid, 0, f"{entry.key} host-time (modeled)", "process_name")
         records = fold.records(include_open=True)
         layout = lay_out(records, fold.ledger.parallel)
         for track in sorted({span.track for span in layout.spans},
@@ -185,7 +186,7 @@ def run_report(telemetry) -> str:
     """
     registry = telemetry.registry
     lines: List[str] = ["=== telemetry run report ==="]
-    platform_keys = [key for key, _vp, _fold in telemetry.platforms]
+    platform_keys = [entry.key for entry in telemetry.platforms]
     lines.append("platforms: " + (", ".join(platform_keys) or "(none attached)"))
 
     # -- KVM exits ---------------------------------------------------------
@@ -254,17 +255,18 @@ def run_report(telemetry) -> str:
     # -- host timeline -------------------------------------------------------------
     lines.append("")
     lines.append("-- host timeline --")
-    for key, vp, fold in telemetry.platforms:
+    for entry in telemetry.platforms:
+        fold = entry.fold
         if fold is None:
-            lines.append(f"{key}: (host-time tracking disabled)")
+            lines.append(f"{entry.key}: (host-time tracking disabled)")
             continue
         records = fold.records(include_open=True)
-        layout = lay_out(records, vp.ledger.parallel)
-        ledger_ns = vp.ledger.wall_time_ns()
+        layout = lay_out(records, fold.ledger.parallel)
+        ledger_ns = fold.ledger.wall_time_ns()
         delta_pct = (abs(layout.extent_ns - ledger_ns) / ledger_ns * 100.0
                      if ledger_ns else 0.0)
-        mode = "parallel(max)" if vp.ledger.parallel else "sequential(sum)"
-        lines.append(f"{key} [{mode}]: timeline={_fmt_ns(layout.extent_ns)} "
+        mode = "parallel(max)" if fold.ledger.parallel else "sequential(sum)"
+        lines.append(f"{entry.key} [{mode}]: timeline={_fmt_ns(layout.extent_ns)} "
                      f"ledger={_fmt_ns(ledger_ns)} delta={delta_pct:.3f}% "
                      f"windows={len(records)}")
         totals: Dict[str, float] = {}

@@ -1,14 +1,18 @@
 """Non-intrusive instrumentation of a virtual platform.
 
-``enable_telemetry(vp)`` is the telemetry twin of
-:func:`repro.trace.attach_platform`: one call, no model changes, pure
+``enable_telemetry(vp)`` attaches a :class:`Telemetry` scope, which like
+:class:`~repro.flight.Flight` and :class:`~repro.obs.Obs` is an
+:class:`~repro.obs.scope.ObserverScope`: one call, no model changes, pure
 observation.  Every probe is a subscriber on the platform kernel's probe
 bus (:mod:`repro.systemc.probes`), so
 
 * models never know they are observed,
 * behaviour is bit-for-bit identical with telemetry on and off (the
   determinism checker's DET001 digests do not move), and
-* ``Telemetry.detach()`` cancels every subscription.
+* a finished run seals the platform (its fold finalizes, every
+  subscription is cancelled, the platform is released) and
+  ``Telemetry.detach()`` seals the rest; the registry, spans and window
+  records stay readable.
 
 Probes installed per platform:
 
@@ -32,22 +36,19 @@ WFI / ``WAIT_IRQ``     suspend counter, idle cycles skipped, suspend→resume
                        (``fabric_access``)
 ``Kernel``             scheduler dispatch counters and a runnable-queue depth
                        gauge (``dispatch``)
-``HostLedger``         one host-time attribution fold
-                       (:class:`~repro.obs.attribution.AttributionFold`) per
-                       platform, fed by ``host_bill``, windows closed on
-                       ``time_advance`` and the rest on detach; the span
-                       timeline is laid out from its window records
+``HostLedger``         the platform's one host-time attribution fold
+                       (:class:`~repro.obs.attribution.AttributionFold`),
+                       shared with obs when both attach; the span timeline
+                       is laid out from its window records
                        (:func:`~repro.telemetry.spans.lay_out`)
 =====================  ========================================================
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from ..obs.attribution import AttributionFold
-from ..systemc.probes import Subscription
+from ..obs.scope import ObserverScope, innermost, opened
 from ..vcml.processor import SimulateAction
 from .metrics import MetricsRegistry
 from .spans import SpanRecorder
@@ -71,50 +72,25 @@ class _Core:
         self.mmio_begin_ns = 0.0
 
 
-class Telemetry:
+class Telemetry(ObserverScope):
     """One collection scope: a registry, span recorders, attached platforms."""
 
+    attr = "telemetry"
+    uses_fold = True
+
     def __init__(self, registry: Optional[MetricsRegistry] = None):
+        super().__init__()
         # `is not None`, not truthiness: an empty registry is falsy via
         # __len__ but is still the caller's registry to share.
         self.registry = registry if registry is not None else MetricsRegistry()
         #: simulated-time spans (picoseconds): WFI suspend→resume pairs
         self.sim_spans = SpanRecorder(unit="ps")
-        #: (key, platform, AttributionFold or None) per attached platform
-        self.platforms: List[Tuple[str, object, Optional[AttributionFold]]] = []
-        self._subscriptions: List[Subscription] = []
 
-    def detach(self) -> None:
-        """Cancel every probe subscription and seal every host-time fold."""
-        for subscription in self._subscriptions:
-            subscription.cancel()
-        self._subscriptions.clear()
-        for _key, vp, fold in self.platforms:
-            if fold is not None:
-                fold.finalize()
-            if getattr(vp, "telemetry", None) is self:
-                vp.telemetry = None
+    def _bind(self, vp, scope) -> None:
+        vp.telemetry = scope
 
-    # -- attachment -----------------------------------------------------------
-    def attach(self, vp) -> "Telemetry":
-        """Instrument a whole virtual platform (idempotence-guarded)."""
-        if getattr(vp, "telemetry", None) is not None:
-            raise ValueError(f"platform {vp.name!r} already has telemetry attached")
-        key = f"{vp.name}#{len(self.platforms)}"
-        fold = AttributionFold(vp.ledger) if vp.ledger is not None else None
-        self.platforms.append((key, vp, fold))
-        vp.telemetry = self
-        handlers = self._platform_probes(vp.kernel)
-        handlers.update(self._core_probes(key, vp.cpus))
-        if fold is not None:
-            handlers["host_bill"] = fold.bill
-            handlers["time_advance"] = fold.advance_to
-        bus = vp.kernel.probes
-        self._subscriptions += [bus.subscribe(point, handler)
-                                for point, handler in handlers.items()]
-        return self
-
-    def _platform_probes(self, kernel) -> dict:
+    def _probes(self, entry, vp) -> dict:
+        kernel = vp.kernel
         registry = self.registry
         step_counter = registry.counter("kernel.dispatch", kind="step")
         method_counter = registry.counter("kernel.dispatch", kind="method")
@@ -133,7 +109,8 @@ class Telemetry:
                                core=fire.core_id).observe(fire.margin_ns)
 
         return {"dispatch": dispatch, "watchdog_arm": watchdog_arm,
-                "watchdog_fire": watchdog_fire}
+                "watchdog_fire": watchdog_fire,
+                **self._core_probes(entry.key, vp.cpus)}
 
     def _core_probes(self, platform_key: str, cpus) -> dict:
         registry = self.registry
@@ -262,23 +239,16 @@ def enable_telemetry(vp, registry: Optional[MetricsRegistry] = None) -> Telemetr
 
 # -- collection context (used by repro.bench and repro.vp.build_platform) ------
 
-_ACTIVE: List[Telemetry] = []
+def scope_registry(registry: Optional[MetricsRegistry] = None
+                   ) -> Optional[MetricsRegistry]:
+    """``registry`` if given, else the innermost ``collecting()`` scope's
+    registry, else None: where a tool outside any platform records."""
+    if registry is not None:
+        return registry
+    telemetry = innermost(Telemetry)
+    return telemetry.registry if telemetry is not None else None
 
 
-def active_telemetry() -> Optional[Telemetry]:
-    """The innermost open ``collecting()`` scope, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-def maybe_attach(vp) -> Optional[Telemetry]:
-    """Attach ``vp`` to the active collection scope (no-op without one)."""
-    telemetry = active_telemetry()
-    if telemetry is not None:
-        telemetry.attach(vp)
-    return telemetry
-
-
-@contextlib.contextmanager
 def collecting(registry: Optional[MetricsRegistry] = None):
     """Scope within which every ``build_platform`` auto-attaches telemetry.
 
@@ -286,10 +256,4 @@ def collecting(registry: Optional[MetricsRegistry] = None):
     metrics sidecar written next to the experiment result covers every
     platform the experiment built, without the experiments knowing.
     """
-    telemetry = Telemetry(registry)
-    _ACTIVE.append(telemetry)
-    try:
-        yield telemetry
-    finally:
-        _ACTIVE.remove(telemetry)
-        telemetry.detach()
+    return opened(Telemetry(registry))

@@ -307,12 +307,11 @@ class Avp64Platform(VirtualPlatform):
 def build_platform(kind: str, config: VpConfig, software: GuestSoftware):
     """Create a fresh Simulation plus a platform of ``kind`` (aoa/avp64).
 
-    Inside a :func:`repro.telemetry.collecting` scope the new platform is
-    instrumented automatically, so harnesses (e.g. ``repro.bench.runner``)
-    can observe experiments without the experiments knowing; likewise a
-    :func:`repro.flight.recording` scope attaches the flight recorder and a
-    :func:`repro.obs.observing` scope attaches the performance-attribution
-    layer.
+    The new platform is attached to every open observer scope
+    (:func:`repro.telemetry.collecting`, :func:`repro.flight.recording`,
+    :func:`repro.obs.observing`) in the order they opened, so harnesses
+    (e.g. ``repro.bench.runner``) can observe experiments without the
+    experiments knowing.
     """
     sim = Simulation()
     if kind == "aoa":
@@ -321,10 +320,6 @@ def build_platform(kind: str, config: VpConfig, software: GuestSoftware):
         vp = Avp64Platform(sim, config, software)
     else:
         raise ValueError(f"unknown platform kind {kind!r} (want 'aoa' or 'avp64')")
-    from ..telemetry import maybe_attach
-    maybe_attach(vp)
-    from ..flight import maybe_attach as flight_maybe_attach
-    flight_maybe_attach(vp)
-    from ..obs import maybe_attach as obs_maybe_attach
-    obs_maybe_attach(vp)
+    from ..obs.scope import attach_open_scopes
+    attach_open_scopes(vp)
     return vp

@@ -15,7 +15,6 @@ The central invariants:
 import gc
 import json
 import weakref
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -355,7 +354,7 @@ class TestTimelineFallback:
         vp = make_vp()
         telemetry = enable_telemetry(vp)
         vp.run(SimTime.ms(50))
-        (_key, _vp, fold) = telemetry.platforms[0]
+        fold = telemetry.platforms[0].fold
         summary = fold.summary(include_open=True)
         assert summary.verify() == []
         assert summary.wall_time_ns == vp.ledger.wall_time_ns()
@@ -369,14 +368,21 @@ class TestTelemetryFold:
         obs = enable_obs(vp)
         vp.run(SimTime.ms(50))
         telemetry.detach()
-        (_key, _vp, fold) = telemetry.platforms[0]
+        fold = telemetry.platforms[0].fold
         (entry,) = obs.platforms
-        # obs also counts kernel dispatches per window; telemetry does not.
-        assert fold.records() == [replace(record, dispatches=0)
-                                  for record in entry.fold.records()]
+        # One fold per platform: telemetry's windows are obs's windows.
+        assert fold is entry.fold
         summary = fold.summary()
         assert summary.verify() == []
         assert summary.wall_time_ns == vp.ledger.wall_time_ns()
+
+    def test_one_billing_subscriber_with_telemetry_and_obs(self):
+        vp = make_vp(cores=2, parallel=True)
+        enable_telemetry(vp)
+        enable_obs(vp)
+        probes = vp.kernel.probes
+        assert len(probes.subscribers("host_bill")) == 1
+        assert len(probes.subscribers("time_advance")) == 1
 
 
 class TestReportCli:

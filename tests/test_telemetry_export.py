@@ -31,7 +31,7 @@ def traced_run(source=HELLO, **kwargs):
 
 
 def fold_records(telemetry):
-    (_key, _vp, fold) = telemetry.platforms[0]
+    fold = telemetry.platforms[0].fold
     return fold.records(include_open=True)
 
 

@@ -143,8 +143,8 @@ class TestAttachment:
         registry = telemetry.registry
         dispatches = registry.total("kernel.dispatch")
         assert dispatches > 0
-        reference, _ = run_instrumented()
-        expected = reference.telemetry.registry.total("fabric.accesses")
+        _, reference = run_instrumented()
+        expected = reference.registry.total("fabric.accesses")
         assert registry.total("fabric.accesses") == expected
 
     def test_shared_registry_across_platforms(self):
@@ -230,7 +230,7 @@ class TestMetricsCapture:
 
 
 def host_layout(vp, telemetry):
-    (_key, _vp, fold) = telemetry.platforms[0]
+    fold = telemetry.platforms[0].fold
     return lay_out(fold.records(include_open=True), vp.ledger.parallel)
 
 
@@ -277,7 +277,7 @@ class TestHostTimeMemory:
         with collecting() as telemetry:
             vp = build_platform("aoa", config, software)
             vp.run(SimTime.ms(length_ms))
-            (_key, _vp, fold) = telemetry.platforms[0]
+            fold = telemetry.platforms[0].fold
             # Mid-scope only the windows simulated time has not yet passed
             # can hold billing events.
             assert len(fold._events) <= 2
@@ -322,7 +322,7 @@ class TestTransparency:
             "dispatch", "watchdog_arm", "watchdog_fire", "quantum_sync",
             "simulate_call", "simulate_return", "fabric_access", "vcpu_exit",
             "mmio_request", "mmio_response", "kick", "host_bill",
-            "time_advance"}
+            "time_advance", "run_return"}
         telemetry.detach()
         assert subscribed_points(vp) == set()
         assert vp.telemetry is None
