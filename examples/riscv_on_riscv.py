@@ -53,9 +53,9 @@ def build_guest() -> bytes:
 
 def main():
     kernel = Kernel()
-    bus = Router("bus")
-    ram = Memory("ram", RAM_SIZE)
-    uart = Pl011Uart("uart")
+    bus = Router("bus", parent=kernel)
+    ram = Memory("ram", RAM_SIZE, parent=kernel)
+    uart = Pl011Uart("uart", parent=kernel)
     bus.map(0, RAM_SIZE - 1, ram.in_socket, name="ram")
     bus.map(UART_BASE, UART_BASE + 0xFFF, uart.in_socket, name="uart")
 
@@ -71,7 +71,7 @@ def main():
     vcpu = vm.create_vcpu(0, executor)
 
     quantum = GlobalQuantum(SimTime.us(100))
-    cpu = KvmCpu("hart0", quantum, vcpu, Watchdog())
+    cpu = KvmCpu("hart0", quantum, vcpu, Watchdog(), parent=kernel)
     cpu.bind_clock(Clock("clk", 1e9, kernel))
     cpu.data_socket.bind(bus.in_socket)
     cpu.host_ledger = HostLedger(quantum.quantum, False, apple_m2_pro(), 1)

@@ -120,11 +120,23 @@ class FlightRecorder:
 
 
 def read_jsonl(path: str) -> List[dict]:
-    """Load a journal written by :meth:`FlightRecorder.write_jsonl`."""
+    """Load a journal written by :meth:`FlightRecorder.write_jsonl`.
+
+    A line that is not UTF-8 JSON, or whose record is not a JSON object,
+    raises :class:`ValueError` naming ``path`` and the 1-based line number.
+    """
     records = []
-    with open(path) as stream:
-        for line in stream:
+    with open(path, "rb") as stream:
+        for number, line in enumerate(stream, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:    # JSONDecodeError, UnicodeDecodeError
+                raise ValueError(f"{path}:{number}: not a JSON line: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{number}: a journal record must be a "
+                                 f"JSON object, got {type(record).__name__}")
+            records.append(record)
     return records

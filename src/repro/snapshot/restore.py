@@ -327,11 +327,9 @@ def _install_state(vp, snapshot: Snapshot) -> None:
         if info["finished"]:
             continue
         if info["park"] == "wait_irq":
-            cpu.irq_event._attach(kernel)
             cpu.irq_event._add_waiter(cpu._thread)
             cpu._thread._waiting_events = (cpu.irq_event,)
         elif info["park"] == "debug":
-            cpu.debug_resume_event._attach(kernel)
             cpu.debug_resume_event._add_waiter(cpu._thread)
             cpu._thread._waiting_events = (cpu.debug_resume_event,)
 

@@ -8,7 +8,7 @@ and a module hierarchy.
 
 from .clock import Clock, Reset
 from .event import Event, EventList, any_of
-from .kernel import Kernel, current_kernel
+from .kernel import Kernel
 from .module import Module, Simulation
 from .process import MethodProcess, Process, ProcessState, WaitTimeout
 from .signal import IrqLine, Signal
@@ -30,5 +30,4 @@ __all__ = [
     "Simulation",
     "WaitTimeout",
     "any_of",
-    "current_kernel",
 ]

@@ -9,21 +9,19 @@ scheduler events when nobody listens — the same optimization VCML applies.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .event import Event
-from .kernel import Kernel, current_kernel
+from .kernel import Kernel
 from .time import SimTime, _as_ps
 
 
 class Clock:
     """A frequency source with an optional generated posedge event stream."""
 
-    def __init__(self, name: str, frequency_hz: float, kernel: Optional[Kernel] = None):
+    def __init__(self, name: str, frequency_hz: float, kernel: Kernel):
         if frequency_hz <= 0:
             raise ValueError(f"clock frequency must be positive, got {frequency_hz}")
         self.name = name
-        self._kernel = kernel or current_kernel()
+        self._kernel = kernel
         self._frequency = float(frequency_hz)
         self.posedge = Event(f"{name}.posedge", self._kernel)
         self._ticking = False
@@ -91,9 +89,9 @@ class Clock:
 class Reset:
     """An active-high reset line."""
 
-    def __init__(self, name: str = "rst", kernel: Optional[Kernel] = None):
+    def __init__(self, name: str, kernel: Kernel):
         self.name = name
-        self._kernel = kernel or current_kernel()
+        self._kernel = kernel
         self._asserted = False
         self.asserted_event = Event(f"{name}.asserted", self._kernel)
         self.deasserted_event = Event(f"{name}.deasserted", self._kernel)

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 class Event:
     """A notifiable synchronization point for simulation processes."""
 
-    def __init__(self, name: str = "event", kernel: Optional["Kernel"] = None):
+    def __init__(self, name: str, kernel: "Kernel"):
         self.name = name
         self._kernel = kernel
         self._waiters: List["Process"] = []
@@ -33,18 +33,9 @@ class Event:
         self._pending_handle = None
 
     # -- kernel wiring ----------------------------------------------------
-    def _attach(self, kernel: "Kernel") -> None:
-        if self._kernel is None:
-            self._kernel = kernel
-        elif self._kernel is not kernel:
-            raise RuntimeError(f"event {self.name!r} already bound to another kernel")
-
-    def _require_kernel(self) -> "Kernel":
-        if self._kernel is None:
-            from .kernel import current_kernel
-
-            self._kernel = current_kernel()
-        return self._kernel
+    def _check_kernel(self, kernel: "Kernel") -> None:
+        if self._kernel is not kernel:
+            raise RuntimeError(f"event {self.name!r} belongs to another kernel")
 
     # -- waiting ----------------------------------------------------------
     def _add_waiter(self, process: "Process") -> None:
@@ -68,7 +59,7 @@ class Event:
         *delta* notification.  ``notify(t)`` with ``t > 0`` is a timed
         notification at ``now + t``.
         """
-        kernel = self._require_kernel()
+        kernel = self._kernel
         if delay is None:
             self._cancel_pending()
             kernel._trigger_event(self)
@@ -107,8 +98,7 @@ class Event:
         self._pending_time = None
         self._pending_delta = False
         self._pending_handle = None
-        kernel = self._require_kernel()
-        kernel._trigger_event(self)
+        self._kernel._trigger_event(self)
 
     def __repr__(self) -> str:
         return f"Event({self.name!r}, waiters={len(self._waiters)})"

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from collections import deque
 import hashlib
 from typing import Callable, Deque, Generator, List, Optional, Set, Tuple
@@ -41,33 +40,6 @@ from . import probes
 from .event import Event
 from .process import MethodProcess, Process, ProcessState
 from .time import SimTime, _as_ps
-
-
-class _KernelContext(threading.local):
-    """Per-thread kernel resolution state.
-
-    ``ambient`` is the most recently constructed (or explicitly adopted)
-    kernel on this thread — the elaboration-time default.  ``stack`` tracks
-    nested :meth:`Kernel.run` calls so a kernel running inside another
-    kernel's process (or on another thread) never clobbers its neighbour:
-    the stack top always wins over the ambient kernel.
-    """
-
-    def __init__(self):
-        self.ambient: Optional["Kernel"] = None
-        self.stack: List["Kernel"] = []
-
-
-_context = _KernelContext()
-
-
-def current_kernel() -> "Kernel":
-    """Return the kernel currently elaborating or simulating on this thread."""
-    if _context.stack:
-        return _context.stack[-1]
-    if _context.ambient is None:
-        raise RuntimeError("no active simulation kernel; create a Kernel first")
-    return _context.ambient
 
 
 class _ProcessWakeup:
@@ -162,7 +134,6 @@ class Kernel:
         self.delta_count = 0
         #: this kernel's probe points (see repro.systemc.probes)
         self.probes = probes.ProbeBus()
-        _context.ambient = self
 
     # -- registration -----------------------------------------------------
     def spawn(self, body: Callable[[], Generator], name: str = "process") -> Process:
@@ -177,7 +148,7 @@ class Kernel:
     ) -> MethodProcess:
         method = MethodProcess(name, callback, self, sensitive_to)
         for event in method.sensitivity:
-            event._attach(self)
+            event._check_kernel(self)
             event._add_waiter(_MethodWaiter(method))
         return method
 
@@ -260,7 +231,6 @@ class Kernel:
         called.  Returns the simulation time reached.
         """
         deadline = None if duration is None else self._now_ps + _as_ps(duration)
-        _context.stack.append(self)
         self._stop_requested = False
         self._running = True
         try:
@@ -279,7 +249,6 @@ class Kernel:
             raise
         finally:
             self._running = False
-            _context.stack.pop()
         if (not self._stop_requested and deadline is not None
                 and self._now_ps < deadline and not self.pending_activity()):
             self._now_ps = deadline

@@ -10,28 +10,38 @@ it.  Modules may override :meth:`end_of_elaboration` and
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, List, Optional, Union
 
 from .event import Event
-from .kernel import Kernel, current_kernel
+from .kernel import Kernel
 from .process import Process
 from .time import SimTime
 
 
 class Module:
-    """Base class for all hierarchical simulation models."""
+    """Base class for all hierarchical simulation models.
 
-    def __init__(self, name: str, parent: Optional["Module"] = None):
+    ``parent`` is the owning module, or — for a top-level module — the
+    :class:`Kernel` that simulates it (``sc_simcontext``): there is no
+    implicit kernel, so ``Memory("ram", size, parent=kernel)`` builds a
+    top-level model.  A top-level module's :attr:`parent` is ``None``.
+    """
+
+    def __init__(self, name: str, parent: Union["Module", Kernel]):
         self.basename = name
-        self.parent = parent
         self.children: List["Module"] = []
-        if parent is not None:
+        if isinstance(parent, Module):
             parent.children.append(self)
+            self.parent: Optional[Module] = parent
             self.name = f"{parent.name}.{name}"
             self._kernel = parent._kernel
-        else:
+        elif isinstance(parent, Kernel):
+            self.parent = None
             self.name = name
-            self._kernel = current_kernel()
+            self._kernel = parent
+        else:
+            raise TypeError(f"module {name!r}: parent must be a Module or a "
+                            f"Kernel, got {type(parent).__name__}")
 
     # -- kernel access ------------------------------------------------------
     @property

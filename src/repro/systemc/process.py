@@ -98,19 +98,19 @@ class Process:
                 self, kernel._now_ps + wait_spec._ps)
             return
         if isinstance(wait_spec, Event):
-            wait_spec._attach(kernel)
+            wait_spec._check_kernel(kernel)
             wait_spec._add_waiter(self)
             self._waiting_events = (wait_spec,)
             return
         if isinstance(wait_spec, EventList):
             for event in wait_spec:
-                event._attach(kernel)
+                event._check_kernel(kernel)
                 event._add_waiter(self)
             self._waiting_events = tuple(wait_spec)
             return
         if isinstance(wait_spec, WaitTimeout):
             for event in wait_spec.events:
-                event._attach(kernel)
+                event._check_kernel(kernel)
                 event._add_waiter(self)
             self._waiting_events = tuple(wait_spec.events)
             self._timeout_handle = kernel._schedule_timed_wakeup(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generic, Optional, TypeVar
 
 from .event import Event
-from .kernel import Kernel, current_kernel
+from .kernel import Kernel
 
 T = TypeVar("T")
 
@@ -19,9 +19,9 @@ T = TypeVar("T")
 class Signal(Generic[T]):
     """A value channel with SystemC request-update/update semantics."""
 
-    def __init__(self, name: str = "signal", initial: Optional[T] = None, kernel: Optional[Kernel] = None):
+    def __init__(self, name: str, kernel: Kernel, initial: Optional[T] = None):
         self.name = name
-        self._kernel = kernel or current_kernel()
+        self._kernel = kernel
         self._current: Optional[T] = initial
         self._next: Optional[T] = initial
         self._update_pending = False
@@ -58,9 +58,9 @@ class IrqLine:
     matches how TLM-based VPs usually wire IRQs (VCML ``gpio`` ports).
     """
 
-    def __init__(self, name: str = "irq", kernel: Optional[Kernel] = None):
+    def __init__(self, name: str, kernel: Kernel):
         self.name = name
-        self._kernel = kernel or current_kernel()
+        self._kernel = kernel
         self._level = False
         self.raised = Event(f"{name}.raised", self._kernel)
         self.lowered = Event(f"{name}.lowered", self._kernel)

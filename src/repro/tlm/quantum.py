@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..systemc.kernel import Kernel, current_kernel
+from ..systemc.kernel import Kernel
 from ..systemc.time import SimTime, _as_ps
 
 
@@ -45,9 +45,9 @@ class GlobalQuantum:
 class QuantumKeeper:
     """Tracks one initiator's local time offset against the global quantum."""
 
-    def __init__(self, global_quantum: GlobalQuantum, kernel: Optional[Kernel] = None):
+    def __init__(self, global_quantum: GlobalQuantum, kernel: Kernel):
         self.global_quantum = global_quantum
-        self._kernel = kernel or current_kernel()
+        self._kernel = kernel
         #: how far this initiator has run ahead of SystemC time, in ps
         self.offset_ps = 0
 

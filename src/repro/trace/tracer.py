@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..systemc.kernel import Kernel, current_kernel
+from ..systemc.kernel import Kernel
 from ..systemc.probes import Subscription
 from ..systemc.signal import IrqLine
 from ..systemc.time import SimTime
@@ -68,11 +68,11 @@ class TlmTracer:
     :meth:`statistics` under the ``"__meta__"`` key.
     """
 
-    def __init__(self, kernel: Optional[Kernel] = None, capture_data: bool = True,
+    def __init__(self, kernel: Kernel, capture_data: bool = True,
                  max_records: Optional[int] = None):
         if max_records is not None and max_records <= 0:
             raise ValueError("max_records must be positive (or None for unbounded)")
-        self._kernel = kernel or current_kernel()
+        self._kernel = kernel
         self.capture_data = capture_data
         self.max_records = max_records
         if max_records is None:

@@ -66,7 +66,7 @@ class VirtualPlatform(Module):
 
     def __init__(self, sim: Simulation, config: VpConfig, software: GuestSoftware,
                  name: str = "vp"):
-        super().__init__(name)
+        super().__init__(name, sim.kernel)
         sim.register_top(self)
         self.sim = sim
         self.config = config

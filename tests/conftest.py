@@ -13,7 +13,7 @@ from repro.systemc.kernel import Kernel
 
 @pytest.fixture
 def kernel():
-    """A fresh simulation kernel (also set as the current kernel)."""
+    """A fresh simulation kernel, passed by hand to what it simulates."""
     return Kernel()
 
 

@@ -109,7 +109,8 @@ def test_cli_sanitize_run_reports_seeded_violation(tmp_path, capsys):
         "    def simulate(self, cycles):\n"
         "        return SimulateResult(cycles + 1, SimulateAction.CONTINUE)\n"
         "kernel = Kernel()\n"
-        "Greedy('greedy', GlobalQuantum(SimTime.us(1)))._invoke_simulate(100)\n"
+        "Greedy('greedy', GlobalQuantum(SimTime.us(1)), parent=kernel)"
+        "._invoke_simulate(100)\n"
     )
     assert main(["--sanitize-run", str(script), "--fail-on-findings"]) == 1
     assert "SAN004" in capsys.readouterr().out

@@ -30,7 +30,7 @@ class _GreedyCpu(Processor):
 
 def test_quantum_overrun_detected(kernel):
     with sanitized() as scope:
-        cpu = _GreedyCpu(overrun=250)
+        cpu = _GreedyCpu(overrun=250, parent=kernel)
         result = cpu._invoke_simulate(1000)
     assert result.cycles == 1250
     assert rules_of(scope) == ["SAN004"]
@@ -40,13 +40,13 @@ def test_quantum_overrun_detected(kernel):
 
 def test_exact_budget_consumption_is_clean(kernel):
     with sanitized() as scope:
-        cpu = _GreedyCpu(overrun=0)
+        cpu = _GreedyCpu(overrun=0, parent=kernel)
         cpu._invoke_simulate(1000)
     assert rules_of(scope) == []
 
 
 def test_scope_opened_after_construction_reports_on_the_cpu_bus(kernel):
-    cpu = _GreedyCpu(overrun=1)
+    cpu = _GreedyCpu(overrun=1, parent=kernel)
     emitted = []
     cpu.probes.subscribe("sanitizer_finding", emitted.append)
     with sanitized() as scope:
@@ -58,7 +58,7 @@ def test_scope_opened_after_construction_reports_on_the_cpu_bus(kernel):
 # -- scope mechanics ----------------------------------------------------------------
 
 def test_subscriptions_are_cancelled_on_exit(kernel):
-    cpu = _GreedyCpu(overrun=5)
+    cpu = _GreedyCpu(overrun=5, parent=kernel)
     with sanitized() as scope:
         assert cpu.probes.subscribers("simulate_return")
     assert cpu.probes.subscribers("simulate_call") == ()

@@ -28,8 +28,8 @@ class Rig:
     def __init__(self, program, cpu_kind="kvm", quantum_us=100, parallel=False,
                  annotate_wfi_pc=None, costs=None):
         self.kernel = Kernel()
-        self.bus = Router("bus")
-        self.ram = Memory("ram", 0x10000)
+        self.bus = Router("bus", parent=self.kernel)
+        self.ram = Memory("ram", 0x10000, parent=self.kernel)
         self.bus.map(0, 0xFFFF, self.ram.in_socket)
         self.mmio_log = []
 
@@ -65,12 +65,13 @@ class Rig:
             vcpu = vm.create_vcpu(0, executor)
             self.watchdog = Watchdog()
             self.cpu = KvmCpu("cpu", self.quantum, vcpu, self.watchdog,
-                              parallel=parallel, annotator=annotator,
+                              parent=self.kernel, parallel=parallel, annotator=annotator,
                               costs=costs or KvmCostParams())
             if annotator is not None:
                 annotator.apply([vcpu])
         else:
-            self.cpu = IssCpu("cpu", self.quantum, executor, parallel=parallel)
+            self.cpu = IssCpu("cpu", self.quantum, executor,
+                              parent=self.kernel, parallel=parallel)
         self.cpu.bind_clock(Clock("clk", 1e9, self.kernel))
         self.cpu.data_socket.bind(self.bus.in_socket)
         self.ledger = HostLedger(self.quantum.quantum, parallel, apple_m2_pro(), 1)

@@ -56,9 +56,9 @@ class TransportOnlyDevice:
 
 def build_bus(ram_size=0x1000, ram_base=0x1000, **memory_kwargs):
     """Router + RAM at ``ram_base`` + one bound initiator MemoryPort."""
-    Kernel()
-    router = Router("bus")
-    ram = Memory("ram", ram_size, **memory_kwargs)
+    kernel = Kernel()
+    router = Router("bus", parent=kernel)
+    ram = Memory("ram", ram_size, parent=kernel, **memory_kwargs)
     router.map(ram_base, ram_base + ram_size - 1, ram.in_socket, name="ram")
     socket = InitiatorSocket("cpu", initiator_id=0)
     socket.bind(router.in_socket)
@@ -207,7 +207,7 @@ class TestRouterDecodeCache:
         router, _, port = build_bus()
         port.read(0x1000, 4)
         misses = router.num_decode_misses
-        extra = Memory("extra", 0x100)
+        extra = Memory("extra", 0x100, parent=router.kernel)
         router.map(0x9000, 0x90FF, extra.in_socket, name="extra")
         port.read(0x1000, 4)                      # same address, cache dropped
         assert router.num_decode_misses == misses + 1
@@ -221,8 +221,8 @@ class TestRouterDecodeCache:
         assert router.num_decode_misses == misses + 1
 
     def test_per_initiator_caches_do_not_thrash(self):
-        Kernel()
-        router = Router("bus")
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
         dev_a = TransportOnlyDevice()
         dev_b = TransportOnlyDevice()
         router.map(0x1000, 0x10FF, dev_a.socket, name="a")
@@ -241,8 +241,8 @@ class TestRouterDecodeCache:
         assert router.num_decode_hits >= 6
 
     def test_find_mapping_matches_linear_scan(self):
-        Kernel()
-        router = Router("bus")
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
         devices = []
         for index in range(20):
             device = TransportOnlyDevice()
@@ -267,13 +267,13 @@ class TestRouterInvalidationWiring:
     def test_callback_registered_before_mapping_sees_invalidations(self):
         """Regression: mappings added after a callback registered used to
         never forward that target's DMI invalidations."""
-        Kernel()
-        router = Router("bus")
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
         socket = InitiatorSocket("cpu")
         socket.bind(router.in_socket)
         calls = []
         socket.register_invalidation(lambda lo, hi: calls.append((lo, hi)))
-        ram = Memory("ram", 0x1000)
+        ram = Memory("ram", 0x1000, parent=kernel)
         router.map(0x4000, 0x4FFF, ram.in_socket, name="ram")   # mapped later
         ram.invalidate_dmi()
         assert calls == [(0x4000, 0x4FFF)]        # rebased into global space
@@ -286,9 +286,9 @@ class TestRouterInvalidationWiring:
         assert calls == [(0x1000, 0x1FFF)]
 
     def test_local_base_rebase_of_invalidation_range(self):
-        Kernel()
-        router = Router("bus")
-        ram = Memory("ram", 0x2000)
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
+        ram = Memory("ram", 0x2000, parent=kernel)
         router.map(0x1000, 0x1FFF, ram.in_socket, local_base=0x800, name="ram")
         socket = InitiatorSocket("cpu")
         socket.bind(router.in_socket)
@@ -302,9 +302,9 @@ class TestRouterInvalidationWiring:
 
 class TestRouterDmiRebase:
     def test_grant_straddling_the_mapped_window_is_clipped(self):
-        Kernel()
-        router = Router("bus")
-        ram = Memory("ram", 0x2000)
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
+        ram = Memory("ram", 0x2000, parent=kernel)
         # Window covers only the middle of the memory: the full-size grant
         # straddles the window on both sides and must be clipped to it.
         router.map(0x1000, 0x1FFF, ram.in_socket, local_base=0x800, name="ram")
@@ -316,8 +316,8 @@ class TestRouterDmiRebase:
         assert ram.peek(0x1234 - 0x1000 + 0x800, 1) == b"\x7E"
 
     def test_zero_size_clip_returns_none(self):
-        Kernel()
-        router = Router("bus")
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
 
         def grant_elsewhere(payload):
             # A (buggy or exotic) target granting a window that does not
@@ -377,8 +377,8 @@ class TestMemoryPortPromotion:
         assert ram.peek(0x20, 1) == b"\x33"
 
     def test_refused_probe_is_negatively_cached(self):
-        Kernel()
-        router = Router("bus")
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
         device = TransportOnlyDevice(lie_about_dmi=True)
         router.map(0x2000, 0x20FF, device.socket, name="dev")
         port = MemoryPort(InitiatorSocket("cpu"))
@@ -403,8 +403,8 @@ class TestMemoryPortPromotion:
         assert port.num_promotions == 2
 
     def test_honest_no_dmi_targets_are_never_probed(self):
-        Kernel()
-        router = Router("bus")
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
         device = TransportOnlyDevice()            # never advertises DMI
         router.map(0x2000, 0x20FF, device.socket, name="dev")
         port = MemoryPort(InitiatorSocket("cpu"))
@@ -455,8 +455,8 @@ class TestMemoryPortAccess:
         assert port.read(0x1000, 4).via_dmi
 
     def test_payloads_are_pooled_across_accesses(self):
-        Kernel()
-        router = Router("bus")
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
         device = TransportOnlyDevice()
         router.map(0x2000, 0x20FF, device.socket, name="dev")
         port = MemoryPort(InitiatorSocket("cpu"))

@@ -2,11 +2,15 @@
 
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.arch.assembler import assemble
 from repro.analysis.determinism import trace_run
 from repro.bench.measure import make_config, run_workload
 from repro.flight import enable_flight, read_jsonl, recording
-from repro.flight.recorder import FlightRecorder
+from repro.flight.recorder import FlightEvent, FlightRecorder
 from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import enable_telemetry
@@ -69,7 +73,6 @@ class TestRing:
         assert recorder.counts() == {"a": 2, "b": 1}
 
     def test_bad_capacity_rejected(self):
-        import pytest
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
 
@@ -94,6 +97,45 @@ class TestRing:
         path = str(tmp_path / "tail.jsonl")
         assert recorder.write_jsonl(path, last=3) == 3
         assert [r["t_ps"] for r in read_jsonl(path)] == [7, 8, 9]
+
+    @pytest.mark.parametrize("line, problem", [
+        ("{\"kind\": \"tick\"", "not a JSON line"),
+        ("[1, 2]", "must be a JSON object, got list"),
+        ("42", "must be a JSON object, got int"),
+    ])
+    def test_bad_journal_line_names_path_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(FlightEvent(0, "tick", 1, None, None, ()).to_json()
+                        + "\n\n" + line + "\n")
+        with pytest.raises(ValueError, match=problem) as caught:
+            read_jsonl(str(path))
+        assert str(caught.value).startswith(f"{path}:3: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_journal_raises_one_value_error(
+            self, tmp_path_factory, data):
+        recorder = FlightRecorder()
+        recorder.record("kvm_exit", t_ps=1000, host_ns=42.5, core=1,
+                        reason="mmio", pc=0x1000)
+        recorder.record("console", t_ps=2000, text="héllo")
+        recorder.record("tick", t_ps=3000)
+        path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
+        recorder.write_jsonl(str(path))
+        blob = bytearray(path.read_bytes())
+        del blob[data.draw(st.integers(0, len(blob)), label="cut"):]
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(blob) - 1),
+                                      max_size=3) if blob else st.just([]),
+                             label="flips"):
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(blob))
+        try:
+            records = read_jsonl(str(path))
+        except ValueError as exc:
+            assert type(exc) is ValueError
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert all(isinstance(record, dict) for record in records)
 
 
 class TestPlatformProbes:

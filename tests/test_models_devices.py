@@ -29,7 +29,7 @@ def bound(peripheral):
 class TestTimer:
     def make(self, channels=2):
         kernel = Kernel()
-        timer = MmTimer("timer", channels)
+        timer = MmTimer("timer", channels, parent=kernel)
         timer.bind_clock(Clock("tclk", 1e6, kernel))   # 1 us per tick
         return kernel, timer, bound(timer)
 
@@ -89,8 +89,7 @@ class TestTimer:
 
 class TestUart:
     def make(self):
-        Kernel()
-        uart = Pl011Uart("uart")
+        uart = Pl011Uart("uart", parent=Kernel())
         return uart, bound(uart)
 
     def test_tx_collects_output(self):
@@ -165,7 +164,7 @@ class TestUart:
 class TestRtc:
     def make(self, epoch=1_000_000):
         kernel = Kernel()
-        rtc = Pl031Rtc("rtc", epoch_seconds=epoch)
+        rtc = Pl031Rtc("rtc", parent=kernel, epoch_seconds=epoch)
         return kernel, rtc, bound(rtc)
 
     def test_dr_tracks_simulation_time(self):
@@ -250,9 +249,8 @@ class TestSdCard:
 
 class TestSdhci:
     def make(self):
-        Kernel()
         card = SdCard(capacity_blocks=16)
-        host = Sdhci("sdhci", card)
+        host = Sdhci("sdhci", card, parent=Kernel())
         return card, host, bound(host)
 
     def _init_card(self, socket):
@@ -318,7 +316,7 @@ class TestSdhci:
 class TestSimControl:
     def make(self):
         kernel = Kernel()
-        simctl = SimControl("simctl")
+        simctl = SimControl("simctl", parent=kernel)
         return kernel, simctl, bound(simctl)
 
     def test_shutdown_stops_kernel_and_records_code(self):

@@ -20,8 +20,7 @@ from repro.tlm.sockets import InitiatorSocket
 
 
 def make_gic(num_cpus=2):
-    Kernel()
-    gic = Gic400("gic", num_cpus)
+    gic = Gic400("gic", num_cpus, parent=Kernel())
     dist = InitiatorSocket("dist")
     dist.bind(gic.dist_socket)
     cpu_ifs = []
@@ -191,8 +190,8 @@ class TestAckPriority:
 
 class TestConstruction:
     def test_cpu_count_bounds(self):
-        Kernel()
+        kernel = Kernel()
         with pytest.raises(ValueError):
-            Gic400("gic", 0)
+            Gic400("gic", 0, parent=kernel)
         with pytest.raises(ValueError):
-            Gic400("gic", 9)
+            Gic400("gic", 9, parent=kernel)

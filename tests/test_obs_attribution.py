@@ -28,7 +28,6 @@ from repro.obs import SubscriberSink, enable_obs, observing
 from repro.obs import __main__ as obs_main
 from repro.obs.attribution import (AttributionFold, CATEGORY_PHASES, PHASES,
                                    render_summary)
-from repro.systemc.kernel import Kernel
 from repro.systemc.probes import POINTS
 from repro.systemc.time import SimTime
 from repro.telemetry import enable_telemetry
@@ -304,7 +303,6 @@ class TestEngineLifecycle:
                     vp.ledger.wall_time_ns())
                 alive.append(weakref.ref(vp))
                 del vp
-            Kernel()   # drop the ambient kernel's hold on the last platform
             gc.collect()
             assert [ref() for ref in alive] == [None, None, None]
         summaries = obs.summaries()

@@ -2,7 +2,8 @@
 
 No open scope keeps a finished platform reachable, whether the run sealed
 it (shutdown) or not (a ``stop_on_boot`` run ends through ``sim.stop()``),
-and every scope's outputs stay readable after the platform is gone.
+and every scope's outputs stay readable after the platform is gone.  With
+no scope open, nothing holds a dropped platform at all.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.bench import measure
 from repro.bench.measure import make_config
 from repro.flight import recording
 from repro.obs import observing
-from repro.systemc.kernel import Kernel
 from repro.systemc.time import SimTime
 from repro.telemetry import collecting
 from repro.vp import GuestSoftware, VpConfig, build_platform
@@ -64,6 +64,12 @@ def run_to_shutdown() -> weakref.ref:
     return weakref.ref(vp)
 
 
+def test_a_dropped_platform_is_garbage_at_once():
+    refs = [run_to_shutdown() for _ in range(3)]
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
 def run_stop_on_boot(monkeypatch) -> weakref.ref:
     built = []
 
@@ -99,7 +105,6 @@ def test_no_scope_keeps_a_finished_platform_reachable(names, stop_on_boot,
         scopes = {name: stack.enter_context(SCOPES[name]()) for name in names}
         ref = (run_stop_on_boot(monkeypatch) if stop_on_boot
                else run_to_shutdown())
-        Kernel()   # drop the ambient kernel's hold on the last platform
         gc.collect()
         assert ref() is None
         # Only a finished run seals; stop_on_boot ends through sim.stop().

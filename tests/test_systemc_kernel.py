@@ -5,11 +5,15 @@ import threading
 import pytest
 
 from repro.systemc.event import Event, any_of
-from repro.systemc.kernel import Kernel, current_kernel
+from repro.arch.assembler import assemble
+from repro.systemc.kernel import Kernel
+from repro.systemc.module import Module
 from repro.systemc.process import ProcessState, WaitTimeout
 from repro.systemc.signal import IrqLine, Signal
 from repro.systemc.time import SimTime
 from repro.tlm.quantum import GlobalQuantum, QuantumKeeper
+from repro.vcml.memory import Memory
+from repro.vp import GuestSoftware, VpConfig, build_platform
 
 
 class TestTimedWaits:
@@ -576,56 +580,67 @@ class TestProcessState:
             kernel.run()
 
 
-class TestKernelContext:
-    def test_constructing_a_kernel_sets_the_ambient_kernel(self):
-        kernel = Kernel()
-        assert current_kernel() is kernel
+#: counts x0 down from 2000, then halts
+COUNTDOWN = """
+_start:
+    movz x0, #2000
+loop:
+    sub x0, x0, #1
+    cbnz x0, loop
+    hlt #0
+"""
 
-    def test_running_kernel_wins_over_a_newer_ambient(self):
-        """A Kernel constructed *during* a run (e.g. a nested tool building
-        its own simulation) must not hijack name resolution for the code
-        the running kernel is dispatching."""
-        first = Kernel()
-        seen = []
 
-        def probe():
-            Kernel()                       # clobbers the ambient slot...
-            seen.append(current_kernel())  # ...but the stack top wins
-            yield first.event("never")
+def run_countdown_platform():
+    software = GuestSoftware(image=assemble(COUNTDOWN, base_address=0x1000),
+                             mode="interpreter", name="countdown")
+    vp = build_platform("aoa", VpConfig(num_cores=1, quantum=SimTime.us(10)),
+                        software)
+    vp.run(SimTime.ms(5))
+    return (vp.total_instructions(), vp.kernel.now.picoseconds,
+            vp.ledger.wall_time_ns(), vp.cpus[0].vcpu.executor.state.regs[0])
 
-        first.spawn(probe, name="probe")
-        first.run(SimTime.us(1))
-        assert seen == [first]
 
-    def test_concurrent_kernels_on_separate_threads_do_not_interfere(self):
+class TestExplicitKernel:
+    @pytest.mark.parametrize("parent", [None, "vp"])
+    def test_a_module_needs_a_module_or_kernel_parent(self, parent):
+        with pytest.raises(TypeError, match="parent must be a Module or a Kernel"):
+            Module("orphan", parent)
+        with pytest.raises(TypeError, match="parent must be a Module or a Kernel"):
+            Memory("ram", 0x100, parent=parent)
+
+    def test_a_top_level_module_takes_its_kernel_from_its_parent(self, kernel):
+        top = Module("top", kernel)
+        child = Module("child", top)
+        assert top.parent is None and top.kernel is kernel
+        assert child.parent is top and child.kernel is kernel
+        assert child.name == "top.child"
+
+    def test_waiting_on_another_kernels_event_raises(self, kernel):
+        foreign = Event("foreign", Kernel())
+
+        def body():
+            yield foreign
+
+        kernel.spawn(body)
+        with pytest.raises(RuntimeError, match="belongs to another kernel"):
+            kernel.run()
+
+    def test_concurrent_platforms_on_separate_threads_do_not_alias(self):
+        serial = run_countdown_platform()
         results = {}
-        barrier = threading.Barrier(2)
+        barrier = threading.Barrier(2, timeout=60)
 
         def worker(tag):
-            kernel = Kernel()              # ambient for *this* thread only
-            barrier.wait()                 # both kernels exist before probing
-            results[tag] = (kernel, current_kernel())
+            barrier.wait()                 # both threads build at once
+            results[tag] = run_countdown_platform()
 
         threads = [threading.Thread(target=worker, args=(tag,))
                    for tag in ("a", "b")]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        for tag in ("a", "b"):
-            kernel, resolved = results[tag]
-            assert resolved is kernel
-
-    def test_fresh_thread_without_a_kernel_raises(self):
-        caught = []
-
-        def worker():
-            try:
-                current_kernel()
-            except RuntimeError as exc:
-                caught.append(exc)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert len(caught) == 1
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert serial[0] > 4000 and serial[3] == 0
+        assert results == {"a": serial, "b": serial}

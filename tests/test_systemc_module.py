@@ -9,7 +9,7 @@ from repro.systemc.time import SimTime
 
 class TestHierarchy:
     def test_names_are_hierarchical(self, kernel):
-        top = Module("top")
+        top = Module("top", parent=kernel)
         child = Module("child", parent=top)
         grandchild = Module("leaf", parent=child)
         assert top.name == "top"
@@ -18,7 +18,7 @@ class TestHierarchy:
         assert top.children == [child]
 
     def test_iter_hierarchy_depth_first(self, kernel):
-        top = Module("top")
+        top = Module("top", parent=kernel)
         a = Module("a", parent=top)
         b = Module("b", parent=top)
         a1 = Module("a1", parent=a)
@@ -26,7 +26,7 @@ class TestHierarchy:
         assert names == ["top", "a", "a1", "b"]
 
     def test_find_child_by_path(self, kernel):
-        top = Module("top")
+        top = Module("top", parent=kernel)
         a = Module("a", parent=top)
         a1 = Module("a1", parent=a)
         assert top.find_child("a") is a
@@ -35,7 +35,7 @@ class TestHierarchy:
         assert top.find_child("a.nope") is None
 
     def test_sc_thread_and_event_naming(self, kernel):
-        top = Module("top")
+        top = Module("top", parent=kernel)
         event = top.sc_event("done")
         assert event.name == "top.done"
 
@@ -58,7 +58,7 @@ class TestSimulation:
             def start_of_simulation(self):
                 calls.append(("sos", self.basename))
 
-        top = Hooked("top")
+        top = Hooked("top", parent=sim.kernel)
         Hooked("child", parent=top)
         sim.register_top(top)
         sim.run(SimTime.ns(1))
@@ -68,7 +68,7 @@ class TestSimulation:
 
     def test_simulation_time_advances_across_runs(self):
         sim = Simulation()
-        top = Module("top")
+        top = Module("top", parent=sim.kernel)
         sim.register_top(top)
         log = []
 

@@ -31,7 +31,7 @@ _start:
 class TestSocketTracing:
     def make(self):
         kernel = Kernel()
-        memory = Memory("ram", 0x1000)
+        memory = Memory("ram", 0x1000, parent=kernel)
         tracer = TlmTracer(kernel)
         tracer.attach_socket(memory.in_socket, name="ram")
         initiator = InitiatorSocket("cpu", initiator_id=4)
@@ -101,7 +101,7 @@ class TestSocketTracing:
 
     def test_capture_data_disabled(self):
         kernel = Kernel()
-        memory = Memory("ram", 0x100)
+        memory = Memory("ram", 0x100, parent=kernel)
         tracer = TlmTracer(kernel, capture_data=False)
         tracer.attach_socket(memory.in_socket)
         initiator = InitiatorSocket("cpu")
@@ -113,7 +113,7 @@ class TestSocketTracing:
 class TestDetachAndDoubleWrap:
     def test_second_tracer_on_same_socket_records_too(self):
         kernel = Kernel()
-        memory = Memory("ram", 0x1000)
+        memory = Memory("ram", 0x1000, parent=kernel)
         first = TlmTracer(kernel)
         first.attach_socket(memory.in_socket, name="ram")
         second = TlmTracer(kernel)
@@ -129,7 +129,7 @@ class TestDetachAndDoubleWrap:
 
     def test_detach_all_restores_transport_and_irqs(self):
         kernel = Kernel()
-        memory = Memory("ram", 0x1000)
+        memory = Memory("ram", 0x1000, parent=kernel)
         line = IrqLine("irq", kernel)
         tracer = TlmTracer(kernel)
         tracer.attach_socket(memory.in_socket, name="ram")
@@ -148,7 +148,7 @@ class TestDetachAndDoubleWrap:
 
     def test_detach_then_reattach_works(self):
         kernel = Kernel()
-        memory = Memory("ram", 0x1000)
+        memory = Memory("ram", 0x1000, parent=kernel)
         first = TlmTracer(kernel)
         first.attach_socket(memory.in_socket, name="ram")
         first.detach_all()
@@ -169,7 +169,7 @@ class TestDetachAndDoubleWrap:
 class TestRingBuffer:
     def make(self, max_records):
         kernel = Kernel()
-        memory = Memory("ram", 0x1000)
+        memory = Memory("ram", 0x1000, parent=kernel)
         tracer = TlmTracer(kernel, max_records=max_records)
         tracer.attach_socket(memory.in_socket, name="ram")
         initiator = InitiatorSocket("cpu")
@@ -194,7 +194,7 @@ class TestRingBuffer:
 
     def test_unbounded_tracer_has_no_meta_entry(self):
         kernel = Kernel()
-        memory = Memory("ram", 0x1000)
+        memory = Memory("ram", 0x1000, parent=kernel)
         tracer = TlmTracer(kernel)
         tracer.attach_socket(memory.in_socket, name="ram")
         assert "__meta__" not in tracer.statistics()

@@ -105,8 +105,7 @@ class TestRegisterFile:
 
 class TestPeripheral:
     def make(self):
-        Kernel()
-        peripheral = Peripheral("dev")
+        peripheral = Peripheral("dev", parent=Kernel())
         peripheral.add_register("ctrl", 0x0, reset=0xC0)
         peripheral.add_register("status", 0x4, access=Access.READ, reset=0x5)
         initiator = InitiatorSocket("cpu")
@@ -147,8 +146,7 @@ class TestPeripheral:
 
 class TestMemory:
     def make(self, size=0x1000, **kwargs):
-        Kernel()
-        memory = Memory("ram", size, **kwargs)
+        memory = Memory("ram", size, parent=Kernel(), **kwargs)
         initiator = InitiatorSocket("cpu")
         initiator.bind(memory.in_socket)
         return memory, initiator
@@ -202,9 +200,8 @@ class TestMemory:
             memory.load(0xFFF, b"too long")
 
     def test_invalid_size(self):
-        Kernel()
         with pytest.raises(ValueError):
-            Memory("ram", 0)
+            Memory("ram", 0, parent=Kernel())
 
     def test_debug_write(self):
         memory, initiator = self.make()
@@ -216,10 +213,10 @@ class TestMemory:
 
 class TestRouter:
     def build(self):
-        Kernel()
-        router = Router("bus")
-        ram_a = Memory("a", 0x100)
-        ram_b = Memory("b", 0x100)
+        kernel = Kernel()
+        router = Router("bus", parent=kernel)
+        ram_a = Memory("a", 0x100, parent=kernel)
+        ram_b = Memory("b", 0x100, parent=kernel)
         router.map(0x1000, 0x10FF, ram_a.in_socket, name="a")
         router.map(0x2000, 0x20FF, ram_b.in_socket, local_base=0, name="b")
         initiator = InitiatorSocket("cpu")
@@ -241,19 +238,19 @@ class TestRouter:
 
     def test_overlapping_map_rejected(self):
         router, *_ = self.build()
-        extra = Memory("c", 0x100)
+        extra = Memory("c", 0x100, parent=router.kernel)
         with pytest.raises(ValueError):
             router.map(0x10F0, 0x11FF, extra.in_socket)
 
     def test_backwards_range_rejected(self):
         router, *_ = self.build()
-        extra = Memory("c", 0x100)
+        extra = Memory("c", 0x100, parent=router.kernel)
         with pytest.raises(ValueError, match="inverted"):
             router.map(0x5000, 0x4000, extra.in_socket)
 
     def test_negative_range_rejected(self):
         router, *_ = self.build()
-        extra = Memory("c", 0x100)
+        extra = Memory("c", 0x100, parent=router.kernel)
         with pytest.raises(ValueError, match="negative"):
             router.map(-0x100, 0xFF, extra.in_socket)
 
@@ -311,7 +308,7 @@ class _StubCpu(Processor):
 class TestProcessorShell:
     def _run(self, script, duration_us=100):
         kernel = Kernel()
-        cpu = _StubCpu(script)
+        cpu = _StubCpu(script, parent=kernel)
         cpu.bind_clock(Clock("clk", 1e9, kernel))
         cpu.start_of_simulation()
         kernel.run(SimTime.us(duration_us))
@@ -337,7 +334,7 @@ class TestProcessorShell:
     def test_wait_irq_suspends_until_interrupt(self):
         kernel = Kernel()
         cpu = _StubCpu([(100, SimulateAction.WAIT_IRQ),
-                        (100, SimulateAction.HALT)])
+                        (100, SimulateAction.HALT)], parent=kernel)
         cpu.bind_clock(Clock("clk", 1e9, kernel))
         cpu.start_of_simulation()
         line = cpu.irq_in(0)
@@ -355,7 +352,7 @@ class TestProcessorShell:
     def test_wait_irq_with_pending_interrupt_does_not_sleep(self):
         kernel = Kernel()
         cpu = _StubCpu([(100, SimulateAction.WAIT_IRQ),
-                        (100, SimulateAction.HALT)])
+                        (100, SimulateAction.HALT)], parent=kernel)
         cpu.bind_clock(Clock("clk", 1e9, kernel))
         line = cpu.irq_in(0)
         line.raise_irq()
@@ -365,7 +362,7 @@ class TestProcessorShell:
 
     def test_halt_callback_invoked(self):
         kernel = Kernel()
-        cpu = _StubCpu([(10, SimulateAction.HALT)])
+        cpu = _StubCpu([(10, SimulateAction.HALT)], parent=kernel)
         cpu.bind_clock(Clock("clk", 1e9, kernel))
         halted = []
         cpu.halt_callback = halted.append
@@ -375,7 +372,7 @@ class TestProcessorShell:
 
     def test_interrupt_hook_called_on_level_change(self):
         kernel = Kernel()
-        cpu = _StubCpu([(10, SimulateAction.HALT)])
+        cpu = _StubCpu([(10, SimulateAction.HALT)], parent=kernel)
         seen = []
         cpu.on_interrupt = lambda number, level: seen.append((number, level))
         line = cpu.irq_in(5)
