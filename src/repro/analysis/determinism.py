@@ -5,8 +5,10 @@ DESIGN.md) rests on the simulator being a deterministic function of its
 inputs.  This module verifies that *observationally*: it records every
 scheduler dispatch — ``(kind, time_ps, process name)`` for each process step
 and method run, via the kernels' ``dispatch`` probe point — runs
-the same scenario twice, hashes both traces, and reports the first
-divergence if the hashes differ.
+the same scenario twice, digests both traces with the kernel's one
+dispatch fold (:meth:`~repro.systemc.kernel.TraceRecorder.digest`, equal
+to a default-window divergence ledger root), and reports the first
+divergence (:func:`repro.divergence.first_divergence`) if they differ.
 
 Use :func:`check_determinism` with any zero-argument callable that builds
 *and runs* a fresh simulation, or :func:`check_script_determinism` to check
@@ -18,39 +20,13 @@ from __future__ import annotations
 import contextlib
 import io
 import runpy
-import sys
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
-from ..systemc.kernel import Kernel, TraceEntry, TraceRecorder
+from ..divergence.cli import script_argv
+from ..divergence.zoom import Divergence, first_divergence
+from ..systemc.kernel import Kernel, TraceRecorder
 from .findings import Finding, Severity
-
-
-@dataclass
-class Divergence:
-    """Where two traces first disagree."""
-
-    index: int
-    first: Optional[TraceEntry]     # None when one trace is a prefix of the other
-    second: Optional[TraceEntry]
-    context: List[Tuple[Optional[TraceEntry], Optional[TraceEntry]]] = field(
-        default_factory=list)
-
-    def describe(self) -> str:
-        def show(entry: Optional[TraceEntry]) -> str:
-            if entry is None:
-                return "<end of trace>"
-            kind, time_ps, name = entry
-            return f"{kind} {name} @ {time_ps}ps"
-
-        lines = [f"first divergence at dispatch #{self.index}:",
-                 f"  run 1: {show(self.first)}",
-                 f"  run 2: {show(self.second)}"]
-        if self.context:
-            lines.append("  preceding dispatches:")
-            for left, right in self.context:
-                lines.append(f"    {show(left)}")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -110,25 +86,6 @@ def trace_run(action: Callable[[], object]) -> TraceRecorder:
     return trace
 
 
-def first_divergence(first: Sequence[TraceEntry],
-                     second: Sequence[TraceEntry]) -> Optional[Divergence]:
-    """Where two dispatch-entry lists first differ (``None`` if equal),
-    with up to three preceding entry pairs as context."""
-    limit = max(len(first), len(second))
-    for index in range(limit):
-        left = first[index] if index < len(first) else None
-        right = second[index] if index < len(second) else None
-        if left != right:
-            lo = max(0, index - 3)
-            context = [
-                (first[i] if i < len(first) else None,
-                 second[i] if i < len(second) else None)
-                for i in range(lo, index)
-            ]
-            return Divergence(index=index, first=left, second=right, context=context)
-    return None
-
-
 def check_determinism(action: Callable[[], object], runs: int = 2) -> DeterminismReport:
     """Run ``action`` ``runs`` times and compare scheduler traces.
 
@@ -148,18 +105,6 @@ def check_determinism(action: Callable[[], object], runs: int = 2) -> Determinis
         lengths=[len(trace) for trace in traces],
         divergence=divergence,
     )
-
-
-@contextlib.contextmanager
-def script_argv(path: str):
-    """Run a script with its own ``sys.argv`` (argparse in examples would
-    otherwise choke on the caller's flags)."""
-    saved = sys.argv
-    sys.argv = [str(path)]
-    try:
-        yield
-    finally:
-        sys.argv = saved
 
 
 def check_script_determinism(path: str, runs: int = 2) -> DeterminismReport:

@@ -19,11 +19,12 @@ are all in *how* and *at what host cost*:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ..host.params import DEFAULT_SIM_COSTS, IssCostParams, SimulationCostParams
 from ..iss.dbt import DbtCostModel
 from ..iss.executor import ExitReason
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..tlm.quantum import GlobalQuantum
 from ..vcml.processor import Processor, SimulateAction, SimulateResult
@@ -38,12 +39,14 @@ class IssCpu(Processor):
         global_quantum: GlobalQuantum,
         executor,
         core_id: int = 0,
-        parent: Optional[Module] = None,
+        *,
+        parent: Union[Module, Kernel],
         parallel: bool = False,
         costs: Optional[IssCostParams] = None,
         sim_costs: Optional[SimulationCostParams] = None,
     ):
-        super().__init__(name, global_quantum, core_id, parent, parallel)
+        super().__init__(name, global_quantum, core_id, parent=parent,
+                         parallel=parallel)
         self.executor = executor
         self.cost_model = DbtCostModel(costs)
         self.sim_costs = sim_costs or DEFAULT_SIM_COSTS

@@ -27,11 +27,12 @@ the same sockets, IRQ lines and quantum keeper as :class:`IssCpu`.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ..host.params import DEFAULT_KVM_COSTS, DEFAULT_SIM_COSTS, KvmCostParams, SimulationCostParams
 from ..host.machine import MAIN_LANE
 from ..kvm.api import KvmExitReason, Vcpu
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..tlm.quantum import GlobalQuantum
 from ..vcml.processor import Processor, SimulateAction, SimulateResult
@@ -53,7 +54,8 @@ class KvmCpu(Processor):
         vcpu: Vcpu,
         watchdog: Watchdog,
         core_id: int = 0,
-        parent: Optional[Module] = None,
+        *,
+        parent: Union[Module, Kernel],
         parallel: bool = False,
         annotator: Optional[WfiAnnotator] = None,
         costs: Optional[KvmCostParams] = None,
@@ -61,7 +63,8 @@ class KvmCpu(Processor):
         lane_speed: float = 1.0,
         kick_guard_factory: Callable[[Callable[[], None]], KickGuard] = KickGuard,
     ):
-        super().__init__(name, global_quantum, core_id, parent, parallel)
+        super().__init__(name, global_quantum, core_id, parent=parent,
+                         parallel=parallel)
         self.vcpu = vcpu
         self.watchdog = watchdog
         self.annotator = annotator

@@ -4,8 +4,8 @@ DET001 answers "*did* two runs diverge"; this package answers "*where*".
 A :class:`WindowLedger` folds the kernel dispatch stream into rolling
 per-quantum-window, per-lane digests at O(windows) memory, the frozen
 :class:`RunLedger` serializes to a compact file, and :func:`bisect`
-walks the digest trees of two ledgers to the first divergent
-(window, lane) in O(log windows) comparisons.  :func:`zoom_run` then
+scans the window digests of two ledgers for the first divergent
+(window, lane).  :func:`zoom_run` then
 replays with full event capture scoped to that window only, and the
 result — window id, lane, event-level diff, ledger pair, optional
 journal slice and register state — packages as a **divergence bundle**
@@ -25,19 +25,21 @@ Typical flows::
     # harness capture
     python -m repro.bench fig5 --scale 0.01 --ledger-dir ledgers/
 
-The root digest of a ledger is byte-identical to the DET001
-:meth:`~repro.systemc.kernel.TraceRecorder.digest` of the same run,
-and the ledger hook is a pure observer in the DIGEST trace-hook band —
-DET001 digests are unchanged whether a ledger is attached or not, in
-either attach order.
+The root digest of a ledger is a hash chain over its window digests
+(:class:`~repro.systemc.kernel.DispatchDigest`, the kernel's one dispatch
+fold); at :data:`DEFAULT_WINDOW` it equals the DET001
+:meth:`~repro.systemc.kernel.TraceRecorder.digest` of the same run.  The
+ledger hook is a pure observer in the DIGEST trace-hook band — DET001
+digests are unchanged whether a ledger is attached or not, in either
+attach order.
 """
 
 from __future__ import annotations
 
-from .bisect import DigestTree, DivergencePoint, LedgerComparison, bisect
+from ..systemc.kernel import DEFAULT_WINDOW
+from .bisect import DivergencePoint, LedgerComparison, bisect
 from .bundle import write_divergence_bundle
 from .ledger import (
-    DEFAULT_WINDOW,
     LEDGER_FORMAT,
     LaneDigest,
     RunLedger,
@@ -46,9 +48,11 @@ from .ledger import (
     capture_ledger,
 )
 from .zoom import (
+    Divergence,
     DivergenceReport,
     ZoomCapture,
     ZoomEntry,
+    first_divergence,
     localize_divergence,
     zoom_run,
 )
@@ -57,7 +61,8 @@ __all__ = [
     "DEFAULT_WINDOW", "LEDGER_FORMAT",
     "WindowLedger", "RunLedger", "WindowRecord", "LaneDigest",
     "capture_ledger",
-    "bisect", "LedgerComparison", "DivergencePoint", "DigestTree",
+    "bisect", "LedgerComparison", "DivergencePoint",
+    "Divergence", "first_divergence",
     "zoom_run", "localize_divergence",
     "ZoomCapture", "ZoomEntry", "DivergenceReport",
     "write_divergence_bundle",

@@ -47,8 +47,7 @@ def write_divergence_bundle(
 ) -> str:
     """Dump one divergence bundle; returns (and prints) its path."""
     point = comparison.point
-    tag = f"w{point.window}" if point is not None and point.window is not None \
-        else "seam"
+    tag = f"w{point.window}" if point is not None else "root"
     index = 0
     while True:
         name = f"divergence-{index:03d}-{tag}"
@@ -110,7 +109,7 @@ def write_divergence_bundle(
             json.dump(doc, stream, indent=2, sort_keys=True)
             stream.write("\n")
 
-    if flight is not None and point is not None and point.window is not None:
+    if flight is not None and point is not None:
         _write_journal_slice(flight, path, point.window, comparison.window_ps)
 
     if vp is not None:

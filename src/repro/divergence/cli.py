@@ -34,10 +34,22 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..analysis.determinism import script_argv
+from ..systemc.kernel import DEFAULT_WINDOW
 from .bisect import bisect
-from .ledger import DEFAULT_WINDOW, RunLedger, WindowLedger
+from .ledger import RunLedger, WindowLedger
 from .zoom import localize_divergence
+
+
+@contextlib.contextmanager
+def script_argv(path: str):
+    """Run a script with its own ``sys.argv`` (argparse in examples would
+    otherwise choke on the caller's flags)."""
+    saved = sys.argv
+    sys.argv = [str(path)]
+    try:
+        yield
+    finally:
+        sys.argv = saved
 
 
 def _out(text: str) -> None:

@@ -1,11 +1,11 @@
 """The windowed determinism ledger.
 
 DET001 (:mod:`repro.analysis.determinism`) proves *that* two runs diverged
-by hashing the whole dispatch stream; this module makes the same stream
+by digesting the whole dispatch stream; this module makes the same stream
 *bisectable*.  A :class:`WindowLedger` subscribes at
 ``Kernel.TRACE_PRIORITY_DIGEST`` to every kernel's ``dispatch`` probe
-point and folds every scheduler dispatch ``(kind, time_ps, name)`` into rolling
-digests along the paper's natural hierarchy:
+point and folds every scheduler dispatch ``(kind, time_ps, name)`` along
+the paper's natural hierarchy:
 
 * a **quantum window** — ``time_ps // window_ps``, the same geometry the
   :class:`~repro.host.accounting.HostLedger` uses
@@ -15,13 +15,14 @@ digests along the paper's natural hierarchy:
   leg the dispatch runs (:func:`lane_of_dispatch`): core-thread
   dispatches belong to their core, everything else to ``MAIN_LANE``.
 
-Three digest levels are maintained at O(windows) memory:
+The window and root digests are the kernel's one dispatch fold,
+:class:`~repro.systemc.kernel.DispatchDigest`; the ledger only adds the
+per-lane digests on top.  At O(windows) memory it keeps:
 
-1. the **root digest** — an incremental SHA-256 over the full stream,
-   byte-identical to the DET001 digest
-   (:meth:`repro.systemc.kernel.TraceRecorder.digest`) for the same run —
-   both hash :func:`~repro.systemc.kernel.dispatch_line` — so a ledger can
-   stand in for a DET001 trace across processes;
+1. the **root digest** — a hash chain over the window stream digests.
+   At :data:`DEFAULT_WINDOW` it equals the DET001 digest
+   (:meth:`repro.systemc.kernel.TraceRecorder.digest`) of the same run,
+   so a ledger can stand in for a DET001 trace across processes;
 2. a per-window **stream digest** over the window's dispatches in order
    (captures cross-lane interleaving inside the window);
 3. per-(window, lane) digests over each lane's sub-stream (localize the
@@ -44,27 +45,26 @@ histograms.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..host.machine import MAIN_LANE
 from ..host.wallclock import elapsed_since, wall_clock
-from ..systemc.kernel import Kernel, dispatch_line
+from ..systemc.kernel import (
+    DEFAULT_WINDOW,
+    EMPTY_ROOT,
+    DispatchDigest,
+    Kernel,
+    chain_digest,
+)
 from ..systemc.time import SimTime
 from ..telemetry import scope_registry
 
 #: ledger file format tag; bump on incompatible schema changes
 LEDGER_FORMAT = "repro.divergence.ledger/1"
-
-#: default window for harness captures (``repro.bench --ledger-dir``,
-#: ``python -m repro.divergence capture``): 1 ms of simulated time
-DEFAULT_WINDOW = SimTime.ms(1)
-
-#: digest stand-in for "no window at this position" when two ledgers have
-#: different window counts
-EMPTY_DIGEST = ""
 
 
 #: processor threads are spawned as ``f"core{core_id}"`` under the CPU
@@ -128,7 +128,7 @@ class WindowRecord(NamedTuple):
 
 
 class RunLedger:
-    """The frozen, serializable digest tree of one run."""
+    """The frozen, serializable window digests of one run."""
 
     def __init__(self, window_ps: int, windows: List[WindowRecord],
                  root_digest: str, entries: int,
@@ -161,17 +161,24 @@ class RunLedger:
                 f"not a divergence ledger (format={doc.get('format')!r}, "
                 f"want {LEDGER_FORMAT!r})")
         try:
-            return cls(
+            ledger = cls(
                 window_ps=doc["window_ps"],
                 windows=[WindowRecord.from_json(entry) for entry in doc["windows"]],
                 root_digest=doc["root_digest"],
                 entries=doc["entries"],
                 meta=doc.get("meta", {}),
             )
+            root = functools.reduce(chain_digest, ledger.window_digests(),
+                                    EMPTY_ROOT)
         except KeyError as exc:
             raise ValueError(f"not a divergence ledger: missing key {exc}") from None
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"not a divergence ledger: malformed entry ({exc})") from None
+        if root != ledger.root_digest:
+            raise ValueError(
+                f"not a divergence ledger: root_digest {ledger.root_digest!r} "
+                f"is not the chain of its window digests ({root!r})")
+        return ledger
 
     def save(self, path: str) -> None:
         with open(path, "w") as stream:
@@ -185,59 +192,12 @@ class RunLedger:
 
     # -- queries -------------------------------------------------------------
     def window_digests(self) -> List[str]:
-        """The per-position stream digests the bisection tree is built on."""
+        """The per-position stream digests :func:`bisect` scans."""
         return [record.digest for record in self.windows]
-
-    def record_at(self, position: int) -> Optional[WindowRecord]:
-        if 0 <= position < len(self.windows):
-            return self.windows[position]
-        return None
 
     def __repr__(self) -> str:
         return (f"RunLedger(windows={len(self.windows)}, "
                 f"entries={self.entries}, root={self.root_digest[:12]}…)")
-
-
-class _WindowFold:
-    """The open (not yet sealed) window the hook is currently folding."""
-
-    __slots__ = ("window", "stream", "entries",
-                 "lane_hashers", "lane_entries", "lane_first", "lane_last")
-
-    def __init__(self, window: int):
-        self.window = window
-        self.stream = hashlib.sha256()
-        self.entries = 0
-        self.lane_hashers: Dict[int, "hashlib._Hash"] = {}
-        self.lane_entries: Dict[int, int] = {}
-        self.lane_first: Dict[int, int] = {}
-        self.lane_last: Dict[int, int] = {}
-
-    def fold(self, line: bytes, lane: int, seq: int) -> None:
-        self.stream.update(line)
-        self.entries += 1
-        hasher = self.lane_hashers.get(lane)
-        if hasher is None:
-            hasher = hashlib.sha256()
-            self.lane_hashers[lane] = hasher
-            self.lane_entries[lane] = 0
-            self.lane_first[lane] = seq
-        hasher.update(line)
-        self.lane_entries[lane] += 1
-        self.lane_last[lane] = seq
-
-    def seal(self) -> WindowRecord:
-        lanes = {
-            lane: LaneDigest(
-                digest=hasher.hexdigest(),
-                entries=self.lane_entries[lane],
-                first_seq=self.lane_first[lane],
-                last_seq=self.lane_last[lane],
-            )
-            for lane, hasher in self.lane_hashers.items()
-        }
-        return WindowRecord(self.window, self.stream.hexdigest(),
-                            self.entries, lanes)
 
 
 class WindowLedger:
@@ -253,8 +213,9 @@ class WindowLedger:
     fold tolerates non-monotonic time — a harness that builds several
     platforms in one capture (``repro.bench --ledger-dir``) restarts
     simulation time at zero per platform — by sealing on any window
-    *change*; the window sequence, not the window ids, is what two runs
-    of the same scenario are compared on.
+    *change* (:class:`~repro.systemc.kernel.DispatchDigest`); the window
+    sequence, not the window ids, is what two runs of the same scenario
+    are compared on.
     """
 
     def __init__(self, window: SimTime | int = DEFAULT_WINDOW,
@@ -266,9 +227,10 @@ class WindowLedger:
         self.meta = dict(meta or {})
         self.registry = registry
         self._lane_cache: Dict[str, int] = {}
-        self._root = hashlib.sha256()
+        self._digest = DispatchDigest(window_ps, on_seal=self._seal)
+        #: the open window's lanes: lane -> [hasher, entries, first, last seq]
+        self._lanes: Dict[int, list] = {}
         self._seq = 0
-        self._open: Optional[_WindowFold] = None
         self._sealed: List[WindowRecord] = []
         self._handle = None
         #: per-seal telemetry samples, observed into the registry on detach
@@ -288,8 +250,7 @@ class WindowLedger:
         if self._handle is not None:
             Kernel.remove_trace_hook(self._handle)
             self._handle = None
-        if self._open is not None:
-            self._seal()
+        self._digest.seal()
         self._flush_telemetry()
         return self.ledger()
 
@@ -301,41 +262,43 @@ class WindowLedger:
 
     # -- results --------------------------------------------------------------
     def ledger(self) -> RunLedger:
-        """The ledger folded so far (windows sealed up to now)."""
+        """The ledger folded so far; the open window is included, not sealed."""
         windows = list(self._sealed)
-        if self._open is not None:
-            windows.append(self._open.seal())
-        return RunLedger(self.window_ps, windows, self._root.hexdigest(),
+        digest = self._digest
+        if digest.stream is not None:
+            windows.append(self._window_record(digest.window,
+                                               digest.stream.hexdigest()))
+        return RunLedger(self.window_ps, windows, digest.digest(),
                          self._seq, self.meta)
 
     @property
     def root_digest(self) -> str:
-        return self._root.hexdigest()
+        return self._digest.digest()
 
     # -- the hook -------------------------------------------------------------
     def _record(self, kind: str, time_ps: int, name: str) -> None:
-        # Same line encoding as the DET001 digest, so the root digest of a
-        # ledger equals the DET001 digest of the same stream.
-        line = dispatch_line(kind, time_ps, name)
-        self._root.update(line)
-        window = time_ps // self.window_ps
-        fold = self._open
-        if fold is None or fold.window != window:
-            if fold is not None:
-                self._seal()
-            fold = _WindowFold(window)
-            self._open = fold
+        line = self._digest.fold(kind, time_ps, name)
         lane = self._lane_cache.get(name)
         if lane is None:
-            lane = lane_of_dispatch(name)
-            self._lane_cache[name] = lane
-        fold.fold(line, lane, self._seq)
+            lane = self._lane_cache[name] = lane_of_dispatch(name)
+        state = self._lanes.get(lane)
+        if state is None:
+            state = self._lanes[lane] = [hashlib.sha256(), 0, self._seq, 0]
+        state[0].update(line)
+        state[1] += 1
+        state[3] = self._seq
         self._seq += 1
 
-    def _seal(self) -> None:
+    def _window_record(self, window: int, digest: str) -> WindowRecord:
+        lanes = {lane: LaneDigest(hasher.hexdigest(), entries, first, last)
+                 for lane, (hasher, entries, first, last) in self._lanes.items()}
+        return WindowRecord(window, digest,
+                            sum(lane.entries for lane in lanes.values()), lanes)
+
+    def _seal(self, window: int, digest: str) -> None:
         started = wall_clock()
-        record = self._open.seal()
-        self._open = None
+        record = self._window_record(window, digest)
+        self._lanes = {}
         self._sealed.append(record)
         self._window_entries.append(record.entries)
         self._seal_wall_ns.append(elapsed_since(started) * 1e9)

@@ -5,9 +5,9 @@ memory; this module recovers the *event-level* story without ever holding
 a full trace.  :func:`zoom_run` replays a scenario with a DIGEST-tier
 hook that keeps only the dispatches whose kernel timestamp falls in the
 target window (everything else just advances a sequence counter), and
-:func:`~repro.analysis.determinism.first_divergence` — the DET001 diff —
-lines two captures' entries up to the first differing one, so the report
-reads exactly like a determinism finding, but scoped.
+:func:`first_divergence` — the DET001 diff — lines two captures'
+entries up to the first differing one, so the report reads exactly like
+a determinism finding, but scoped.
 
 :func:`localize_divergence` is the whole pipeline for in-process A/B
 comparisons (cold vs snapshot-resumed, serial vs parallel kernel):
@@ -18,12 +18,58 @@ optionally package everything as a divergence bundle
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..analysis.determinism import Divergence, first_divergence
-from ..systemc.kernel import Kernel, TraceEntry
+from ..systemc.kernel import DEFAULT_WINDOW, Kernel, TraceEntry
 from .bisect import LedgerComparison, bisect
 from .ledger import RunLedger, capture_ledger
+
+
+@dataclass
+class Divergence:
+    """Where two traces first disagree."""
+
+    index: int
+    first: Optional[TraceEntry]     # None when one trace is a prefix of the other
+    second: Optional[TraceEntry]
+    context: List[Tuple[Optional[TraceEntry], Optional[TraceEntry]]] = field(
+        default_factory=list)
+
+    def describe(self) -> str:
+        def show(entry: Optional[TraceEntry]) -> str:
+            if entry is None:
+                return "<end of trace>"
+            kind, time_ps, name = entry
+            return f"{kind} {name} @ {time_ps}ps"
+
+        lines = [f"first divergence at dispatch #{self.index}:",
+                 f"  run 1: {show(self.first)}",
+                 f"  run 2: {show(self.second)}"]
+        if self.context:
+            lines.append("  preceding dispatches:")
+            for left, right in self.context:
+                lines.append(f"    {show(left)}")
+        return "\n".join(lines)
+
+
+def first_divergence(first: Sequence[TraceEntry],
+                     second: Sequence[TraceEntry]) -> Optional[Divergence]:
+    """Where two dispatch-entry lists first differ (``None`` if equal),
+    with up to three preceding entry pairs as context."""
+    limit = max(len(first), len(second))
+    for index in range(limit):
+        left = first[index] if index < len(first) else None
+        right = second[index] if index < len(second) else None
+        if left != right:
+            lo = max(0, index - 3)
+            context = [
+                (first[i] if i < len(first) else None,
+                 second[i] if i < len(second) else None)
+                for i in range(lo, index)
+            ]
+            return Divergence(index=index, first=left, second=right, context=context)
+    return None
 
 
 class ZoomEntry(NamedTuple):
@@ -119,16 +165,15 @@ def localize_divergence(
 
     Runs each action once for its ledger; on divergence each action runs a
     *second* time for the zoom capture.  ``window`` defaults to
-    :data:`~repro.divergence.ledger.DEFAULT_WINDOW`.
+    :data:`~repro.systemc.kernel.DEFAULT_WINDOW`.
     """
-    from .ledger import DEFAULT_WINDOW
     window = DEFAULT_WINDOW if window is None else window
     ledger_a = capture_ledger(action_a, window, meta=meta_a, registry=registry)
     ledger_b = capture_ledger(action_b, window, meta=meta_b, registry=registry)
     comparison = bisect(ledger_a, ledger_b, registry=registry)
     zoom_a = zoom_b = event_diff = bundle_path = None
     point = comparison.point
-    if not comparison.identical and point is not None and point.window is not None:
+    if not comparison.identical and point is not None:
         zoom_a = zoom_run(action_a, point.window, ledger_a.window_ps)
         zoom_b = zoom_run(action_b, point.window, ledger_b.window_ps)
         # Returns None when the captures agree: the divergence then lives

@@ -18,8 +18,9 @@ any enabled, pending, un-acknowledged interrupt is routed to that core.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
 from ..systemc.time import SimTime
@@ -105,7 +106,7 @@ class Gic400(Component):
 
     MAX_IRQS = 256
 
-    def __init__(self, name: str, num_cpus: int, parent: Optional[Module] = None):
+    def __init__(self, name: str, num_cpus: int, parent: Union[Module, Kernel]):
         super().__init__(name, parent)
         if not 1 <= num_cpus <= 8:
             raise ValueError(f"GIC-400 supports 1..8 cpus, got {num_cpus}")
@@ -188,32 +189,32 @@ class Gic400(Component):
         self._update_lines()
 
     # -- line computation --------------------------------------------------------------
-    def _routed_pending(self, cpu: int) -> List[int]:
+    def _routed_pending(self, cpu: int) -> Iterator[int]:
         """Enabled pending interrupts routed to ``cpu`` (not yet active)."""
-        candidates: List[int] = []
         if not self.dist_enabled or not self.cpu_enabled[cpu]:
-            return candidates
+            return
+        active = self.active[cpu]
         for irq in self.pending_banked[cpu]:
-            if irq in self.enabled or irq < 16:   # SGIs are always enabled
-                if irq not in self.active[cpu]:
-                    candidates.append(irq)
+            if (irq in self.enabled or irq < 16) and irq not in active:  # SGIs always enabled
+                yield irq
         for irq in self.pending_spi:
-            if irq in self.enabled and self.spi_targets.get(irq, 0) & (1 << cpu):
-                if irq not in self.active[cpu]:
-                    candidates.append(irq)
-        return candidates
+            if irq in self.enabled and self.spi_targets.get(irq, 0) & (1 << cpu) \
+                    and irq not in active:
+                yield irq
 
     def _update_lines(self) -> None:
         for cpu in range(self.num_cpus):
-            self.irq_out[cpu].write(bool(self._routed_pending(cpu)))
+            # not any(ids): SGI 0 is a pending interrupt too
+            pending = next(self._routed_pending(cpu), None) is not None
+            self.irq_out[cpu].write(pending)
 
     # -- acknowledge / EOI --------------------------------------------------------------
     def acknowledge(self, cpu: int) -> int:
         """GICC_IAR read: claim the highest-priority pending interrupt."""
-        candidates = self._routed_pending(cpu)
-        if not candidates:
-            return SPURIOUS_IRQ
-        irq = min(candidates)    # lowest id wins (no priority regs modeled)
+        # lowest id wins (no priority regs modeled)
+        irq = min(self._routed_pending(cpu), default=SPURIOUS_IRQ)
+        if irq == SPURIOUS_IRQ:
+            return irq
         self.num_acks += 1
         if irq < 32:
             self.pending_banked[cpu].discard(irq)

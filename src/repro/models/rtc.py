@@ -22,8 +22,9 @@ offset  name   function
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
 from ..systemc.time import SimTime
@@ -34,7 +35,7 @@ from ..vcml.register import Access
 class Pl031Rtc(Peripheral):
     """A PL031-compatible RTC."""
 
-    def __init__(self, name: str, parent: Optional[Module] = None,
+    def __init__(self, name: str, parent: Union[Module, Kernel],
                  epoch_seconds: int = 1_700_000_000):
         super().__init__(name, parent)
         self.epoch_seconds = epoch_seconds

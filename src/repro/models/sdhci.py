@@ -26,8 +26,9 @@ offset  name           function
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
 from ..vcml.peripheral import Peripheral
@@ -48,7 +49,7 @@ class Sdhci(Peripheral):
     """SD host controller bound to one virtual card."""
 
     def __init__(self, name: str, card: Optional[SdCard] = None,
-                 parent: Optional[Module] = None):
+                 *, parent: Union[Module, Kernel]):
         super().__init__(name, parent)
         self.card = card or SdCard()
         self.irq = IrqLine(f"{self.name}.irq", self.kernel)

@@ -27,8 +27,9 @@ recorder dumps a crash bundle only for the latter).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.time import SimTime
 from ..vcml.peripheral import Peripheral
@@ -38,7 +39,7 @@ from ..vcml.register import Access
 class SimControl(Peripheral):
     """Guest-to-harness signalling device."""
 
-    def __init__(self, name: str, parent: Optional[Module] = None):
+    def __init__(self, name: str, parent: Union[Module, Kernel]):
         super().__init__(name, parent)
         self.shutdown_requested = False
         self.exit_code = 0

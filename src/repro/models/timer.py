@@ -24,8 +24,9 @@ from simulation time) lives at offset 0x1000.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
 from ..systemc.time import SimTime
@@ -112,7 +113,7 @@ class _Channel:
 class MmTimer(Peripheral):
     """Multi-channel memory-mapped timer (one channel per core)."""
 
-    def __init__(self, name: str, num_channels: int, parent: Optional[Module] = None):
+    def __init__(self, name: str, num_channels: int, parent: Union[Module, Kernel]):
         super().__init__(name, parent)
         if num_channels < 1:
             raise ValueError("timer needs at least one channel")

@@ -26,8 +26,9 @@ offset  name   function
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
 from ..vcml.peripheral import Peripheral
@@ -47,7 +48,7 @@ class Pl011Uart(Peripheral):
 
     RX_FIFO_DEPTH = 16
 
-    def __init__(self, name: str, parent: Optional[Module] = None):
+    def __init__(self, name: str, parent: Union[Module, Kernel]):
         super().__init__(name, parent)
         self.tx_log = bytearray()
         self.on_tx: Optional[Callable[[int], None]] = None

@@ -24,16 +24,16 @@ time, then by scheduling order.
 Observers never patch the kernel: they subscribe to the named probe points
 of its :class:`~repro.systemc.probes.ProbeBus` (``Kernel.probes``).
 :class:`TraceRecorder` records the ``dispatch`` stream every digest of a
-run is taken over, and :func:`dispatch_line` is that digest's one line
-encoding.
+run is taken over, :func:`dispatch_line` is that digest's one line
+encoding, and :class:`DispatchDigest` is its one fold.
 """
 
 from __future__ import annotations
 
 import heapq
+import hashlib
 import itertools
 from collections import deque
-import hashlib
 from typing import Callable, Deque, Generator, List, Optional, Set, Tuple
 
 from . import probes
@@ -340,10 +340,72 @@ class _MethodWaiter:
 TraceEntry = Tuple[str, int, str]
 
 
+#: the window a dispatch digest folds at unless told otherwise (DET001's,
+#: and ledger captures by default): 1 ms of simulated time
+DEFAULT_WINDOW = SimTime.ms(1)
+
+#: the root of an empty dispatch stream
+EMPTY_ROOT = hashlib.sha256(b"").hexdigest()
+
+
 def dispatch_line(kind: str, time_ps: int, name: str) -> bytes:
-    """One dispatch as hashed by every dispatch-stream digest: DET001's and
-    the divergence ledger's root, which are therefore equal."""
+    """One dispatch as hashed into a window's stream digest."""
     return f"{kind}|{time_ps}|{name}\n".encode()
+
+
+def chain_digest(root: str, window_digest: str) -> str:
+    """Fold one window's stream digest into the root before it."""
+    return hashlib.sha256((root + window_digest).encode()).hexdigest()
+
+
+class DispatchDigest:
+    """The one fold over a dispatch stream; DET001's digest and the
+    divergence ledger's window and root digests are views of it.
+
+    A window's **stream digest** hashes the :func:`dispatch_line` of each
+    dispatch whose ``time_ps // window_ps`` is that window; the **root**
+    chains the stream digests in seal order (:func:`chain_digest` from
+    :data:`EMPTY_ROOT`), so two roots differ exactly when the window
+    sequences do.  A window seals on any window *change*: a capture that
+    runs several kernels restarts time at zero per kernel.
+    ``on_seal(window, stream_digest)`` sees each sealed window.
+    """
+
+    __slots__ = ("window_ps", "on_seal", "root", "window", "stream")
+
+    def __init__(self, window_ps: int,
+                 on_seal: Optional[Callable[[int, str], None]] = None):
+        self.window_ps = window_ps
+        self.on_seal = on_seal
+        self.root = EMPTY_ROOT
+        self.window: Optional[int] = None   # the open window, if any,
+        self.stream = None                  # and its stream hasher
+
+    def fold(self, kind: str, time_ps: int, name: str) -> bytes:
+        """Fold one dispatch; returns its line."""
+        window = time_ps // self.window_ps
+        if window != self.window:
+            self.seal()
+            self.window = window
+            self.stream = hashlib.sha256()
+        line = dispatch_line(kind, time_ps, name)
+        self.stream.update(line)
+        return line
+
+    def seal(self) -> None:
+        """Chain the open window, if any, into the root."""
+        if self.stream is not None:
+            digest = self.stream.hexdigest()
+            self.root = chain_digest(self.root, digest)
+            if self.on_seal is not None:
+                self.on_seal(self.window, digest)
+            self.window = self.stream = None
+
+    def digest(self) -> str:
+        """The root with the open window chained in; the window stays open."""
+        if self.stream is None:
+            return self.root
+        return chain_digest(self.root, self.stream.hexdigest())
 
 
 class TraceRecorder:
@@ -363,10 +425,13 @@ class TraceRecorder:
         self.entries.append((kind, time_ps, name))
 
     def digest(self) -> str:
-        hasher = hashlib.sha256()
+        """The :class:`DispatchDigest` root of the recorded stream at
+        :data:`DEFAULT_WINDOW`: the root of a default-window ledger over
+        the same run."""
+        fold = DispatchDigest(DEFAULT_WINDOW.picoseconds)
         for entry in self.entries:
-            hasher.update(dispatch_line(*entry))
-        return hasher.hexdigest()
+            fold.fold(*entry)
+        return fold.digest()
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -7,9 +7,10 @@ handling.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from ..systemc.clock import Clock, Reset
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.time import SimTime
 
@@ -17,7 +18,7 @@ from ..systemc.time import SimTime
 class Component(Module):
     """A clocked, resettable hierarchical model."""
 
-    def __init__(self, name: str, parent: Optional[Module] = None):
+    def __init__(self, name: str, parent: Union[Module, Kernel]):
         super().__init__(name, parent)
         self.clk: Optional[Clock] = None
         self.rst: Optional[Reset] = None

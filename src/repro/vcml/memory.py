@@ -8,8 +8,9 @@ exactly the same bytes TLM transactions do.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.time import SimTime
 from ..tlm.dmi import DmiAccess, DmiRegion
@@ -25,7 +26,7 @@ class Memory(Component):
         self,
         name: str,
         size: int,
-        parent: Optional[Module] = None,
+        parent: Union[Module, Kernel],
         read_only: bool = False,
         read_latency: Optional[SimTime] = None,
         write_latency: Optional[SimTime] = None,

@@ -8,8 +8,9 @@ latency, and answers debug transport without side effects.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.time import SimTime
 from ..tlm.payload import GenericPayload, ResponseStatus
@@ -21,7 +22,7 @@ from .register import Access, Register, RegisterFile
 class Peripheral(Component):
     """Register-based memory-mapped peripheral."""
 
-    def __init__(self, name: str, parent: Optional[Module] = None,
+    def __init__(self, name: str, parent: Union[Module, Kernel],
                  read_latency: Optional[SimTime] = None,
                  write_latency: Optional[SimTime] = None):
         super().__init__(name, parent)

@@ -28,10 +28,11 @@ changes performance, not semantics.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from ..fabric.port import MemoryPort
 from ..host.machine import MAIN_LANE
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.signal import IrqLine
 from ..tlm.quantum import GlobalQuantum, QuantumKeeper
@@ -75,7 +76,8 @@ class Processor(Component):
         name: str,
         global_quantum: GlobalQuantum,
         core_id: int = 0,
-        parent: Optional[Module] = None,
+        *,
+        parent: Union[Module, Kernel],
         parallel: bool = False,
     ):
         super().__init__(name, parent)

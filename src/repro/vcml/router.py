@@ -23,8 +23,9 @@ cached decode.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
+from ..systemc.kernel import Kernel
 from ..systemc.module import Module
 from ..systemc.time import SimTime
 from ..tlm.dmi import DmiRegion
@@ -68,7 +69,7 @@ class _Mapping(NamedTuple):
 class Router(Component):
     """N:1 address-decoding interconnect with cached decode."""
 
-    def __init__(self, name: str, parent: Optional[Module] = None):
+    def __init__(self, name: str, parent: Union[Module, Kernel]):
         super().__init__(name, parent)
         self._mappings: List[_Mapping] = []
         self._starts: List[int] = []      # parallel bisect key list

@@ -94,9 +94,9 @@ def test_trace_recording_does_not_nest():
 def test_trace_run_coexists_with_other_digest_tier_hooks():
     # A WindowLedger (or any other DIGEST-tier observer) must not block
     # trace_run: only *nested* trace recordings are refused.
-    from repro.divergence import WindowLedger
+    from repro.divergence import DEFAULT_WINDOW, WindowLedger
 
-    ledger = WindowLedger(SimTime.us(100)).attach()
+    ledger = WindowLedger(DEFAULT_WINDOW).attach()
     try:
         trace = trace_run(_ping_pong_sim)
     finally:

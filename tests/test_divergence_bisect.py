@@ -1,21 +1,17 @@
-"""Bisection tests: exact (window, lane) localization, O(log) comparison
-bounds, and the explicit boundary cases."""
+"""Bisection tests: exact (window, lane) localization and the explicit
+boundary cases."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.divergence import (
-    DigestTree,
     LaneDigest,
     RunLedger,
     WindowRecord,
     bisect,
     capture_ledger,
 )
-from repro.divergence.ledger import EMPTY_DIGEST
 from repro.systemc.kernel import Kernel
 from repro.systemc.time import SimTime
 from repro.telemetry.metrics import MetricsRegistry
@@ -48,7 +44,6 @@ class TestBisect:
         comparison = bisect(first, second)
         assert comparison.identical
         assert comparison.point is None
-        assert comparison.comparisons == 1      # the root comparison only
 
     def test_seeded_divergence_localized_to_exact_window_and_lane(self):
         # The glitch at iteration 25 lands at t=250us: window 2 under a
@@ -63,15 +58,6 @@ class TestBisect:
         assert point.lane_a.digest != point.lane_b.digest
         assert "lane sub-streams differ" in point.reason
         assert "window 2, lane 1" in comparison.describe()
-
-    def test_comparison_count_is_logarithmic(self):
-        clean = capture_ledger(lambda: seeded_sim(None), window=WINDOW)
-        glitched = capture_ledger(lambda: seeded_sim(25), window=WINDOW)
-        comparison = bisect(clean, glitched)
-        windows = max(comparison.windows_a, comparison.windows_b)
-        # root + tree-root + one comparison per tree level
-        bound = 2 + math.ceil(math.log2(windows)) + 1
-        assert comparison.comparisons <= bound < windows + 2
 
     def test_length_mismatch_names_first_extra_window(self):
         longer = capture_ledger(lambda: seeded_sim(None, steps=50),
@@ -144,20 +130,3 @@ class TestMergeOrderDivergence:
         point = bisect(first, second).point
         assert point.lane == 1
         assert "only in run B" in point.reason
-
-
-class TestDigestTree:
-    def test_single_leaf(self):
-        tree = DigestTree(["only"])
-        assert tree.root == "only"
-        assert tree.num_leaves == 1
-
-    def test_padding_to_power_of_two(self):
-        tree = DigestTree(["a", "b", "c"])
-        assert tree.num_leaves == 4
-        assert tree.levels[0] == ["a", "b", "c", EMPTY_DIGEST]
-
-    def test_roots_differ_iff_leaves_differ(self):
-        assert DigestTree(["a", "b"]).root == DigestTree(["a", "b"]).root
-        assert DigestTree(["a", "b"]).root != DigestTree(["a", "c"]).root
-        assert DigestTree(["a"]).root != DigestTree(["a", "b"]).root

@@ -14,7 +14,7 @@ from repro.divergence import (
 )
 from repro.divergence.ledger import lane_of_dispatch
 from repro.host.machine import MAIN_LANE
-from repro.systemc.kernel import Kernel
+from repro.systemc.kernel import DEFAULT_WINDOW, Kernel
 from repro.systemc.probes import ProbeBus
 from repro.systemc.time import SimTime
 from repro.telemetry.metrics import MetricsRegistry
@@ -66,10 +66,32 @@ def two_core_sim(steps=50, period_us=10):
 
 class TestFolding:
     def test_root_digest_equals_det001_digest(self):
-        ledger = capture_ledger(two_core_sim, window=WINDOW)
+        ledger = capture_ledger(two_core_sim, window=DEFAULT_WINDOW)
         trace = trace_run(two_core_sim)
         assert ledger.root_digest == trace.digest()
         assert ledger.entries == len(trace.entries)
+
+    def test_multi_window_root_digest_equals_det001_digest(self):
+        # 35 steps of 100us span 3.5 ms: four default windows, so the root
+        # chains several window digests on both sides.
+        def action():
+            two_core_sim(steps=35, period_us=100)
+
+        ledger = capture_ledger(action, window=DEFAULT_WINDOW)
+        trace = trace_run(action)
+        assert len(ledger.windows) >= 3
+        assert ledger.root_digest == trace.digest()
+
+    def test_open_window_is_in_the_root_but_stays_open(self):
+        ledger = WindowLedger(WINDOW).attach()
+        try:
+            two_core_sim(steps=15)
+            live = ledger.ledger()
+            root = ledger.root_digest
+        finally:
+            run = ledger.detach()
+        assert live.root_digest == root == run.root_digest
+        assert live.window_digests() == run.window_digests()
 
     def test_window_geometry(self):
         # 50 steps of 10us under a 100us window: windows 0..5 (the final
@@ -166,6 +188,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a divergence ledger"):
             RunLedger.load(str(path))
 
+    def test_flipped_window_digest_raises_value_error(self):
+        # The root chains the window digests, so a ledger file checks
+        # its own root on load.
+        ledger = capture_ledger(two_core_sim, window=WINDOW)
+        doc = ledger.to_json()
+        doc["windows"][2]["digest"] = "0" * 64
+        with pytest.raises(ValueError, match="not a divergence ledger"):
+            RunLedger.from_json(doc)
+
     def test_truncated_file_raises_value_error(self, tmp_path):
         ledger = capture_ledger(two_core_sim, window=WINDOW)
         path = tmp_path / "run.ledger.json"
@@ -192,7 +223,7 @@ class TestDigestNeutrality:
 
     def test_det001_unchanged_ledger_attached_first(self):
         baseline = trace_run(two_core_sim).digest()
-        ledger = WindowLedger(WINDOW).attach()
+        ledger = WindowLedger(DEFAULT_WINDOW).attach()
         try:
             observed = trace_run(two_core_sim).digest()
         finally:
@@ -206,7 +237,7 @@ class TestDigestNeutrality:
         captured = {}
 
         def action():
-            ledger = WindowLedger(WINDOW).attach()
+            ledger = WindowLedger(DEFAULT_WINDOW).attach()
             try:
                 two_core_sim()
             finally:

@@ -6,10 +6,10 @@ from __future__ import annotations
 import json
 import os
 
-from repro.analysis.determinism import first_divergence
 from repro.divergence import (
     bisect,
     capture_ledger,
+    first_divergence,
     localize_divergence,
     zoom_run,
 )

@@ -101,7 +101,7 @@ PHASE_BOOTS = {
         1513, 1513,
         "{'watchdog': 453900.0, 'guest': 70518884.59999998, 'mmio': 5124600.0, 'wfi_blocked': 129263943.0, 'irq': 106800.0}",
         '205639827.60000002',
-        'ddf03251bd74925402b92d0a6026ae8fb30e0b58cbc86446519984850a5af380'),
+        '77be9ec3bfc8026b47101673e461766afc6dc7e582623d4f254da84c01ec77ac'),
     (2, False, True): (
         [
             (1143, 1043, 0, 68, 32, 68, 964, 0, 1143, 100),
@@ -110,7 +110,7 @@ PHASE_BOOTS = {
         1504, 1207,
         "{'watchdog': 451200.0, 'guest': 71043496.60000002, 'mmio': 5124600.0, 'wfi_annotation': 109800.0, 'irq': 106800.0}",
         '76956596.60000007',
-        '7c009d7bdd3ce7078f457779092c482e8259d8dc5e341ac09b189cbd11e2a65a'),
+        'c27eabf037f0f5496766905bcf5314b64ad0b405a28c94aeaa2790aff43eb38c'),
     (2, True, False): (
         [
             (1143, 1043, 32, 100, 0, 100, 1043, 0, 1143, 100),
@@ -119,7 +119,7 @@ PHASE_BOOTS = {
         1513, 1513,
         "{'watchdog': 453900.0, 'guest': 70518884.59999998, 'mmio': 13008600.0, 'wfi_blocked': 129263943.0, 'irq': 106800.0}",
         '108190405.80000016',
-        'ddf03251bd74925402b92d0a6026ae8fb30e0b58cbc86446519984850a5af380'),
+        '77be9ec3bfc8026b47101673e461766afc6dc7e582623d4f254da84c01ec77ac'),
     (2, True, True): (
         [
             (1143, 1043, 0, 68, 32, 68, 1015, 0, 1143, 100),
@@ -128,7 +128,7 @@ PHASE_BOOTS = {
         1504, 1313,
         "{'watchdog': 451200.0, 'guest': 71043496.60000002, 'mmio': 13008600.0, 'wfi_annotation': 109800.0, 'irq': 106800.0}",
         '77647331.20000009',
-        '7c009d7bdd3ce7078f457779092c482e8259d8dc5e341ac09b189cbd11e2a65a'),
+        'c27eabf037f0f5496766905bcf5314b64ad0b405a28c94aeaa2790aff43eb38c'),
     (4, False, False): (
         [
             (1471, 1289, 94, 182, 0, 182, 1289, 0, 1471, 182),
@@ -139,7 +139,7 @@ PHASE_BOOTS = {
         2827, 2827,
         "{'watchdog': 848100.0, 'guest': 92132314.1999996, 'mmio': 8197800.0, 'wfi_blocked': 635746551.0, 'irq': 262800.0}",
         '737498665.1999999',
-        '66f3d2b98bc9debbb4dd32aa808750b2e2ddb654fc43b9e8c6ea460dee242581'),
+        '6b4559d2e44c234651494593a25477cedf77cc529fd925c867aa623958bea010'),
     (4, False, True): (
         [
             (1471, 1289, 0, 88, 94, 88, 1272, 0, 1471, 182),
@@ -150,7 +150,7 @@ PHASE_BOOTS = {
         2554, 1885,
         "{'watchdog': 766200.0, 'guest': 93697550.19999959, 'mmio': 8197800.0, 'wfi_annotation': 327600.0, 'irq': 262800.0}",
         '103406650.2000001',
-        'fb492bb42d1b798d48a139c38ff383617b2c77f4b2bf07c715ecd341112b4b72'),
+        'd0a2843c2cb68a3b107ce6ca4bfad9f782b7a8a4d41279e9dfb39087a3da2bbc'),
     (4, True, False): (
         [
             (1471, 1289, 94, 182, 0, 182, 1289, 0, 1471, 182),
@@ -161,7 +161,7 @@ PHASE_BOOTS = {
         2827, 2827,
         "{'watchdog': 848100.0, 'guest': 92132314.1999996, 'mmio': 20809800.0, 'wfi_blocked': 635746551.0, 'irq': 262800.0}",
         '194143122.19999972',
-        '66f3d2b98bc9debbb4dd32aa808750b2e2ddb654fc43b9e8c6ea460dee242581'),
+        '6b4559d2e44c234651494593a25477cedf77cc529fd925c867aa623958bea010'),
     (4, True, True): (
         [
             (1471, 1289, 0, 88, 94, 88, 1323, 0, 1471, 182),
@@ -172,7 +172,7 @@ PHASE_BOOTS = {
         2554, 2101,
         "{'watchdog': 766200.0, 'guest': 93697550.19999959, 'mmio': 20809800.0, 'wfi_annotation': 327600.0, 'irq': 262800.0}",
         '100468153.80000016',
-        'fb492bb42d1b798d48a139c38ff383617b2c77f4b2bf07c715ecd341112b4b72'),
+        'd0a2843c2cb68a3b107ce6ca4bfad9f782b7a8a4d41279e9dfb39087a3da2bbc'),
 }
 
 
