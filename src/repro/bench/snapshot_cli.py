@@ -85,10 +85,6 @@ def run_matrix(snapshot_path: str, matrix: List[float], verify_cold: bool,
     """
     from ..snapshot import Snapshot, SnapshotError
     snapshot = Snapshot.load(snapshot_path)
-    if snapshot.partial:
-        raise SnapshotError(
-            f"{snapshot_path} is a partial (flight-bundle) snapshot and "
-            "cannot seed a bench matrix")
     scenario = snapshot.manifest.get("scenario", {})
     snap_ms = snapshot.sim_time_ps / 1_000_000_000
     for duration_ms in matrix:

@@ -23,7 +23,6 @@ from .phase import (
     SpinUntil,
     StoreFlag,
     Wfi,
-    wfi_wait,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "SpinUntil",
     "StoreFlag",
     "Wfi",
-    "wfi_wait",
 ]

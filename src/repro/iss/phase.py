@@ -9,6 +9,7 @@ sequence of events one core produces:
 * :class:`Compute`   — N instructions with a static-block/memory profile,
 * :class:`Mmio`      — one device access (a real exit + TLM transaction),
 * :class:`Wfi`       — enter the idle loop at the annotated ``WFI`` address,
+  optionally until a guest-RAM flag is set (completions, hotplug waits),
 * :class:`SpinUntil` — busy-wait on a guest-RAM flag (spinlocks, barriers),
 * :class:`StoreFlag` / :class:`AtomicAdd` — shared-memory writes,
 * :class:`Halt`      — terminate the core.
@@ -22,6 +23,14 @@ data-dependent branches on MMIO read values) is ordinary code.  A yielded
         status = yield Mmio(UART_FR, 4, is_write=False)
         ...
 
+A program never reads or writes guest memory itself: it waits on a flag
+with ``Wfi(address, value)`` or :class:`SpinUntil` and writes one with
+:class:`StoreFlag`/:class:`AtomicAdd`, and the executor performs the
+access.  Its control flow therefore depends only on the values sent into
+it (MMIO read data), so the number of generator advances plus those
+values fully determine where a program stands; that position is what a
+snapshot stores (:meth:`PhaseExecutor.snapshot_state`).
+
 :class:`PhaseExecutor` runs these programs behind the exact same executor
 interface as the functional interpreter, so both CPU models and the whole
 platform stack are exercised unmodified.  Interrupt delivery follows the
@@ -32,7 +41,7 @@ and an EOIR write — all real MMIO exits handled by the VP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Union
 
 from .executor import ExitInfo, ExitReason, GuestMemoryMap, MmioRequest, RunStats
@@ -73,7 +82,19 @@ class Mmio:
 
 @dataclass
 class Wfi:
-    """Execute the idle loop's WFI instruction."""
+    """Execute the idle loop's WFI instruction.
+
+    A bare ``Wfi()`` executes one WFI.  With an ``address`` it is an idle
+    wait, the way a kernel thread sleeps on a completion: the core
+    executes WFI until the 8-byte RAM word at ``address`` equals ``value``
+    (reaches it, with ``ge=True``).  The flag is read when the phase is
+    issued and again after each completed WFI, so every unexpected wakeup
+    (timer tick, stray SGI) re-checks it and re-enters WFI.
+    """
+
+    address: Optional[int] = None
+    value: int = 1
+    ge: bool = False
 
 
 @dataclass
@@ -144,72 +165,46 @@ class PhaseContext:
     wfi_pc: int = 0x1000
     code_base: int = 0x4000
     irq_protocol: Optional[IrqProtocol] = None
-    shared: dict = field(default_factory=dict)
-    #: repro.snapshot plumbing.  While the executor steps the program
-    #: generator it journals every RAM access the *generator* makes (reads
-    #: through these helpers decide its control flow); restore re-drives a
-    #: fresh generator with ``_replay`` answering those reads from the
-    #: journal, because guest RAM has already been restored to its final
-    #: state and historical reads must see historical values.
-    _journal: Optional[list] = field(default=None, repr=False)
-    _replay: Optional[object] = field(default=None, repr=False)
-    _in_generator: bool = field(default=False, repr=False)
 
-    # -- RAM helpers for generator-side control flow ------------------------
+    # -- RAM helpers for the executor's flag phases ----------------------------
     def read_u64(self, address: int) -> int:
-        if self._replay is not None and self._in_generator:
-            entry = self._replay.popleft() if self._replay else None
-            if entry is None or entry[0] != "read" or entry[1] != address:
-                raise RuntimeError(
-                    f"phase replay diverged: expected journaled read of "
-                    f"0x{address:x}, journal has {entry!r}"
-                )
-            return entry[2]
-        value = int.from_bytes(self.memory.read(address, 8), "little")
-        if self._journal is not None and self._in_generator:
-            self._journal.append(["read", address, value])
-        return value
+        return int.from_bytes(self.memory.read(address, 8), "little")
 
     def write_u64(self, address: int, value: int) -> None:
-        if self._replay is not None and self._in_generator:
-            entry = self._replay.popleft() if self._replay else None
-            if entry is None or entry[0] != "write" or entry[1] != address:
-                raise RuntimeError(
-                    f"phase replay diverged: expected journaled write of "
-                    f"0x{address:x}, journal has {entry!r}"
-                )
-            return   # RAM already holds the final state; do not re-apply
-        if self._journal is not None and self._in_generator:
-            self._journal.append(["write", address, value & (2**64 - 1)])
         self.memory.write(address, (value & (2**64 - 1)).to_bytes(8, "little"))
 
-    def flag_set(self, address: int, expected: int = 1, ge: bool = False) -> bool:
-        value = self.read_u64(address)
-        return value >= expected if ge else value == expected
+
+def _flag_reached(ex: "PhaseExecutor", phase: Union[Wfi, SpinUntil]) -> bool:
+    """Whether the RAM flag ``phase`` waits on has its value."""
+    current = ex.ctx.read_u64(phase.address)
+    return current >= phase.value if phase.ge else current == phase.value
 
 
-def wfi_wait(ctx: PhaseContext, address: int, expected: int = 1, ge: bool = False):
-    """Idle-loop wait: WFI until a RAM flag reaches ``expected``.
+def _phase_data(phase: Optional[Phase]) -> Optional[list]:
+    """``phase`` as JSON data: its type name and its fields."""
+    return None if phase is None else [type(phase).__name__, asdict(phase)]
 
-    This is how both the booting core and the secondaries wait in the
-    synthetic Linux: each unexpected wakeup (timer tick, stray SGI)
-    re-checks the flag and re-enters WFI, exactly like a kernel thread
-    sleeping on a completion.
-    """
-    while not ctx.flag_set(address, expected, ge):
-        yield Wfi()
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # --------------------------------------------------------------------------
 # Executor
 # --------------------------------------------------------------------------
 
+#: the stages of an interrupt service sequence, in order
+_HANDLER_STAGES = ("iar", "work", "acks", "eoir")
+#: who consumes an in-flight MMIO's completion (None: no MMIO in flight)
+_MMIO_SINKS = (None, "program", "iar", "ack", "eoir")
+
+
 class _HandlerState:
     """Progress of an in-flight interrupt service sequence."""
 
     def __init__(self, protocol: IrqProtocol):
         self.protocol = protocol
-        self.stage = "iar"          # iar -> work -> acks -> eoir -> done
+        self.stage = "iar"          # one of _HANDLER_STAGES
         self.ack_id = 0
         self.work_left = protocol.handler_instructions
         self.acks: List[Mmio] = []
@@ -221,12 +216,11 @@ class PhaseExecutor:
     def __init__(self, program: PhaseProgram, ctx: PhaseContext):
         self.ctx = ctx
         self._generator = program(ctx)
-        #: input journal for repro.snapshot: one ["send", value] entry per
-        #: generator advance, interleaved with the ["read"/"write", ...]
-        #: entries the generator produced while handling it.  The journal
-        #: plus the program function fully determine the generator's state.
-        self._journal: list = []
-        ctx._journal = self._journal
+        #: the program's position (repro.snapshot): how many times the
+        #: generator has been advanced, and the non-None values sent into
+        #: it, keyed by advance index
+        self._advances = 0
+        self._inputs: Dict[int, int] = {}
         self._current: Optional[Phase] = None
         self._compute_left = 0
         self._send_value = None
@@ -238,7 +232,7 @@ class PhaseExecutor:
         self._handler: Optional[_HandlerState] = None
         self._wfi_completed = False
         self._pending_mmio: Optional[MmioRequest] = None
-        self._pending_mmio_sink: Optional[str] = None   # "program" | "iar" | "ack" | "eoir"
+        self._pending_mmio_sink: Optional[str] = None   # one of _MMIO_SINKS
         self.pc = ctx.code_base
         # Stats
         self.instructions = 0
@@ -301,18 +295,17 @@ class PhaseExecutor:
     def snapshot_state(self) -> dict:
         """Serializable executor state (repro.snapshot).
 
-        The generator itself cannot be pickled; instead the input journal
-        is stored and :meth:`restore_state` re-drives a *fresh* generator
-        of the same program through it.  All scalar progress state is then
-        installed as data (the replay recomputes counters, but the live
-        values are authoritative).  ``ctx.shared`` must be JSON-encodable.
+        The generator itself cannot be pickled, but a program reads no
+        guest memory, so its position is data: the advance count, the
+        values sent into it and the phase it last yielded.
+        :meth:`restore_state` re-advances a fresh generator to it.
         """
         handler = self._handler
         return {
             "type": "phase",
-            "journal": [list(entry) for entry in self._journal],
-            "shared": sorted(self.ctx.shared.items(),
-                             key=lambda item: repr(item[0])),
+            "advances": self._advances,
+            "inputs": [[index, value] for index, value in self._inputs.items()],
+            "phase": _phase_data(self._current),
             "compute_left": self._compute_left,
             "send_value": self._send_value,
             "finished": self._finished,
@@ -344,41 +337,50 @@ class PhaseExecutor:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Replay the journal into this (freshly constructed) executor.
+        """Re-advance this (freshly constructed) executor to ``state``.
 
-        Must be called on an executor whose generator has never been
-        advanced and whose program function matches the snapshotted one;
-        divergence between journal and program raises RuntimeError.
+        The fresh generator is sent the recorded inputs, ``advances``
+        times.  A program that ends early or stops on a phase other than
+        the recorded one is not the program that was captured; that, like
+        an ill-typed or out-of-range field, raises ``ValueError``.  All
+        scalar progress state is then installed as data.
         """
-        from collections import deque
         if state["type"] != "phase":
-            raise RuntimeError(f"executor type mismatch: {state['type']!r}")
-        replay = deque(tuple(entry) for entry in state["journal"])
-        self.ctx._replay = replay
-        self.ctx._journal = None
-        try:
-            while replay:
-                entry = replay.popleft()
-                if entry[0] != "send":
-                    raise RuntimeError(
-                        f"phase replay diverged: generator consumed fewer "
-                        f"inputs than journaled (next: {entry!r})"
-                    )
-                self.ctx._in_generator = True
-                try:
-                    self._current = self._generator.send(entry[1])
-                except StopIteration:
-                    self._current = None
-                finally:
-                    self.ctx._in_generator = False
-        finally:
-            self.ctx._replay = None
-        # Journal continues to grow from the full history so a snapshot of
-        # a resumed run is itself restorable.
-        self._journal = [list(entry) for entry in state["journal"]]
-        self.ctx._journal = self._journal
-        self.ctx.shared.clear()
-        self.ctx.shared.update((key, value) for key, value in state["shared"])
+            raise ValueError(f"malformed executor: type {state['type']!r} is not 'phase'")
+        advances = state["advances"]
+        if not _is_int(advances) or advances < 0:
+            raise ValueError(f"malformed executor advances: {advances!r}")
+        inputs: Dict[int, int] = {}
+        for index, value in state["inputs"]:
+            if not (_is_int(index) and 0 <= index < advances and _is_int(value)):
+                raise ValueError(f"malformed executor inputs: [{index!r}, {value!r}] "
+                                 f"with {advances} advances")
+            inputs[index] = value
+        phase = None
+        for index in range(advances):
+            try:
+                phase = self._generator.send(inputs.get(index))
+            except StopIteration:
+                if index + 1 < advances:
+                    raise ValueError(
+                        f"malformed executor position: the program ends at advance "
+                        f"{index + 1} of {advances}") from None
+                phase = None
+        if _phase_data(phase) != state["phase"]:
+            raise ValueError(
+                f"malformed executor position: the program stands at "
+                f"{_phase_data(phase)!r} after {advances} advances, the snapshot "
+                f"at {state['phase']!r}")
+        handler = state["handler"]
+        if handler is not None and (handler["stage"] not in _HANDLER_STAGES
+                                    or self.ctx.irq_protocol is None):
+            raise ValueError(f"malformed executor handler: {handler!r}")
+        if state["pending_mmio_sink"] not in _MMIO_SINKS:
+            raise ValueError(
+                f"malformed executor pending_mmio_sink: {state['pending_mmio_sink']!r}")
+        self._advances = advances
+        self._inputs = inputs
+        self._current = phase
         self._compute_left = state["compute_left"]
         self._send_value = state["send_value"]
         self._finished = bool(state["finished"])
@@ -386,11 +388,9 @@ class PhaseExecutor:
         self.irq_line = bool(state["irq_line"])
         self.breakpoints = set(state["breakpoints"])
         self._skip_breakpoint_once = bool(state["skip_breakpoint_once"])
-        handler = state["handler"]
         if handler is None:
             self._handler = None
         else:
-            assert self.ctx.irq_protocol is not None
             restored = _HandlerState(self.ctx.irq_protocol)
             restored.stage = handler["stage"]
             restored.ack_id = handler["ack_id"]
@@ -480,20 +480,31 @@ class PhaseExecutor:
 
     # -- internals ---------------------------------------------------------------
     def _advance_program(self) -> None:
+        """Send the pending input and take the program's next phase.
+
+        A ``Wfi`` whose flag is already set is passed at once: the core
+        would not idle on a completed wait.
+        """
         value, self._send_value = self._send_value, None
-        if self.ctx._replay is None:
-            self._journal.append(["send", value])
-        self.ctx._in_generator = True
-        try:
-            self._current = self._generator.send(value)
-        except StopIteration:
-            self._current = None
-            return
-        finally:
-            self.ctx._in_generator = False
-        if type(self._current) is Compute:
-            self._compute_left = self._current.instructions
-            self._charge_translation(self._current)
+        while True:
+            if value is not None:
+                self._inputs[self._advances] = value
+            self._advances += 1
+            try:
+                phase = self._generator.send(value)
+            except StopIteration:
+                self._current = None
+                return
+            self._current = phase
+            kind = type(phase)
+            if kind is Compute:
+                self._compute_left = phase.instructions
+                self._charge_translation(phase)
+                return
+            if (kind is not Wfi or phase.address is None
+                    or not _flag_reached(self, phase)):
+                return
+            value = None
 
     def _charge_translation(self, phase: Compute) -> None:
         key = phase.key
@@ -581,18 +592,18 @@ def _step_mmio(ex: PhaseExecutor, phase: Mmio, executed: int, budget: int):
                           if phase.is_write else None, 0)
     ex._pending_mmio = request
     ex._pending_mmio_sink = "program"
-    ex._current = None
     ex.memory_ops += 1
     return ExitInfo(ExitReason.MMIO, executed, ex.pc, mmio=request)
 
 
 def _step_wfi(ex: PhaseExecutor, phase: Wfi, executed: int, budget: int):
     if ex._wfi_completed:
-        # Waking up after a WFI: only now advance the program, so flag
-        # checks in wfi_wait() observe memory written by the peer that
-        # raised the wake-up interrupt.
+        # Waking up after a WFI: only now re-check the wait's flag, so it
+        # observes memory written by the peer that raised the wake-up
+        # interrupt.
         ex._wfi_completed = False
-        ex._advance_program()
+        if phase.address is None or _flag_reached(ex, phase):
+            ex._advance_program()
         return executed
     ex.pc = ex.ctx.wfi_pc
     if ex.pc in ex.breakpoints and not ex._skip_breakpoint_once:
@@ -611,7 +622,7 @@ def _step_wfi(ex: PhaseExecutor, phase: Wfi, executed: int, budget: int):
 
 
 def _step_spin_until(ex: PhaseExecutor, phase: SpinUntil, executed: int, budget: int):
-    if ex.ctx.flag_set(phase.address, phase.value, phase.ge):
+    if _flag_reached(ex, phase):
         ex._advance_program()
         return executed
     if ex.irq_line and ex.ctx.irq_protocol is not None:

@@ -1,10 +1,11 @@
 """repro.snapshot — full-VP snapshot/restore with warm scenario forking.
 
-The ``repro.snapshot/1`` format serializes the complete state of a running
+The ``repro.snapshot/2`` format serializes the complete state of a running
 virtual platform — the kernel's event queue, every device's registers and
 latched IRQ levels, guest RAM (sparse, page-deduped), vCPU architectural
-state with MMU/TLB caches, DMI/promotion bookkeeping, the host-time ledger
-and each SC_THREAD's park site — into one content-addressed container.
+state with MMU/TLB caches, each phase program's position, DMI/promotion
+bookkeeping, the host-time ledger and each SC_THREAD's park site — into
+one content-addressed container.
 
 Typical flow (what ``repro.bench bench --from-snapshot`` automates)::
 
@@ -28,7 +29,6 @@ bit-for-bit — on both the serial and threads execution backends.
 
 from ..systemc.kernel import TraceRecorder
 from .capture import capture_platform, serialize_config
-from .flight import snapshot_from_flight_bundle
 from .format import FORMAT, PAGE_SIZE, SnapshotError, manifest_digest
 from .image import Snapshot
 from .restore import config_from_manifest, restore_platform
@@ -44,5 +44,4 @@ __all__ = [
     "manifest_digest",
     "restore_platform",
     "serialize_config",
-    "snapshot_from_flight_bundle",
 ]

@@ -201,7 +201,6 @@ def capture_platform(vp, trace: Optional[List[TraceEntry]] = None,
     manifest = {
         "format": FORMAT,
         "kind": "aoa" if hasattr(vp, "kvm") else "avp64",
-        "partial": False,
         "lineage": {"parent": None, "fork_index": None},
         "config": serialize_config(vp.config),
         "software": software_descriptor(vp.software),

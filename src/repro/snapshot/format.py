@@ -1,4 +1,4 @@
-"""The ``repro.snapshot/1`` container format.
+"""The ``repro.snapshot/2`` container format.
 
 A snapshot is two things:
 
@@ -35,7 +35,7 @@ import zlib
 from typing import Dict, Iterator, Optional, Tuple
 
 MAGIC = b"RSNAP1\n"
-FORMAT = "repro.snapshot/1"
+FORMAT = "repro.snapshot/2"
 
 #: guest-RAM serialization granularity (matches the fabric's DMI-promotion
 #: page size, but the two are independent knobs)

@@ -44,10 +44,6 @@ class Snapshot:
         return manifest_digest(self.manifest)
 
     @property
-    def partial(self) -> bool:
-        return bool(self.manifest.get("partial"))
-
-    @property
     def kind(self) -> str:
         return self.manifest["kind"]
 
@@ -109,11 +105,6 @@ class Snapshot:
         from .restore import restore_platform
         return restore_platform(self, software, config=config, kind=kind)
 
-    @classmethod
-    def from_flight_bundle(cls, path: str) -> "Snapshot":
-        from .flight import snapshot_from_flight_bundle
-        return snapshot_from_flight_bundle(path)
-
     # -- forking ---------------------------------------------------------------
     def fork(self, count: int) -> List["Snapshot"]:
         """Branch ``count`` copy-on-write children off this snapshot.
@@ -124,8 +115,6 @@ class Snapshot:
         """
         if count < 1:
             raise ValueError(f"fork count must be >= 1, got {count}")
-        if self.partial:
-            raise SnapshotError("cannot fork a partial (flight-bundle) snapshot")
         parent_id = self.snapshot_id
         children = []
         for index in range(count):
@@ -143,8 +132,6 @@ class Snapshot:
         The divergent input injector for forked scenarios: siblings sharing
         the same parent see none of each other's pokes.
         """
-        if self.partial:
-            raise SnapshotError("cannot poke RAM of a partial snapshot")
         ram = self.manifest["ram"]
         size, page_size = ram["size"], ram["page_size"]
         if address < 0 or address + len(data) > size:
@@ -171,6 +158,4 @@ class Snapshot:
             offset += chunk
 
     def __repr__(self) -> str:
-        flavor = "partial " if self.partial else ""
-        return (f"Snapshot({flavor}{self.manifest.get('kind', '?')} "
-                f"@ {self.sim_time_ps} ps, id={self.snapshot_id[:12]})")
+        return f"Snapshot({self.kind} @ {self.sim_time_ps} ps, id={self.snapshot_id[:12]})"

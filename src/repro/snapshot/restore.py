@@ -14,9 +14,13 @@ dynamic state from the manifest:
    after restore correctly sort behind restored ones.
 3. Guest RAM is written *in place* (slice assignment into the existing
    bytearray) so DMI memoryviews and KVM memory slots resolved during
-   construction stay valid.
+   construction stay valid.  Construction wrote only the guest image, so
+   only the image's ranges are zeroed before the snapshot's pages land.
 4. Devices, registers, CPUs, fabric ports, watchdog, monitor and ledger
-   restore through their ``snapshot_state``/``restore_state`` hooks.
+   restore through their ``snapshot_state``/``restore_state`` hooks.  A
+   phase-mode CPU's executor re-advances its fresh program generator to
+   the stored position (advance count and MMIO read values) and refuses
+   a program that ends early or stands on a different phase.
 5. The recorded dispatch-trace prefix is replayed through the kernel's
    trace hook, so a DET001 digest attached before restore folds the same
    complete stream a cold run produces.
@@ -32,7 +36,7 @@ from ..host.wallclock import elapsed_since, wall_clock
 from ..systemc.process import Process, ProcessState
 from ..systemc.time import SimTime
 from ..telemetry import scope_registry
-from ..vp.config import VpConfig
+from ..vp.config import MemoryMap, VpConfig
 from ..vp.platform import build_platform
 from .capture import _RESTORABLE_PARKS, REG_LABELS, software_descriptor
 from .format import SnapshotError, decode_trace
@@ -204,10 +208,6 @@ def restore_platform(snapshot: Snapshot, software, config: Optional[VpConfig] = 
     """
     started = wall_clock()
     manifest = snapshot.manifest
-    if snapshot.partial:
-        raise SnapshotError(
-            "partial snapshot (flight bundle): holds post-mortem state only "
-            "and cannot be restored into a runnable platform")
     kind = kind or manifest["kind"]
     if config is None:
         config = config_from_manifest(manifest["config"])
@@ -276,11 +276,19 @@ def _install_state(vp, snapshot: Snapshot) -> None:
                                     maximum=len(vp.cpus))
 
     # (3) guest RAM, in place (DMI memoryviews / KVM slots stay valid).
+    # The fresh build wrote only the guest image: zero its ranges, then
+    # write the snapshot's pages.
     ram = manifest["ram"]
     if ram["size"] != vp.ram.size:
         raise SnapshotError(
             f"RAM size mismatch: snapshot {ram['size']}, platform {vp.ram.size}")
-    vp.ram.data[:] = bytes(vp.ram.size)
+    data = vp.ram.data
+
+    def zero(address: int, blob: bytes) -> None:
+        start = address + vp.software.load_offset - MemoryMap.RAM_BASE
+        data[start:start + len(blob)] = bytes(len(blob))
+
+    vp.software.image.load_into(zero)
     page_size = _check_int(ram["page_size"], "ram.page_size", minimum=1)
     for index_str, sha in ram["pages"].items():
         offset = int(index_str) * page_size
@@ -288,7 +296,7 @@ def _install_state(vp, snapshot: Snapshot) -> None:
         if not 0 <= offset <= vp.ram.size - len(page):
             raise SnapshotError(
                 f"malformed ram.pages: page {index_str!r} lies outside RAM")
-        vp.ram.data[offset:offset + len(page)] = page
+        data[offset:offset + len(page)] = page
     vp.ram.restore_state(manifest["memory"])
 
     # (4) devices, registers, CPUs, ports, watchdog, monitor, ledger.

@@ -18,7 +18,7 @@ to:
 
 Two kinds of waiting are modeled deliberately:
 
-* *idle waits* (``wfi_wait``) — completions/hotplug waits where Linux
+* *idle waits* (``Wfi`` on a flag) — completions/hotplug waits where Linux
   schedules into the idle loop; these are the waits WFI annotation
   eliminates;
 * *busy waits* (``SpinUntil``) — stop_machine/csd-style spins that burn CPU
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..iss.phase import AtomicAdd, Compute, Mmio, SpinUntil, StoreFlag, wfi_wait
+from ..iss.phase import AtomicAdd, Compute, Mmio, SpinUntil, StoreFlag, Wfi
 from .config import MemoryMap
 from .guestlib import (
     FLAGS_BASE,
@@ -134,7 +134,7 @@ def linux_boot_program(core: int, num_cores: int, params: LinuxBootParams,
         for target in range(1, num_cores):
             yield StoreFlag(RELEASE_FLAG + 8 * target, 1)
             yield send_sgi(1 << target)
-            yield from wfi_wait(ctx, ONLINE_FLAG + 8 * target, 1)
+            yield Wfi(ONLINE_FLAG + 8 * target, 1)
             for step in range(1, params.handshake_rounds + 1):
                 yield StoreFlag(STEP_REQ + 8 * target, step)
                 yield send_sgi(1 << target)
@@ -142,7 +142,7 @@ def linux_boot_program(core: int, num_cores: int, params: LinuxBootParams,
                     # csd_lock_wait-style busy wait: annotation cannot help.
                     yield SpinUntil(STEP_ACK + 8 * target, step)
                 else:
-                    yield from wfi_wait(ctx, STEP_ACK + 8 * target, step)
+                    yield Wfi(STEP_ACK + 8 * target, step)
         # Global synchronization points (jump labels, stop_machine, RCU).
         for generation in range(1, params.global_syncs + 1):
             yield StoreFlag(SYNC_REQ, generation)
@@ -169,20 +169,20 @@ def linux_boot_program(core: int, num_cores: int, params: LinuxBootParams,
 
     def boot_secondary(ctx):
         yield from gic_cpu_setup(core)
-        yield from wfi_wait(ctx, RELEASE_FLAG + 8 * core, 1)
+        yield Wfi(RELEASE_FLAG + 8 * core, 1)
         yield from timer_setup(core, timer_hz, params.jiffy_hz)
         yield Compute(params.secondary_init_instructions, key="secondary_init",
                       static_blocks=600, mem_fraction=0.3)
         yield StoreFlag(ONLINE_FLAG + 8 * core, 1)
         yield send_sgi(0x1)
         for step in range(1, params.handshake_rounds + 1):
-            yield from wfi_wait(ctx, STEP_REQ + 8 * core, step)
+            yield Wfi(STEP_REQ + 8 * core, step)
             yield Compute(params.handshake_work_instructions, key="cpuhp_step",
                           static_blocks=120)
             yield StoreFlag(STEP_ACK + 8 * core, step)
             yield send_sgi(0x1)
         for generation in range(1, params.global_syncs + 1):
-            yield from wfi_wait(ctx, SYNC_REQ, generation, ge=True)
+            yield Wfi(SYNC_REQ, generation, ge=True)
             yield Compute(params.sync_work_instructions, key="stopm_follower",
                           static_blocks=80)
             yield AtomicAdd(SYNC_ACK, 1)

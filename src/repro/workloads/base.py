@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..iss.phase import Halt, StoreFlag, wfi_wait
+from ..iss.phase import Halt, StoreFlag, Wfi
 from ..vp.guestlib import (
     FLAGS_BASE,
     gic_cpu_setup,
@@ -106,7 +106,7 @@ def user_space_software(name: str, num_cores: int,
         def program(ctx):
             yield from gic_cpu_setup(core)
             yield from timer_setup(core, timer_hz, jiffy_hz)
-            yield from wfi_wait(ctx, WORKER_GO + 8 * core, 1)
+            yield Wfi(WORKER_GO + 8 * core, 1)
             if worker_program is not None:
                 yield from worker_program(core)(ctx)
             yield from idle_forever()

@@ -10,7 +10,7 @@ from repro.arch.assembler import assemble
 from repro.host.accounting import HostLedger
 from repro.host.machine import apple_m2_pro
 from repro.host.params import KvmCostParams
-from repro.iss.phase import Compute, Halt, Mmio, PhaseContext, PhaseExecutor, Wfi, wfi_wait
+from repro.iss.phase import Compute, Halt, Mmio, PhaseContext, PhaseExecutor, Wfi
 from repro.kvm.api import Kvm
 from repro.systemc.clock import Clock
 from repro.systemc.kernel import Kernel
@@ -148,7 +148,7 @@ class TestKvmCpuLoop:
         FLAG = 0x2000
 
         def program(ctx):
-            yield from wfi_wait(ctx, FLAG, 1)
+            yield Wfi(FLAG, 1)
             yield Halt(5)
 
         rig = Rig(program, annotate_wfi_pc=0x4000)
@@ -234,7 +234,7 @@ class TestIssCpuLoop:
         FLAG = 0x2000
 
         def program(ctx):
-            yield from wfi_wait(ctx, FLAG, 1)
+            yield Wfi(FLAG, 1)
             yield Halt()
 
         rig = Rig(program, cpu_kind="iss")

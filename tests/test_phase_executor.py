@@ -14,7 +14,6 @@ from repro.iss.phase import (
     SpinUntil,
     StoreFlag,
     Wfi,
-    wfi_wait,
 )
 
 IAR = 0x0801_000C
@@ -150,7 +149,7 @@ class TestWfi:
         FLAG = 0x5000
 
         def program(ctx):
-            yield from wfi_wait(ctx, FLAG, 1)
+            yield Wfi(FLAG, 1)
             yield Halt(9)
 
         executor, ctx = make_executor(program)
@@ -178,7 +177,7 @@ class TestWfi:
         FLAG = 0x5000
 
         def program(ctx):
-            yield from wfi_wait(ctx, FLAG, 1)
+            yield Wfi(FLAG, 1)
             yield Halt(1)
 
         executor, ctx = make_executor(program, protocol=default_protocol(),
@@ -348,3 +347,63 @@ class TestLifecycle:
         executor, _ = make_executor(program)
         with pytest.raises(TypeError):
             executor.run(10)
+
+
+class TestPosition:
+    """An executor snapshot is the program's position: the advance count,
+    the MMIO read values sent into it and the phase it stands on."""
+
+    FLAG = 0x5000
+
+    @staticmethod
+    def program(ctx):
+        status = yield Mmio(0x9000_0004, 4, False)
+        yield Wfi(TestPosition.FLAG, 1)     # already set: no WFI executes
+        yield Compute(status, key="sized_by_the_read")
+        yield Wfi(TestPosition.FLAG, 2)
+        yield Halt(4)
+
+    def warm(self):
+        executor, ctx = make_executor(self.program)
+        ctx.write_u64(self.FLAG, 1)
+        assert executor.run(100).reason is ExitReason.MMIO
+        executor.complete_mmio((300).to_bytes(4, "little"))
+        assert executor.run(1000).reason is ExitReason.WFI
+        return executor
+
+    def test_state_holds_the_position_and_read_values_only(self):
+        executor = self.warm()
+        assert executor.instructions == 1 + 300 + 1   # read, compute, one WFI
+        state = executor.snapshot_state()
+        assert state["advances"] == 4
+        assert state["inputs"] == [[1, 300]]
+        assert state["phase"] == ["Wfi", {"address": self.FLAG, "value": 2, "ge": False}]
+
+    def test_restore_resumes_where_the_capture_stood(self):
+        state = self.warm().snapshot_state()
+        # The replay reads no guest memory: the fresh RAM's unset flag
+        # does not change where the program ends up.
+        executor, ctx = make_executor(self.program)
+        executor.restore_state(state)
+        assert executor.snapshot_state() == state
+        ctx.write_u64(self.FLAG, 2)
+        info = executor.run(100)
+        assert info.reason is ExitReason.HALT and info.halt_code == 4
+
+    def test_program_that_ends_early_is_refused(self):
+        state = dict(self.warm().snapshot_state(), advances=14)
+        executor, _ = make_executor(self.program)
+        with pytest.raises(ValueError, match="ends at advance 6 of 14"):
+            executor.restore_state(state)
+
+    def test_program_on_another_phase_is_refused(self):
+        def other(ctx):
+            yield Mmio(0x9000_0004, 4, False)
+            yield Wfi(TestPosition.FLAG, 1)
+            yield Compute(10, key="other")
+            yield Wfi(TestPosition.FLAG, 3)
+
+        state = self.warm().snapshot_state()
+        executor, _ = make_executor(other)
+        with pytest.raises(ValueError, match="stands at"):
+            executor.restore_state(state)

@@ -1,6 +1,6 @@
 """repro.snapshot: container format, canonical bytes, per-device round
 trips, cold-vs-resumed DET001 digest equality, copy-on-write forking with
-divergent inputs, flight-bundle import and the bench CLI paths."""
+divergent inputs and the bench CLI paths."""
 
 from __future__ import annotations
 
@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.determinism import trace_run
+from repro.iss.phase import StoreFlag
 from repro.snapshot import (
+    FORMAT,
     PAGE_SIZE,
     Snapshot,
     SnapshotError,
     TraceRecorder,
     capture_platform,
     restore_platform,
-    snapshot_from_flight_bundle,
 )
 from repro.snapshot.format import (
     blob_digest,
@@ -32,8 +33,10 @@ from repro.snapshot.format import (
 )
 from repro.systemc.time import SimTime
 from repro.vp.config import VpConfig
+from repro.vp.guestlib import idle_forever
 from repro.vp.linux import LinuxBootParams, linux_boot_software
 from repro.vp.platform import build_platform
+from repro.vp.software import IDLE_IMAGE_BASE, GuestSoftware
 
 
 CORES = 2
@@ -89,7 +92,7 @@ class TestFormat:
         assert len(pages[2]) == 100
 
     def test_container_round_trip(self, tmp_path):
-        manifest = {"format": "repro.snapshot/1", "x": [1, 2, 3]}
+        manifest = {"format": FORMAT, "x": [1, 2, 3]}
         blob = b"page-content" * 100
         path = tmp_path / "t.rsnap"
         write_container(str(path), manifest, {blob_digest(blob): blob})
@@ -108,7 +111,7 @@ class TestFormat:
                 out += struct.pack(">II", raw_len, len(packed)) + packed
             return out
 
-        good = zlib.compress(b'{"format": "repro.snapshot/1"}')
+        good = zlib.compress(json.dumps({"format": FORMAT}).encode())
         flipped_magic = container(good)
         flipped_magic[0] ^= 0xFF
         flipped_manifest = container(good)
@@ -127,6 +130,14 @@ class TestFormat:
             path.write_bytes(bytes(raw))
             with pytest.raises(SnapshotError):
                 read_container(str(path))
+
+    def test_format_one_file_is_rejected(self, aoa_warm, tmp_path):
+        """A repro.snapshot/1 file stores a replay journal, not positions."""
+        _, snapshot = aoa_warm
+        path = tmp_path / "old.rsnap"
+        write_container(str(path), dict(snapshot.manifest, format="repro.snapshot/1"), {})
+        with pytest.raises(SnapshotError, match="repro.snapshot/1"):
+            Snapshot.load(str(path))
 
     def test_save_load_preserves_snapshot_id(self, aoa_warm, tmp_path):
         _, snapshot = aoa_warm
@@ -207,6 +218,27 @@ class TestRoundTrip:
         left = dict(original.manifest, trace=None)
         assert canonical_manifest_bytes(left) == canonical_manifest_bytes(
             recaptured.manifest)
+
+    def test_image_page_the_guest_zeroed_is_zero_after_restore(self):
+        """The snapshot omits an all-zero page, so restore must clear what
+        the fresh build loaded there."""
+        def programs(core):
+            def program(ctx):
+                if core == 0:
+                    for section in cleared.image.sections:
+                        end = section.address + len(section.data)
+                        for address in range(section.address, end, 8):
+                            yield StoreFlag(address, 0)
+                yield from idle_forever()
+            return program
+
+        cleared = GuestSoftware.from_phase_programs(programs, name="clear_image")
+        vp = build_platform("aoa", make_config(), cleared)
+        vp.run(SimTime.ms(1))
+        snapshot = capture_platform(vp)
+        assert str(IDLE_IMAGE_BASE // PAGE_SIZE) not in snapshot.manifest["ram"]["pages"]
+        restored = restore_platform(snapshot, cleared)
+        assert bytes(restored.ram.data) == bytes(vp.ram.data)
 
 
 # -- the correctness gate: cold digest == snapshot-resumed digest ---------------------
@@ -357,6 +389,15 @@ def _gic(manifest, **fields):
     manifest["devices"]["gic"].update(fields)
 
 
+def _executor(manifest, **fields):
+    manifest["cpus"][0]["kvm"]["vcpu"]["executor"].update(fields)
+
+
+def _input_past_end(manifest):
+    state = manifest["cpus"][0]["kvm"]["vcpu"]["executor"]
+    state["inputs"].append([state["advances"], 1])
+
+
 #: manifest edits restore must refuse; each escaped as a raw error or was
 #: silently accepted before the device, kernel and RAM sections were checked
 HOSTILE_SECTIONS = {
@@ -385,6 +426,14 @@ HOSTILE_SECTIONS = {
     "gic_pending_spi_below_32": lambda m: _gic(m, pending_spi=[5]),
     "gic_dist_enabled_is_int": lambda m: _gic(m, dist_enabled=1),
     "gic_spi_line_unknown": lambda m: _gic(m, spi_line_levels={"200": True}),
+    "executor_advances_is_string": lambda m: _executor(m, advances="3"),
+    "executor_advances_negative": lambda m: _executor(m, advances=-1),
+    "executor_input_past_advances": _input_past_end,
+    "executor_handler_stage_unknown": lambda m: _executor(m, handler={
+        "stage": "nowhere", "ack_id": 0, "work_left": 0, "acks": []}),
+    "executor_mmio_sink_unknown": lambda m: _executor(m, pending_mmio_sink="x"),
+    "executor_replay_ends_on_other_phase": lambda m: _executor(
+        m, phase=["Halt", {"code": 7}]),
 }
 
 
@@ -507,63 +556,6 @@ class TestForkHypothesis:
         if cls._cached is None:
             cls._cached = boot_capture()[1]
         return cls._cached
-
-
-# -- flight-bundle import -------------------------------------------------------------
-
-class TestFlightBundle:
-    @pytest.fixture()
-    def bundle(self, tmp_path):
-        root = tmp_path / "crash.bundle"
-        (root / "cores").mkdir(parents=True)
-        (root / "meta.json").write_text(json.dumps({
-            "reason": "watchdog", "detail": "core1 stalled",
-            "sim_time_ps": 123_000_000,
-            "platform": {"name": "vp", "kind": "AoaPlatform", "num_cores": 2},
-            "console_tail": "panic\n", "total_instructions": 42,
-        }))
-        (root / "cores" / "core0.json").write_text(json.dumps({"pc": 4096}))
-        (root / "metrics.json").write_text(json.dumps({"mips": 1.5}))
-        return root
-
-    def test_bundle_becomes_partial_snapshot(self, bundle, tmp_path):
-        snapshot = snapshot_from_flight_bundle(str(bundle))
-        assert snapshot.partial and snapshot.kind == "aoa"
-        assert snapshot.sim_time_ps == 123_000_000
-        assert snapshot.manifest["cores"] == [{"pc": 4096}]
-        path = tmp_path / "crash.rsnap"
-        snapshot.save(str(path))
-        assert Snapshot.load(str(path)).snapshot_id == snapshot.snapshot_id
-
-    def test_partial_snapshot_refuses_restore_and_fork(self, bundle):
-        snapshot = snapshot_from_flight_bundle(str(bundle))
-        with pytest.raises(SnapshotError, match="partial"):
-            restore_platform(snapshot, software())
-        with pytest.raises(SnapshotError, match="partial"):
-            snapshot.fork(1)
-
-    def test_non_bundle_directory_is_rejected(self, tmp_path):
-        with pytest.raises(SnapshotError, match="no meta.json"):
-            snapshot_from_flight_bundle(str(tmp_path))
-
-    @pytest.mark.parametrize("relpath,content", [
-        ("meta.json", '{"reason": "watch'),              # truncated
-        ("meta.json", "[]"),
-        ("meta.json", '{"platform": ["AoaPlatform"]}'),
-        ("cores/core0.json", '{"pc": 40'),               # truncated
-        ("cores/core0.json", "7"),
-        ("metrics.json", '["mips", 1.5]'),
-        ("metrics.json", b"\xff\xfe"),                   # not UTF-8
-    ])
-    def test_malformed_bundle_raises_snapshot_error(self, bundle, relpath,
-                                                     content):
-        target = bundle / relpath
-        if isinstance(content, bytes):
-            target.write_bytes(content)
-        else:
-            target.write_text(content)
-        with pytest.raises(SnapshotError, match=relpath.split("/")[-1]):
-            Snapshot.from_flight_bundle(str(bundle))
 
 
 # -- bench CLI ------------------------------------------------------------------------
