@@ -40,15 +40,17 @@ from .recorder import FlightRecorder
 #: a console line longer than this is journalled in chunks
 CONSOLE_LINE_LIMIT = 256
 
+#: where crash bundles go when ``Flight`` is given no ``crash_dir``
+CRASH_DIR_ENV = "REPRO_FLIGHT_CRASH_DIR"
+
 
 class _Core:
     """Per-core probe state of one attached platform."""
 
-    __slots__ = ("cpu", "core", "kvm", "track", "base", "executor",
+    __slots__ = ("core", "kvm", "track", "base", "executor",
                  "suspend_begin_ps")
 
     def __init__(self, platform_key: str, cpu):
-        self.cpu = cpu
         self.core = cpu.core_id
         vcpu = getattr(cpu, "vcpu", None)
         #: KVM-backed (has a vcpu and a host clock) rather than an ISS core
@@ -58,10 +60,6 @@ class _Core:
         self.executor = vcpu.executor if vcpu is not None else cpu.executor
         #: where the pending WFI suspend began (ps), None when running
         self.suspend_begin_ps: Optional[int] = None
-
-    def host_ns(self) -> Optional[float]:
-        """The core's modeled host clock; an ISS core has none."""
-        return self.cpu.host_now_ns if self.kvm else None
 
 
 class Flight(ObserverScope):
@@ -79,7 +77,7 @@ class Flight(ObserverScope):
         self.profiler = (GuestProfiler(profile_interval)
                          if profile_interval else None)
         if crash_dir is None:
-            crash_dir = os.environ.get("REPRO_FLIGHT_CRASH_DIR", "crash-bundles")
+            crash_dir = _env_crash_dir()
         self.bundler = (CrashBundler(self, crash_dir, last_n, max_bundles)
                         if bundles else None)
         #: (entry, pending console bytes) per attached platform
@@ -169,29 +167,32 @@ class Flight(ObserverScope):
         self._note_registry(vp)
         kernel = vp.kernel
         record = self.recorder.record
+        add = self.recorder.add
 
         def kernel_error(exc: BaseException) -> None:
-            record("kernel_error", kernel.now.picoseconds,
+            record("kernel_error", kernel._now_ps,
                    error=f"{type(exc).__name__}: {exc}")
             if self.bundler is not None:
                 self.bundler.trigger(vp, "kernel-error",
                                      detail=f"{type(exc).__name__}: {exc}")
 
+        # The hot probes write each entry's data out key-sorted (see
+        # FlightRecorder.add); the cold ones go through record(**data).
         def watchdog_arm(core_id, now_ns, timeout_ns, kick_id) -> None:
-            record("watchdog_arm", kernel.now.picoseconds, host_ns=now_ns,
-                   core=core_id, budget_ns=round(timeout_ns, 3),
-                   kick_id=kick_id)
+            add("watchdog_arm", kernel._now_ps, now_ns, core_id,
+                (("budget_ns", round(timeout_ns, 3)), ("kick_id", kick_id)))
 
         def watchdog_fire(fire) -> None:
-            record("watchdog_fire", kernel.now.picoseconds,
-                   host_ns=fire.fired_at_ns, core=fire.core_id,
-                   kick_id=fire.kick_id,
-                   budget_ns=(None if fire.budget_ns is None
-                              else round(fire.budget_ns, 3)),
-                   margin_ns=round(fire.margin_ns, 3))
+            budget_ns = fire.budget_ns
+            add("watchdog_fire", kernel._now_ps, fire.fired_at_ns,
+                fire.core_id,
+                (("budget_ns",
+                  None if budget_ns is None else round(budget_ns, 3)),
+                 ("kick_id", fire.kick_id),
+                 ("margin_ns", round(fire.margin_ns, 3))))
 
         def sanitizer_finding(finding) -> None:
-            record("sanitizer", kernel.now.picoseconds, rule=finding.rule,
+            record("sanitizer", kernel._now_ps, rule=finding.rule,
                    path=finding.path, message=finding.message)
             if self.bundler is not None:
                 self.bundler.trigger(vp, "sanitizer",
@@ -214,14 +215,14 @@ class Flight(ObserverScope):
             if source is not uart:
                 return
             if byte == 0x0A:
-                self._record_console(kernel.now.picoseconds, buffer)
+                self._record_console(kernel._now_ps, buffer)
             else:
                 buffer.append(byte)
                 if len(buffer) >= CONSOLE_LINE_LIMIT:
-                    self._record_console(kernel.now.picoseconds, buffer)
+                    self._record_console(kernel._now_ps, buffer)
 
         def simctl(what: str, value: int) -> None:
-            now_ps = kernel.now.picoseconds
+            now_ps = kernel._now_ps
             if what == "boot_done":
                 self.recorder.record("simctl", now_ps, what=what)
             elif what == "checkpoint":
@@ -242,7 +243,7 @@ class Flight(ObserverScope):
     # -- CPU cores ---------------------------------------------------------------
     def _core_probes(self, key: str, vp) -> dict:
         kernel = vp.kernel
-        record = self.recorder.record
+        add = self.recorder.add
         profiler = self.profiler
         symbolize = self._symbolizer(vp)
         cores = {cpu: _Core(key, cpu) for cpu in vp.cpus}
@@ -268,65 +269,67 @@ class Flight(ObserverScope):
         def mmio_request(cpu, request) -> None:
             is_write = bool(request.is_write)
             size = len(request.data) if is_write else request.size
-            record("mmio_req", kernel.now.picoseconds,
-                   host_ns=cores[cpu].host_ns(), core=cpu.core_id,
-                   address=request.address, write=is_write, size=size)
+            add("mmio_req", kernel._now_ps,
+                cpu.host_now_ns if cores[cpu].kvm else None, cpu.core_id,
+                (("address", request.address), ("size", size),
+                 ("write", is_write)))
 
         def mmio_response(cpu, request, cycles: int, ok: bool) -> None:
-            record("mmio_resp", kernel.now.picoseconds,
-                   host_ns=cores[cpu].host_ns(), core=cpu.core_id,
-                   address=request.address, cycles=cycles, error=not ok)
+            add("mmio_resp", kernel._now_ps,
+                cpu.host_now_ns if cores[cpu].kvm else None, cpu.core_id,
+                (("address", request.address), ("cycles", cycles),
+                 ("error", not ok)))
 
         def irq(cpu, number: int, level) -> None:
-            record("irq", kernel.now.picoseconds, core=cpu.core_id,
-                   line=number, level=bool(level))
+            add("irq", kernel._now_ps, None, cpu.core_id,
+                (("level", bool(level)), ("line", number)))
 
         # WFI suspend/resume pairs on the simulated-time axis.
         def simulate_call(cpu, cycles: int) -> None:
             core = cores[cpu]
             if core.suspend_begin_ps is not None:
                 begin_ps, core.suspend_begin_ps = core.suspend_begin_ps, None
-                now_ps = cpu.keeper.current_time().picoseconds
-                record("wfi_resume", now_ps, core=core.core,
-                       skipped_ps=max(0, now_ps - begin_ps))
+                now_ps = kernel._now_ps + cpu.keeper.offset_ps
+                add("wfi_resume", now_ps, None, core.core,
+                    (("skipped_ps", max(0, now_ps - begin_ps)),))
 
         def simulate_return(cpu, result) -> None:
             # Pure observer: only WAIT_IRQ leaves a journal entry.
             if result.action is SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
-                resume_base = (cpu.keeper.current_time()
-                               + cpu.cycles_to_time(result.cycles))
-                record("wfi_suspend", resume_base.picoseconds, core=cpu.core_id)
-                cores[cpu].suspend_begin_ps = resume_base.picoseconds
+                resume_ps = (kernel._now_ps + cpu.keeper.offset_ps
+                             + cpu.cycles_to_time(result.cycles).picoseconds)
+                add("wfi_suspend", resume_ps, None, cpu.core_id, ())
+                cores[cpu].suspend_begin_ps = resume_ps
 
         def quantum_sync(cpu) -> None:
-            record("quantum_sync", kernel.now.picoseconds, core=cpu.core_id,
-                   offset_ps=cpu.keeper.local_time_offset.picoseconds)
+            add("quantum_sync", kernel._now_ps, None, cpu.core_id,
+                (("offset_ps", cpu.keeper.offset_ps),))
 
         def vcpu_exit(cpu, info) -> None:
             if cores[cpu].kvm:
-                record("kvm_exit", kernel.now.picoseconds,
-                       host_ns=cpu.host_now_ns + info.wall_ns, core=cpu.core_id,
-                       reason=info.reason.value, pc=info.pc,
-                       instructions=info.instructions,
-                       wall_ns=round(info.wall_ns, 3),
-                       blocked_in_wfi=info.blocked_in_wfi)
+                add("kvm_exit", kernel._now_ps, cpu.host_now_ns + info.wall_ns,
+                    cpu.core_id,
+                    (("blocked_in_wfi", info.blocked_in_wfi),
+                     ("instructions", info.instructions), ("pc", info.pc),
+                     ("reason", info.reason.value),
+                     ("wall_ns", round(info.wall_ns, 3))))
             else:
-                record("cpu_exit", kernel.now.picoseconds, core=cpu.core_id,
-                       reason=info.reason.name.lower(), pc=info.pc,
-                       instructions=info.instructions)
+                add("cpu_exit", kernel._now_ps, None, cpu.core_id,
+                    (("instructions", info.instructions), ("pc", info.pc),
+                     ("reason", info.reason.name.lower())))
 
         # KVM model: kick filtering and wedge detection.
         def kick(guard, kick_id: int, delivered: bool) -> None:
             cpu = guards[guard]
-            record("watchdog_kick", kernel.now.picoseconds,
-                   host_ns=cpu.host_now_ns, core=cpu.core_id, kick_id=kick_id,
-                   delivered=delivered)
+            add("watchdog_kick", kernel._now_ps, cpu.host_now_ns, cpu.core_id,
+                (("delivered", delivered), ("kick_id", kick_id)))
 
         def wedge(guard, kick_id: int) -> None:
             cpu = guards[guard]
             core = cpu.core_id
-            record("watchdog_wedge", kernel.now.picoseconds,
-                   host_ns=cpu.host_now_ns, core=core, kick_id=kick_id)
+            self.recorder.record("watchdog_wedge", kernel._now_ps,
+                                 host_ns=cpu.host_now_ns, core=core,
+                                 kick_id=kick_id)
             if self.bundler is not None:
                 self.bundler.trigger(
                     vp, "watchdog",
@@ -348,14 +351,36 @@ class Flight(ObserverScope):
     def _symbolizer(vp):
         image = vp.software.image
         offset = vp.software.load_offset
+        # pc -> its symbol (or None); bounded by the guest's distinct PCs
+        names = {}
 
         def symbolize(pc: int, fallback: bool = True) -> Optional[str]:
-            name = image.symbol_at(pc - offset)
+            if pc in names:
+                name = names[pc]
+            else:
+                name = names[pc] = image.symbol_at(pc - offset)
             if name is not None:
                 return name
             return f"0x{pc:x}" if fallback else None
 
         return symbolize
+
+
+def _env_crash_dir() -> str:
+    """``REPRO_FLIGHT_CRASH_DIR`` (default ``crash-bundles``), checked now:
+    a bad value must not surface as an ``os.makedirs`` error inside a
+    probe handler at the first crash, in the middle of a run."""
+    crash_dir = os.environ.get(CRASH_DIR_ENV, "crash-bundles")
+    if not crash_dir:
+        raise ValueError(f"{CRASH_DIR_ENV} is set but empty; unset it or "
+                         "name a directory for crash bundles")
+    existing = os.path.abspath(crash_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValueError(f"{CRASH_DIR_ENV}={crash_dir!r}: {existing!r} is a "
+                         "file, not a directory")
+    return crash_dir
 
 
 def enable_flight(vp, **kwargs) -> Flight:

@@ -57,7 +57,9 @@ class GuestProfiler:
         """Advance ``track`` by ``cycles`` retired at ``stack``."""
         if cycles <= 0:
             return
-        state = self._tracks.setdefault(track, _Track())
+        state = self._tracks.get(track)
+        if state is None:
+            state = self._tracks[track] = _Track()
         self.total_cycles += cycles
         state.carry += cycles
         state.last_stack = stack

@@ -29,11 +29,17 @@ Every event carries two timestamps: simulation time in picoseconds
 (``t_ps``) and, where a per-core wall clock exists, the core's *modeled*
 host time in nanoseconds (``host_ns``).  Nothing here reads real wall
 clocks, so recording is deterministic and replay-stable.
+
+The ring holds plain ``(kind, t_ps, host_ns, core, data)`` tuples whose
+``data`` is already key-sorted: the hot probes write it out literally
+through :meth:`FlightRecorder.add`, and :meth:`FlightRecorder.record`
+sorts keyword arguments for the cold ones.  Sequence numbers are implied
+by ring position and :class:`FlightEvent` objects are built only when the
+journal is read.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -63,50 +69,58 @@ class FlightEvent(NamedTuple):
 
 
 class FlightRecorder:
-    """Bounded ring of :class:`FlightEvent`; oldest events fall off."""
+    """Bounded ring of journal entries; oldest entries fall off."""
 
     def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError(f"flight recorder capacity must be positive: {capacity}")
         self.capacity = capacity
+        #: (kind, t_ps, host_ns, core, data) per retained entry, oldest first
         self._events: deque = deque(maxlen=capacity)
-        self._seq = itertools.count()
         self.num_recorded = 0
-        self.num_dropped = 0
+
+    @property
+    def num_dropped(self) -> int:
+        """Entries that fell off the front of the ring."""
+        return max(0, self.num_recorded - self.capacity)
+
+    def add(self, kind: str, t_ps: int, host_ns: Optional[float],
+            core: Optional[int], data: Tuple[Tuple[str, object], ...]) -> None:
+        """Journal one event; ``data`` must be sorted by key."""
+        self._events.append((kind, t_ps, host_ns, core, data))
+        self.num_recorded += 1
 
     def record(self, kind: str, t_ps: int, host_ns: Optional[float] = None,
                core: Optional[int] = None, **data) -> FlightEvent:
-        event = FlightEvent(next(self._seq), kind, t_ps, host_ns, core,
-                            tuple(sorted(data.items())))
-        if len(self._events) == self.capacity:
-            self.num_dropped += 1
-        self._events.append(event)
-        self.num_recorded += 1
-        return event
+        """Journal one event given as keywords; returns it."""
+        self.add(kind, t_ps, host_ns, core, tuple(sorted(data.items())))
+        return FlightEvent(self.num_recorded - 1, *self._events[-1])
 
     # -- reading the ring ---------------------------------------------------
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[FlightEvent]:
-        return iter(self._events)
+        first = self.num_recorded - len(self._events)
+        for offset, entry in enumerate(self._events):
+            yield FlightEvent(first + offset, *entry)
 
     def tail(self, count: Optional[int] = None) -> List[FlightEvent]:
         """The most recent ``count`` events, oldest first (all if None)."""
-        events = list(self._events)
+        events = list(self)
         if count is None or count >= len(events):
             return events
         return events[len(events) - count:]
 
     def of_kind(self, *kinds: str) -> List[FlightEvent]:
         wanted = set(kinds)
-        return [event for event in self._events if event.kind in wanted]
+        return [event for event in self if event.kind in wanted]
 
     def counts(self) -> Dict[str, int]:
         """Retained events per kind (what a bundle's metrics block shows)."""
         tally: Dict[str, int] = {}
-        for event in self._events:
-            tally[event.kind] = tally.get(event.kind, 0) + 1
+        for kind, *_ in self._events:
+            tally[kind] = tally.get(kind, 0) + 1
         return tally
 
     def write_jsonl(self, path: str, last: Optional[int] = None) -> int:

@@ -26,13 +26,13 @@ one phase, plus two derived phases per quantum window:
 =================  ============================================================
 
 The fold re-runs :meth:`HostLedger.window_span_ns` per window over the
-*actual* ledger lane totals (rebuilt in billing order, so the floats match
-the ledger's own accumulation bit-for-bit) and assigns each lane
-``barrier_idle`` and ``overhead`` as residuals, which makes every lane's
-phases sum to the window's span — and, across windows, to
-``HostLedger.wall_time_ns()`` — exactly, up to float associativity in the
-final summation (sub-ulp; :meth:`AttributionSummary.verify` checks it at
-1e-6 ns).
+*actual* ledger lane totals (accumulated as bills arrive, in billing
+order, so the floats match the ledger's own accumulation bit-for-bit)
+and assigns each lane ``barrier_idle`` and ``overhead`` as residuals,
+which makes every lane's phases sum to the window's span — and, across
+windows, to ``HostLedger.wall_time_ns()`` — exactly, up to float
+associativity in the final summation (sub-ulp;
+:meth:`AttributionSummary.verify` checks it at 1e-6 ns).
 
 Attribution lanes are *per-core even in sequential mode*: the recorder
 keeps the lane a billing event would land on under the parallel fold
@@ -213,25 +213,34 @@ class AttributionSummary:
         }
 
 
+#: one open window's running totals: actual ledger lane -> ns, attribution
+#: lane -> busy ns, attribution lane -> phase -> ns
+_Totals = Tuple[Dict[int, float], Dict[int, float], Dict[int, Dict[str, float]]]
+
+
 class AttributionFold:
     """Incremental window folder.
 
-    Billing events are recorded per window as ``(attribution lane, actual
-    ledger lane, nanoseconds, category)``; windows are finalized in
-    first-seen order — eagerly, when the recorder learns simulated time has
-    passed a window's end, or all at once by :meth:`finalize`.  Finalized
-    windows are handed to ``on_window`` (the streaming exporter) and
-    accumulated into the whole-run summary.
+    Each billing event is added, as it arrives, into its open window's
+    totals: the actual ledger lane's total, the attribution lane's busy
+    time and that lane's phase.  Windows are finalized in first-seen
+    order — eagerly, when the recorder learns simulated time has passed a
+    window's end, or all at once by :meth:`finalize`.  Finalized windows
+    are handed to ``on_window`` (the streaming exporter) and accumulated
+    into the whole-run summary.
     """
 
     def __init__(self, ledger,
                  on_window: Optional[Callable[[WindowRecord], None]] = None):
         self.ledger = ledger
         self.on_window = on_window
-        #: open windows, insertion-ordered: window -> event list
-        self._events: Dict[int, List[Tuple[int, int, float, str]]] = {}
+        #: open windows, insertion-ordered: window -> its billing totals
+        self._events: Dict[int, _Totals] = {}
         self._dispatches: Dict[int, int] = {}
         self._finalized: List[WindowRecord] = []
+        #: the window finalized last (-1 before the first); billing for it
+        #: or an earlier window arrives late
+        self._last_final = -1
         self._lanes_seen: Dict[int, None] = {MAIN_LANE: None}
         self.late_events = 0
 
@@ -242,18 +251,28 @@ class AttributionFold:
 
         ``lane`` is the actual ledger lane, which the wall fold needs; the
         attribution lane is where the event lands under the parallel fold
-        (main thread vs. per-core).
+        (main thread vs. per-core).  Each sum grows in billing order, so
+        its float is the one the ledger's own accumulation gives.
         """
-        if self._finalized and window <= self._finalized[-1].window:
+        if window <= self._last_final:
             self.late_events += 1
             return
         attr_lane = MAIN_LANE if main_thread else cpu.core_id
-        self._events.setdefault(window, []).append(
-            (attr_lane, lane, nanoseconds, category))
-        self._lanes_seen.setdefault(attr_lane)
+        totals = self._events.get(window)
+        if totals is None:
+            totals = self._events[window] = ({}, {}, {})
+        actual, busy, phases = totals
+        actual[lane] = actual.get(lane, 0.0) + nanoseconds
+        busy[attr_lane] = busy.get(attr_lane, 0.0) + nanoseconds
+        lane_phases = phases.get(attr_lane)
+        if lane_phases is None:
+            lane_phases = phases[attr_lane] = {}
+            self._lanes_seen.setdefault(attr_lane)
+        phase = phase_of(category)
+        lane_phases[phase] = lane_phases.get(phase, 0.0) + nanoseconds
 
     def record_dispatch(self, window: int) -> None:
-        if self._finalized and window <= self._finalized[-1].window:
+        if window <= self._last_final:
             return
         self._dispatches[window] = self._dispatches.get(window, 0) + 1
 
@@ -274,19 +293,7 @@ class AttributionFold:
 
     # -- folding ------------------------------------------------------------
     def _finalize_window(self, window: int) -> WindowRecord:
-        events = self._events.pop(window)
-        # Rebuild the ledger's own per-lane totals in billing order so the
-        # span fold sees bit-identical floats.
-        actual_totals: Dict[int, float] = {}
-        busy: Dict[int, float] = {}
-        phases: Dict[int, Dict[str, float]] = {}
-        for attr_lane, actual_lane, nanoseconds, category in events:
-            actual_totals[actual_lane] = (
-                actual_totals.get(actual_lane, 0.0) + nanoseconds)
-            busy[attr_lane] = busy.get(attr_lane, 0.0) + nanoseconds
-            lane_phases = phases.setdefault(attr_lane, {})
-            phase = phase_of(category)
-            lane_phases[phase] = lane_phases.get(phase, 0.0) + nanoseconds
+        actual_totals, busy, phases = self._events.pop(window)
         wall = self.ledger.window_span_ns(actual_totals)
         if self.ledger.parallel:
             fold_busy = max(busy.values()) if busy else 0.0
@@ -295,6 +302,7 @@ class AttributionFold:
         record = WindowRecord(window, wall, busy, phases, fold_busy,
                               self._dispatches.pop(window, 0))
         self._finalized.append(record)
+        self._last_final = window
         if self.on_window is not None:
             self.on_window(record)
         return record
@@ -310,7 +318,10 @@ class AttributionFold:
         records = list(self._finalized)
         if include_open:
             probe = AttributionFold(self.ledger)
-            probe._events = dict(self._events)
+            probe._events = {
+                window: (dict(actual), dict(busy),
+                         {lane: dict(p) for lane, p in phases.items()})
+                for window, (actual, busy, phases) in self._events.items()}
             probe._dispatches = dict(self._dispatches)
             records += probe.finalize()
         return records
@@ -320,8 +331,9 @@ class AttributionFold:
                 include_open: bool = False) -> AttributionSummary:
         """Fold the windows of :meth:`records` into the whole-run report."""
         records = self.records(include_open)
+        names = {lane: lane_name(lane) for lane in self._lanes_seen}
         lanes: Dict[str, Dict[str, float]] = {
-            lane_name(lane): {} for lane in self._lanes_seen}
+            name: {} for name in names.values()}
         lane_wall: Dict[str, float] = {name: 0.0 for name in lanes}
         wall_total = 0.0
         busy_sum = 0.0
@@ -336,12 +348,10 @@ class AttributionFold:
             for name in lanes:
                 lane_wall[name] += record.wall_ns
             for lane, lane_phases in record.phases.items():
-                target = lanes[lane_name(lane)]
+                target = lanes[names[lane]]
                 for phase, nanoseconds in lane_phases.items():
                     target[phase] = target.get(phase, 0.0) + nanoseconds
-            for name in lanes:
-                lane = (MAIN_LANE if name == "main"
-                        else int(name.replace("core", "")))
+            for lane, name in names.items():
                 idle = record.fold_busy_ns - record.busy_ns.get(lane, 0.0)
                 target = lanes[name]
                 target[PHASE_IDLE] = target.get(PHASE_IDLE, 0.0) + idle

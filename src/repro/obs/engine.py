@@ -81,7 +81,8 @@ class Obs(ObserverScope):
             nonlocal cumulative_wall_ns
             cumulative_wall_ns += record.wall_ns
             lanes.update(record.busy_ns)
-            self.streamer.offer(_window_snapshot(
+            # Built only if a sink will receive it.
+            self.streamer.offer(lambda: _window_snapshot(
                 entry, record, window_ps, sorted(lanes), cumulative_wall_ns))
 
         def dispatch(kind: str, time_ps: int, name: str) -> None:

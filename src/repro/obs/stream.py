@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 SNAPSHOT_SCHEMA = "repro.obs.snapshot/1"
 
@@ -179,9 +179,13 @@ class ObsStreamer:
         self.sinks.append(sink)
         return sink
 
-    def offer(self, snapshot: dict, force: bool = False) -> bool:
+    def offer(self, snapshot: Union[dict, Callable[[], dict]],
+              force: bool = False) -> bool:
         """Forward ``snapshot`` unless thinned or capped.
 
+        ``snapshot`` may also be a function that builds it, called only
+        when a sink will receive it: a thinned, capped or sinkless stream
+        then builds nothing, and counts exactly as it would otherwise.
         ``force`` bypasses stride and cap (the terminal summary snapshot
         must always reach the sinks).
         """
@@ -195,11 +199,12 @@ class ObsStreamer:
                     and self.forwarded >= self.max_snapshots):
                 self.dropped_cap += 1
                 return False
-        snapshot = dict(snapshot)
-        snapshot.setdefault("schema", SNAPSHOT_SCHEMA)
-        snapshot["seq"] = seq
-        for sink in self.sinks:
-            sink.send(snapshot)
+        if self.sinks:
+            snapshot = dict(snapshot() if callable(snapshot) else snapshot)
+            snapshot.setdefault("schema", SNAPSHOT_SCHEMA)
+            snapshot["seq"] = seq
+            for sink in self.sinks:
+                sink.send(snapshot)
         self.forwarded += 1
         return True
 

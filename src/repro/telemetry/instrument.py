@@ -42,11 +42,17 @@ WFI / ``WAIT_IRQ``     suspend counter, idle cycles skipped, suspend→resume
                        is laid out from its window records
                        (:func:`~repro.telemetry.spans.lay_out`)
 =====================  ========================================================
+
+Each handler resolves a series once: it keeps its instruments in a
+``_Slots`` dict keyed by core (or by core and exit reason, fabric path or
+kick outcome), asks the registry the first time a key occurs and updates
+the instrument directly after that.  No event builds or sorts a label set,
+and a series that no event touches is never created.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from ..obs.scope import ObserverScope, innermost, opened
 from ..vcml.processor import SimulateAction
@@ -72,6 +78,25 @@ class _Core:
         self.mmio_begin_ns = 0.0
 
 
+class _Slots(dict):
+    """One handler's instruments by key (a core, or a core and a reason).
+
+    A key's instrument is fetched from the registry the first time the key
+    occurs and updated directly after that, so no event looks up a label
+    set, and series are still created lazily, in first-use order.
+    """
+
+    __slots__ = ("fetch",)
+
+    def __init__(self, fetch: Callable[[Any], Any]):
+        super().__init__()
+        self.fetch = fetch
+
+    def __missing__(self, key):
+        value = self[key] = self.fetch(key)
+        return value
+
+
 class Telemetry(ObserverScope):
     """One collection scope: a registry, span recorders, attached platforms."""
 
@@ -95,18 +120,23 @@ class Telemetry(ObserverScope):
         step_counter = registry.counter("kernel.dispatch", kind="step")
         method_counter = registry.counter("kernel.dispatch", kind="method")
         depth_gauge = registry.gauge("kernel.runnable_depth")
+        armed = _Slots(lambda core: registry.counter("watchdog.armed",
+                                                     core=core))
+        fired = _Slots(lambda core: (
+            registry.counter("watchdog.fired", core=core),
+            registry.histogram("watchdog.fire_margin_ns", core=core)))
 
         def dispatch(kind: str, time_ps: int, name: str) -> None:
-            (step_counter if kind == "step" else method_counter).inc()
+            (step_counter if kind == "step" else method_counter).value += 1
             depth_gauge.set(len(kernel._runnable))
 
         def watchdog_arm(core_id, now_ns, timeout_ns, kick_id) -> None:
-            registry.counter("watchdog.armed", core=core_id).inc()
+            armed[core_id].value += 1
 
         def watchdog_fire(fire) -> None:
-            registry.counter("watchdog.fired", core=fire.core_id).inc()
-            registry.histogram("watchdog.fire_margin_ns",
-                               core=fire.core_id).observe(fire.margin_ns)
+            counter, margin = fired[fire.core_id]
+            counter.value += 1
+            margin.observe(fire.margin_ns)
 
         return {"dispatch": dispatch, "watchdog_arm": watchdog_arm,
                 "watchdog_fire": watchdog_fire,
@@ -118,14 +148,38 @@ class Telemetry(ObserverScope):
         ports = {cpu.mem: cpu.core_id for cpu in cpus}
         guards = {cpu.kick_guard: cpu.core_id for cpu in cpus
                   if getattr(cpu, "kick_guard", None) is not None}
+        syncs = _Slots(lambda core: (
+            registry.counter("quantum.syncs", core=core),
+            registry.histogram("quantum.utilization", buckets=FRACTION_BUCKETS,
+                               core=core)))
+        skipped = _Slots(lambda core: registry.counter("wfi.skipped_cycles",
+                                                       core=core))
+        suspends = _Slots(lambda core: registry.counter("wfi.suspends",
+                                                        core=core))
+        accesses = _Slots(lambda key: registry.counter(
+            "fabric.accesses", core=key[0], path=key[1]))
+        errors = _Slots(lambda key: registry.counter(
+            "fabric.errors", core=key[0], path=key[1]))
+        exits = _Slots(lambda key: (
+            registry.counter("kvm.exits", core=key[0], reason=key[1]),
+            registry.histogram("kvm.exit_wall_ns", reason=key[1]),
+            registry.histogram("kvm.exit_cycles", reason=key[1])))
+        instructions = _Slots(lambda core: registry.counter(
+            "kvm.instructions", core=core))
+        blocked = _Slots(lambda core: registry.counter("wfi.blocked_runs",
+                                                       core=core))
+        roundtrips = _Slots(lambda core: registry.histogram(
+            "kvm.mmio_roundtrip_ns", core=core))
+        kicks = _Slots(lambda key: registry.counter(
+            "watchdog.kicks_delivered" if key[1] else "watchdog.kicks_stale",
+            core=key[0]))
 
         def quantum_sync(cpu) -> None:
-            core = cpu.core_id
-            quantum_ps = cpu.keeper.global_quantum.quantum.picoseconds
-            offset_ps = cpu.keeper.local_time_offset.picoseconds
-            registry.counter("quantum.syncs", core=core).inc()
-            registry.histogram("quantum.utilization", buckets=FRACTION_BUCKETS,
-                               core=core).observe(offset_ps / quantum_ps)
+            counter, utilization = syncs[cpu.core_id]
+            counter.value += 1
+            keeper = cpu.keeper
+            utilization.observe(keeper.offset_ps
+                                / keeper.global_quantum.quantum_ps)
 
         # WFI / WAIT_IRQ: suspend counter, skipped idle cycles, span pairs.
         def simulate_call(cpu, cycles) -> None:
@@ -136,8 +190,7 @@ class Telemetry(ObserverScope):
             now_ps = cpu.keeper.current_time().picoseconds
             skipped_ps = max(0, now_ps - begin_ps)
             skipped_cycles = int(round(skipped_ps * 1e-12 * cpu.clock_hz))
-            registry.counter("wfi.skipped_cycles",
-                             core=state.core).inc(skipped_cycles)
+            skipped[state.core].inc(skipped_cycles)
             self.sim_spans.complete(state.track, "wfi_suspend", begin_ps,
                                     skipped_ps, core=state.core)
 
@@ -147,7 +200,7 @@ class Telemetry(ObserverScope):
             if result.action is not SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
                 return
             state = cores[cpu]
-            registry.counter("wfi.suspends", core=state.core).inc()
+            suspends[state.core].value += 1
             # The core will realize `result.cycles` of local time, sync,
             # then sleep: the suspend begins there.
             resume_base = (cpu.keeper.current_time()
@@ -156,10 +209,10 @@ class Telemetry(ObserverScope):
 
         # Fabric port: which path (dmi / transport / debug) served each access.
         def fabric_access(port, path: str, ok: bool) -> None:
-            core = ports[port]
-            registry.counter("fabric.accesses", core=core, path=path).inc()
+            key = (ports[port], path)
+            accesses[key].value += 1
             if not ok:
-                registry.counter("fabric.errors", core=core, path=path).inc()
+                errors[key].value += 1
 
         # KVM-specific probes (IssCpu has no vcpu or kick path).
         def vcpu_exit(cpu, info) -> None:
@@ -167,16 +220,14 @@ class Telemetry(ObserverScope):
             if not state.kvm:
                 return
             core = state.core
-            reason = info.reason.value
-            registry.counter("kvm.exits", core=core, reason=reason).inc()
-            registry.histogram("kvm.exit_wall_ns", reason=reason).observe(info.wall_ns)
-            registry.histogram("kvm.exit_cycles",
-                               reason=reason).observe(info.instructions)
+            counter, wall, cycles = exits[core, info.reason.value]
+            counter.value += 1
+            wall.observe(info.wall_ns)
+            cycles.observe(info.instructions)
             if info.instructions:
-                registry.counter("kvm.instructions",
-                                 core=core).inc(info.instructions)
+                instructions[core].inc(info.instructions)
             if info.blocked_in_wfi:
-                registry.counter("wfi.blocked_runs", core=core).inc()
+                blocked[core].value += 1
 
         def mmio_request(cpu, request) -> None:
             state = cores[cpu]
@@ -187,15 +238,11 @@ class Telemetry(ObserverScope):
             state = cores[cpu]
             if not state.kvm:
                 return
-            registry.histogram("kvm.mmio_roundtrip_ns", core=state.core).observe(
-                cpu.host_now_ns - state.mmio_begin_ns)
+            roundtrips[state.core].observe(cpu.host_now_ns
+                                           - state.mmio_begin_ns)
 
         def kick(guard, kick_id, delivered) -> None:
-            core = guards[guard]
-            if delivered:
-                registry.counter("watchdog.kicks_delivered", core=core).inc()
-            else:
-                registry.counter("watchdog.kicks_stale", core=core).inc()
+            kicks[guards[guard], bool(delivered)].value += 1
 
         return {"quantum_sync": quantum_sync, "simulate_call": simulate_call,
                 "simulate_return": simulate_return,

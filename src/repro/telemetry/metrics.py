@@ -20,6 +20,7 @@ fed in by the instrumentation layer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, object], ...]
@@ -92,8 +93,10 @@ class Gauge(Instrument):
 
     def set(self, value: float) -> None:
         self.value = value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
         self.updates += 1
 
     def to_json(self) -> Dict[str, object]:
@@ -119,13 +122,12 @@ class Histogram(Instrument):
     def observe(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        # The first bound >= value; past the last bound lands in ``+inf``.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
