@@ -4,11 +4,13 @@
 The paper's introduction motivates VPs with "deep introspection [and]
 insightful tracing facilities".  This demo exercises both on one guest:
 
-1. attach the NISTT-style tracer to the whole platform (bus + IRQ lines),
+1. attach the flight recorder, whose journal is a NISTT-style trace of
+   every bus transaction and IRQ line edge,
 2. attach the debugger, break at a guest function, inspect registers and
    disassembly, single-step through it,
-3. continue to completion and print the transaction statistics and an IRQ
-   waveform (VCD),
+3. continue to completion and print the transaction trace and statistics;
+   this guest takes no interrupts, so the IRQ waveform (VCD) comes from
+   the journal of a short 2-core phase-mode Linux boot,
 4. force a watchdog "wedge" (the same KVM_RUN kicked twice) and walk the
    post-mortem crash bundle the flight recorder dumps in response.
 
@@ -23,8 +25,8 @@ from repro.arch import assemble
 from repro.debug import Debugger
 from repro.flight import enable_flight
 from repro.systemc import SimTime
-from repro.trace import attach_platform
 from repro.vp import GuestSoftware, VpConfig, build_platform
+from repro.vp.linux import LinuxBootParams, linux_boot_software
 
 GUEST = """
 .equ UART_HI, 0x0904
@@ -58,7 +60,6 @@ def main():
     software = GuestSoftware(image=image, mode="interpreter", name="introspect")
     vp = build_platform("aoa", VpConfig(num_cores=1), software)
 
-    tracer = attach_platform(vp)
     flight = enable_flight(
         vp, crash_dir=os.path.join(tempfile.gettempdir(), "repro-bundles"))
     debugger = Debugger(vp)
@@ -84,14 +85,23 @@ def main():
     result = int.from_bytes(debugger.read_memory(0x4000, 8), "little")
     print(f"guest computed triple(12) = {result}")
 
+    journal = flight.recorder
     print("\n== transaction trace (first 6) ==")
-    print(tracer.to_text(limit=6))
+    print(journal.to_text(limit=6))
 
-    print("\n== per-target statistics ==")
-    for socket, stats in tracer.statistics().items():
-        print(f"  {socket}: {stats}")
+    print("\n== bus statistics ==")
+    print(f"  bus: {journal.statistics()}")
 
-    print(f"\ntotal transactions observed: {len(tracer)}")
+    print(f"\ntotal transactions observed: {len(journal.transports())}")
+
+    print("\n== IRQ waveform (VCD), first 20 ms of a 2-core Linux boot ==")
+    boot = build_platform("aoa", VpConfig(num_cores=2),
+                          linux_boot_software(2, LinuxBootParams().scaled(0.02)))
+    boot_flight = enable_flight(boot, bundles=False)
+    boot.run(SimTime.ms(20))
+    vcd = boot_flight.recorder.irq_vcd().splitlines()
+    print("\n".join(vcd[:32]))
+    print(f"... {len(vcd)} lines in all")
 
     print("\n== force a watchdog fire, inspect the crash bundle ==")
     # Arm the same run id twice with a zero budget: the second delivered

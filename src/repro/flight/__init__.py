@@ -4,8 +4,11 @@ Three tools that make a wedged or diverging run diagnosable without
 rerunning it under a debugger:
 
 * :class:`FlightRecorder` — an always-on bounded ring journal of typed
-  platform events (KVM exits, MMIO, IRQs, WFI, watchdog, quantum syncs,
-  console lines) stamped with simulation time and modeled host time;
+  platform events (KVM exits, bus transports, IRQ line edges, WFI,
+  watchdog, quantum syncs, console lines) stamped with simulation time
+  and modeled host time.  It is also the platform's NISTT-style tracer
+  (paper reference [5]): filter, statistics, text and IRQ VCD views read
+  the retained bus transports and IRQ edges;
 * :class:`CrashBundler` — on a wedged core, a kernel-dispatch exception,
   a sanitizer finding or a guest panic, dumps a post-mortem bundle
   directory (journal tail, per-core registers/sysregs/disassembly, MMIO
@@ -24,6 +27,7 @@ Usage::
     flight = enable_flight(vp)                      # before vp.run()
     ...
     flight.write_journal("journal.jsonl")
+    print(flight.recorder.statistics(), flight.recorder.irq_vcd())
     flight.profiler.write_folded("profile.folded")
 
 or scoped, auto-attaching every platform built inside (the hook

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 
 from ..obs.scope import ObserverScope
 from ..telemetry import scope_registry
+from ..tlm.payload import Command
 from ..vcml.processor import SimulateAction
 from .bundle import CrashBundler
 from .profiler import GuestProfiler
@@ -39,6 +40,9 @@ from .recorder import FlightRecorder
 
 #: a console line longer than this is journalled in chunks
 CONSOLE_LINE_LIMIT = 256
+
+#: a transport entry's ``command`` value
+_COMMANDS = {command: command.name.lower() for command in Command}
 
 #: where crash bundles go when ``Flight`` is given no ``crash_dir``
 CRASH_DIR_ENV = "REPRO_FLIGHT_CRASH_DIR"
@@ -265,24 +269,29 @@ class Flight(ObserverScope):
                 core = cores[cpu]
                 profiler.account(core.track, instructions, stack_at(core, pc))
 
-        # MMIO: request/response events around the TLM round trip.
-        def mmio_request(cpu, request) -> None:
-            is_write = bool(request.is_write)
-            size = len(request.data) if is_write else request.size
-            add("mmio_req", kernel._now_ps,
-                cpu.host_now_ns if cores[cpu].kvm else None, cpu.core_id,
-                (("address", request.address), ("size", size),
-                 ("write", is_write)))
+        # TLM: one entry per transaction through the platform bus.  Its
+        # target socket emits the same transaction again; that call returns
+        # after the identity check.
+        bus = vp.bus.in_socket
+        kvm_cpus = {core.core: cpu for cpu, core in cores.items() if core.kvm}
 
-        def mmio_response(cpu, request, cycles: int, ok: bool) -> None:
-            add("mmio_resp", kernel._now_ps,
-                cpu.host_now_ns if cores[cpu].kvm else None, cpu.core_id,
-                (("address", request.address), ("cycles", cycles),
-                 ("error", not ok)))
+        def transport(socket, payload, delay_in, delay_out) -> None:
+            if socket is not bus:
+                return
+            initiator = payload.initiator_id
+            cpu = kvm_cpus.get(initiator)
+            data = payload.data
+            add("transport", kernel._now_ps,
+                cpu.host_now_ns if cpu is not None else None, initiator,
+                (("address", payload.address),
+                 ("command", _COMMANDS[payload.command]),
+                 ("data", data.hex()), ("latency_ps", delay_out._ps - delay_in._ps),
+                 ("length", len(data)),
+                 ("response", payload.response_status.value)))
 
-        def irq(cpu, number: int, level) -> None:
-            add("irq", kernel._now_ps, None, cpu.core_id,
-                (("level", bool(level)), ("line", number)))
+        def irq(line, level: bool) -> None:
+            add("irq", kernel._now_ps, None, None,
+                (("level", level), ("line", line.name)))
 
         # WFI suspend/resume pairs on the simulated-time axis.
         def simulate_call(cpu, cycles: int) -> None:
@@ -337,8 +346,8 @@ class Flight(ObserverScope):
                             "SIGUSR1 did not end KVM_RUN"),
                     payload={"core": core, "kick_id": kick_id})
 
-        handlers = {"mmio_request": mmio_request, "mmio_response": mmio_response,
-                    "irq": irq, "simulate_call": simulate_call,
+        handlers = {"transport": transport, "irq": irq,
+                    "simulate_call": simulate_call,
                     "simulate_return": simulate_return,
                     "quantum_sync": quantum_sync, "vcpu_exit": vcpu_exit,
                     "kick": kick, "wedge": wedge}

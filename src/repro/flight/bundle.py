@@ -10,7 +10,7 @@ human needs into one directory and prints its path:
     bundle-000-watchdog/
       meta.json            why, when (sim + modeled host time), run config
       journal.jsonl        the flight recorder's last-N events
-      mmio.jsonl           every retained MMIO request/response pair
+      mmio.jsonl           every retained bus transport
       metrics.json         journal tallies, telemetry snapshot, profile,
                            last-known host-time attribution (repro.obs)
       cores/
@@ -154,7 +154,7 @@ class CrashBundler:
         recorder = self.flight.recorder
         recorder.write_jsonl(os.path.join(path, "journal.jsonl"), last=self.last_n)
         with open(os.path.join(path, "mmio.jsonl"), "w") as stream:
-            for event in recorder.of_kind("mmio_req", "mmio_resp"):
+            for event in recorder.of_kind("transport"):
                 stream.write(event.to_json())
                 stream.write("\n")
 

@@ -10,9 +10,10 @@ Event kinds journalled (see ``repro.flight.attach`` for the probes):
 ===============  ==============================================================
 ``kvm_exit``     one ``KVM_RUN`` returned (reason, pc, instructions, wall ns)
 ``cpu_exit``     the ISS twin: one ``executor.run`` returned
-``mmio_req``     a trapped guest access enters the TLM bus
-``mmio_resp``    ...and completes (consumed cycles, bus error flag)
-``irq``          an interrupt edge reached a core (line level)
+``transport``    a TLM transaction through the platform bus (address,
+                 length, command, response, latency, data; ``core`` is the
+                 initiator, -1 for the loader)
+``irq``          an interrupt line changed level (line name, level)
 ``wfi_suspend``  a core entered its idle loop (``WAIT_IRQ``)
 ``wfi_resume``   ...and woke up (skipped picoseconds)
 ``watchdog_arm``   a run armed the software watchdog (kick id, budget)
@@ -36,6 +37,9 @@ through :meth:`FlightRecorder.add`, and :meth:`FlightRecorder.record`
 sorts keyword arguments for the cold ones.  Sequence numbers are implied
 by ring position and :class:`FlightEvent` objects are built only when the
 journal is read.
+
+The journal is also the platform's NISTT-style tracer [5]: the tracer
+views read its retained ``transport`` and ``irq`` entries.
 """
 
 from __future__ import annotations
@@ -123,6 +127,71 @@ class FlightRecorder:
             tally[kind] = tally.get(kind, 0) + 1
         return tally
 
+    # -- tracer views ----------------------------------------------------------
+    def transports(self, address_range: Optional[Tuple[int, int]] = None,
+                   command: Optional[str] = None,
+                   core: Optional[int] = None) -> List[FlightEvent]:
+        """Retained ``transport`` entries within the inclusive
+        ``address_range``, of ``command`` (``"read"``/``"write"``) and from
+        initiator ``core``; ``None`` matches all."""
+        def wanted(event: FlightEvent) -> bool:
+            data = dict(event.data)
+            return ((command is None or data["command"] == command)
+                    and (core is None or event.core == core)
+                    and (address_range is None
+                         or address_range[0] <= data["address"] <= address_range[1]))
+
+        return [event for event in self.of_kind("transport") if wanted(event)]
+
+    def statistics(self) -> Dict[str, int]:
+        """Access counts and byte volumes of the retained bus transports."""
+        stats = {"reads": 0, "writes": 0, "bytes_read": 0, "bytes_written": 0,
+                 "errors": 0}
+        for event in self.transports():
+            data = dict(event.data)
+            if data["response"] != "ok":
+                stats["errors"] += 1
+            elif data["command"] == "read":
+                stats["reads"] += 1
+                stats["bytes_read"] += data["length"]
+            elif data["command"] == "write":
+                stats["writes"] += 1
+                stats["bytes_written"] += data["length"]
+        return stats
+
+    def to_text(self, limit: Optional[int] = None) -> str:
+        """The first ``limit`` retained transports, one line each."""
+        lines = []
+        for event in self.transports()[:limit]:
+            data = dict(event.data)
+            payload = data["data"] if len(data["data"]) <= 16 else data["data"][:16] + "..."
+            lines.append(f"{event.t_ps:>14} ps  core {event.core:>2}  "
+                         f"{data['command']:<5} 0x{data['address']:08x} "
+                         f"len={data['length']} data={payload} "
+                         f"{data['response']} (+{data['latency_ps']} ps)")
+        return "\n".join(lines)
+
+    def irq_vcd(self) -> str:
+        """The retained ``irq`` edges as a VCD waveform document."""
+        edges = sorted(((event.t_ps, dict(event.data))
+                        for event in self.of_kind("irq")),
+                       key=lambda edge: edge[0])
+        codes: Dict[str, str] = {}
+        for _t_ps, data in edges:
+            codes.setdefault(data["line"], _vcd_code(len(codes)))
+        lines = ["$timescale 1ps $end", "$scope module irqs $end"]
+        lines += [f"$var wire 1 {code} {name.replace(' ', '_')} $end"
+                  for name, code in codes.items()]
+        lines += ["$upscope $end", "$enddefinitions $end", "#0"]
+        lines += [f"0{code}" for code in codes.values()]
+        last_ps = 0
+        for t_ps, data in edges:
+            if t_ps != last_ps:
+                last_ps = t_ps
+                lines.append(f"#{t_ps}")
+            lines.append(f"{int(data['level'])}{codes[data['line']]}")
+        return "\n".join(lines) + "\n"
+
     def write_jsonl(self, path: str, last: Optional[int] = None) -> int:
         """Dump the journal (or its last-N suffix) as JSONL; returns count."""
         events = self.tail(last)
@@ -131,6 +200,11 @@ class FlightRecorder:
                 stream.write(event.to_json())
                 stream.write("\n")
         return len(events)
+
+
+def _vcd_code(index: int) -> str:
+    """The ``index``-th VCD identifier: base 94 over printable ASCII."""
+    return chr(33 + index % 94) + (_vcd_code(index // 94 - 1) if index >= 94 else "")
 
 
 def read_jsonl(path: str) -> List[dict]:

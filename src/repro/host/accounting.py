@@ -134,13 +134,10 @@ class HostLedger:
 
     def restore_state(self, state: dict) -> None:
         self._windows.clear()
-        for window, lanes in state["windows"]:
-            bucket = self._windows[window]
-            for lane, ns in lanes:
-                bucket[lane] = ns
+        self._windows.update((window, defaultdict(float, lanes))
+                             for window, lanes in state["windows"])
         self._categories.clear()
-        for category, ns in state["categories"]:
-            self._categories[category] = ns
+        self._categories.update(state["categories"])
 
     def __repr__(self) -> str:
         return (

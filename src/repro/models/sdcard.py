@@ -86,13 +86,17 @@ class SdCard:
         }
 
     def restore_state(self, state: dict) -> None:
-        self.capacity_blocks = state["capacity_blocks"]
+        """Restore into a freshly built card (snapshot restore builds a new
+        platform): the all-zero image ``__init__`` allocated takes the
+        snapshot's non-zero blocks in place."""
+        if state["capacity_blocks"] != self.capacity_blocks:
+            self.capacity_blocks = state["capacity_blocks"]
+            self.image = bytearray(self.capacity_blocks * BLOCK_SIZE)
         self.rca = state["rca"]
         self.state = state["state"]
         self.app_cmd = bool(state["app_cmd"])
         self.num_reads = state["num_reads"]
         self.num_writes = state["num_writes"]
-        self.image = bytearray(self.capacity_blocks * BLOCK_SIZE)
         for lba_str, raw in state["blocks"].items():
             lba = int(lba_str)
             self.image[lba * BLOCK_SIZE:(lba + 1) * BLOCK_SIZE] = bytes.fromhex(raw)

@@ -96,10 +96,11 @@ class Obs(ObserverScope):
         if entry.fold is None:
             return
         entry.fold.on_window = None
+        entry.summary = self._summary(entry)
         self.streamer.offer({
             "platform": entry.key,
             "final": True,
-            "summary": self._summary(entry).to_json(),
+            "summary": entry.summary.to_json(),
             "stream": self.streamer.stats(),
         }, force=True)
 
@@ -120,9 +121,11 @@ class Obs(ObserverScope):
         """Whole-run attribution summary per attached (ledgered) platform.
 
         ``include_open`` folds still-open windows non-destructively — use it
-        for live snapshots taken mid-run.
+        for live snapshots taken mid-run.  A sealed platform's summary was
+        folded once, at seal.
         """
-        return {entry.key: self._summary(entry, include_open)
+        return {entry.key: (entry.summary if entry.summary is not None
+                            else self._summary(entry, include_open))
                 for entry in self.platforms if entry.fold is not None}
 
     def report(self) -> str:

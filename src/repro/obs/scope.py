@@ -98,6 +98,8 @@ class PlatformEntry:
         #: the platform's fold (None for flight or without a host ledger)
         self.fold = shared.fold if shared is not None else None
         self.sealed = False
+        #: obs: the whole-run attribution summary, folded once at seal
+        self.summary = None
         self.subscriptions: List[weakref.ref] = []
         self._vp = weakref.ref(vp)
         #: run state, refreshed while the platform lives; kept once it is gone

@@ -2,8 +2,8 @@
 
 Every :class:`~repro.systemc.kernel.Kernel` owns one :class:`ProbeBus`;
 the models of a platform emit on their kernel's bus (``Processor.probes``,
-``TargetSocket.probes``, the UART and ``SimControl``, and the watchdog,
-kick guards and fabric ports the platform wires to it).
+``TargetSocket.probes``, ``IrqLine.probes``, the UART and ``SimControl``,
+and the watchdog, kick guards and fabric ports the platform wires to it).
 Each point is a plain attribute of the bus that holds ``None`` while the
 point has no subscribers, so an unobserved emission site costs one
 attribute check::
@@ -57,7 +57,6 @@ POINTS: Dict[str, str] = {
     "vcpu_exit": "(cpu, info)",
     "mmio_request": "(cpu, request)",
     "mmio_response": "(cpu, request, cycles, ok)",
-    "irq": "(cpu, number, level)",
     "host_bill": "(cpu, window, lane, nanoseconds, category, main_thread)",
     "retire": "(cpu, instructions, pc)",
     # software watchdog
@@ -65,7 +64,8 @@ POINTS: Dict[str, str] = {
     "watchdog_fire": "(fire,)",
     "kick": "(guard, kick_id, delivered)",
     "wedge": "(guard, kick_id)",
-    # fabric, TLM targets and sanitizers
+    # interrupt lines, fabric, TLM targets and sanitizers
+    "irq": "(line, level)",
     "fabric_access": "(port, path, ok)",
     "transport": "(socket, payload, delay_in, delay_out)",
     "sanitizer_finding": "(finding,)",

@@ -56,6 +56,8 @@ class IrqLine:
     Writes take effect immediately (not in the update phase); interrupt
     controllers sample the level and latch pending state themselves, which
     matches how TLM-based VPs usually wire IRQs (VCML ``gpio`` ports).
+    Every level change emits the ``irq`` probe point as ``(line, level)``
+    on the kernel's bus, before the connected callbacks run.
     """
 
     def __init__(self, name: str, kernel: Kernel):
@@ -66,18 +68,11 @@ class IrqLine:
         self.lowered = Event(f"{name}.lowered", self._kernel)
         self.changed = Event(f"{name}.changed", self._kernel)
         self._targets = []
+        self.probes = kernel.probes
 
     def connect(self, callback) -> None:
         """Register ``callback(level: bool)`` invoked on every level change."""
         self._targets.append(callback)
-
-    def disconnect(self, callback) -> None:
-        """Remove a callback previously registered with :meth:`connect`."""
-        try:
-            self._targets.remove(callback)
-        except ValueError:
-            raise ValueError(
-                f"callback not connected to irq line {self.name!r}") from None
 
     @property
     def level(self) -> bool:
@@ -88,6 +83,9 @@ class IrqLine:
         if level == self._level:
             return
         self._level = level
+        fire = self.probes.irq
+        if fire is not None:
+            fire(self, level)
         for callback in self._targets:
             callback(level)
         (self.raised if level else self.lowered).notify(delay=None)

@@ -12,7 +12,7 @@ Everything is opt-in and non-intrusive::
     from repro.telemetry import enable_telemetry
 
     vp = build_platform("aoa", config, software)
-    telemetry = enable_telemetry(vp)          # analogous to attach_platform
+    telemetry = enable_telemetry(vp)          # as enable_flight, enable_obs
     vp.run(SimTime.ms(100))
     print(telemetry.report())
     telemetry.write_chrome_trace("trace.json")   # open in ui.perfetto.dev

@@ -129,9 +129,6 @@ class Processor(Component):
 
     def _irq_changed(self, number: int, level: bool) -> None:
         self._irq_levels[number] = level
-        fire = self.probes.irq
-        if fire is not None:
-            fire(self, number, level)
         self.on_interrupt(number, level)
         if level:
             self.irq_event.notify(delay=None)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.arch.assembler import assemble
-from repro.flight import enable_flight
+from repro.flight import enable_flight, read_jsonl
 from repro.systemc.time import SimTime
 from repro.vp import GuestSoftware, VpConfig, build_platform
 from repro.workloads.dhrystone import DhrystoneParams, dhrystone_software
@@ -81,6 +81,11 @@ class TestForcedWedge:
         assert journal[-1]["kind"] == "watchdog_wedge"
         kinds = {event["kind"] for event in journal}
         assert {"kvm_exit", "watchdog_arm", "watchdog_kick"} <= kinds
+        # The MMIO history is every retained bus transport.
+        mmio = read_jsonl(os.path.join(bundle, "mmio.jsonl"))
+        assert mmio == [event.to_dict()
+                        for event in flight.recorder.of_kind("transport")]
+        assert mmio and {event["kind"] for event in mmio} == {"transport"}
         # Full register state for the core.
         registers = cores["core0.json"]["registers"]
         assert "pc" in registers and "x0" in registers

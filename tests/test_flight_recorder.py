@@ -144,8 +144,9 @@ class TestPlatformProbes:
         flight = enable_flight(vp, bundles=False)
         vp.run(SimTime.ms(100))
         kinds = set(flight.recorder.counts())
-        assert {"watchdog_arm", "kvm_exit", "mmio_req", "mmio_resp",
+        assert {"watchdog_arm", "kvm_exit", "transport",
                 "console", "simctl"} <= kinds
+        assert not {"mmio_req", "mmio_resp"} & kinds
         flight.detach()
 
     def test_console_lines_reassembled(self):
@@ -197,7 +198,7 @@ class TestPlatformProbes:
     def test_detach_cancels_every_subscription(self):
         vp = make_vp()
         flight = enable_flight(vp, bundles=False)
-        assert {"vcpu_exit", "mmio_request", "kick", "wedge", "retire",
+        assert {"vcpu_exit", "transport", "irq", "kick", "wedge", "retire",
                 "watchdog_fire", "kernel_error", "console_tx",
                 "simctl"} <= subscribed_points(vp)
         # The harness slots stay free while flight is attached.

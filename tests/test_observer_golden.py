@@ -30,13 +30,13 @@ from repro.workloads.guest_programs import functional_dhrystone
 
 GOLDEN = {
     "boot_1core_sequential":
-        "9a9ff9570d8b7781a2dc58a9e6081c54aee5e3386ce159ea55c61ac8c5357956",
+        "9fd465081fe20cc9588d1fbf228e0e5e7184fb490ede828c56f7c87dff35fbd7",
     "boot_2core_parallel_wfi":
-        "5a781523ba96e7d820f13b17828d8ed8360061e79bc4642d8000f456bbb7a7f6",
+        "5725c4460fcc12f60886a5a3cb64e7816e91cb8793d59beebfb500cf34c65430",
     "avp64_dhrystone":
-        "13886d2106fae9dbe94f73b12df724cd2582ffc8b8111ef318aeead04902fae9",
+        "61afdcbac114e4adc79f106348b357a7fdc44d0499fd3ec23ed6b6d9a5b2ddab",
     "snapshot_resumed":
-        "091b4b797d197660002ae3b9b0d41668fdd4fad7dd17a513ef74266488be9f69",
+        "bfa28d62a24f43b0f573247b4159bca41293d84df93aa3775cd82dd6dde7d3a7",
 }
 
 

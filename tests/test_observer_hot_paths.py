@@ -124,7 +124,7 @@ class TestFlightRing:
         flight.detach()
         events = list(flight.recorder)
         kinds = {event.kind for event in events}
-        assert {"kvm_exit", "mmio_req", "mmio_resp", "irq", "quantum_sync",
+        assert {"kvm_exit", "transport", "irq", "quantum_sync",
                 "watchdog_arm", "watchdog_fire", "watchdog_kick",
                 "wfi_suspend", "wfi_resume"} <= kinds
         cold = FlightRecorder(capacity=len(events))

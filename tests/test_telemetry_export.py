@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.arch.assembler import assemble
+from repro.flight import enable_flight
 from repro.host.machine import MAIN_LANE
 from repro.obs.attribution import lane_name
 from repro.systemc.time import SimTime
@@ -16,7 +17,6 @@ from repro.telemetry import (
     write_metrics_json,
 )
 from repro.telemetry.spans import lay_out
-from repro.trace import attach_platform
 from repro.vp import GuestSoftware, VpConfig, build_platform
 
 from tests.test_telemetry_instrument import HEADER, HELLO, WFI_GUEST, make_vp
@@ -240,10 +240,10 @@ class TestIrqVcd:
         software = GuestSoftware(image=image, mode="interpreter")
         vp = build_platform("aoa", VpConfig(num_cores=1,
                                             wfi_annotations=True), software)
-        tracer = attach_platform(vp)
+        flight = enable_flight(vp, bundles=False)
         vp.run(SimTime.ms(50))
-        assert tracer.irq_records
-        variables, changes = parse_vcd(tracer.irq_vcd())
+        assert flight.recorder.of_kind("irq")
+        variables, changes = parse_vcd(flight.recorder.irq_vcd())
         codes = {code for code, _name in variables}
         assert len(codes) == len(variables)        # identifier codes unique
         names = {name for _code, name in variables}
