@@ -159,6 +159,24 @@ class TestRingBuffer:
         assert "read  0x09040018 len=4" in text
         assert "\n" not in text and "0x09040000" not in text
 
+    def test_statistics_report_drops(self):
+        _, full = traced_run()
+        events = list(full.recorder)
+        second = full.recorder.transports()[1].seq
+        _, ring = traced_run(capacity=len(events) - second)
+        assert ring.recorder.num_dropped == second
+        # The UART write fell out of the ring; statistics count what is kept.
+        full_stats = full.recorder.statistics()
+        ring_stats = ring.recorder.statistics()
+        assert ring_stats["writes"] == full_stats["writes"] - 1
+        assert ring_stats["bytes_written"] == full_stats["bytes_written"] - 1
+        assert ring_stats["reads"] == full_stats["reads"]
+
+    def test_nonpositive_max_records_rejected(self):
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                enable_flight(make_vp(), capacity=capacity, bundles=False)
+
 
 class TestIrqTracing:
     def test_edges_recorded(self):
