@@ -12,7 +12,8 @@ insightful tracing facilities".  This demo exercises both on one guest:
    this guest takes no interrupts, so the IRQ waveform (VCD) comes from
    the journal of a short 2-core phase-mode Linux boot,
 4. force a watchdog "wedge" (the same KVM_RUN kicked twice) and walk the
-   post-mortem crash bundle the flight recorder dumps in response.
+   post-mortem crash bundle the flight recorder dumps in response; the
+   bundle goes to a temporary directory that is removed on exit.
 
 Run:  python examples/trace_and_debug.py
 """
@@ -56,12 +57,16 @@ triple:
 
 
 def main():
+    with tempfile.TemporaryDirectory(prefix="repro-bundles-") as crash_dir:
+        introspect(crash_dir)
+
+
+def introspect(crash_dir: str):
     image = assemble(GUEST, base_address=0x1000)
     software = GuestSoftware(image=image, mode="interpreter", name="introspect")
     vp = build_platform("aoa", VpConfig(num_cores=1), software)
 
-    flight = enable_flight(
-        vp, crash_dir=os.path.join(tempfile.gettempdir(), "repro-bundles"))
+    flight = enable_flight(vp, crash_dir=crash_dir)
     debugger = Debugger(vp)
 
     print("== break at triple() ==")

@@ -7,8 +7,8 @@ so the scope may open before or after the platform is built:
 * **SAN004 — quantum-budget violation**: a processor backend's
   ``simulate(cycles)`` reports more consumed cycles than the quantum it was
   granted — local time would silently run ahead of the budget the kernel
-  accounted for.  The ``simulate_call``/``simulate_return`` pair carries
-  the grant and the result.
+  accounted for.  The ``simulate`` point carries the grant and the result
+  together.
 
 Findings accumulate in a :class:`FindingCollector` — sanitizers report,
 they do not raise, so one run surfaces every violation — and each is
@@ -19,7 +19,7 @@ processor's bus.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from ..systemc.probes import Subscription, subscribe_everywhere
 from .findings import Finding, FindingCollector, Severity
@@ -32,8 +32,6 @@ class SanitizerScope:
 
     def __init__(self, collector: Optional[FindingCollector] = None):
         self.collector = collector if collector is not None else FindingCollector()
-        #: cpu -> cycles granted to its simulate call in flight
-        self._granted: Dict[object, int] = {}
         self._subscriptions: List[Subscription] = []
 
     @property
@@ -45,10 +43,7 @@ class SanitizerScope:
         if _active_scope is not None:
             raise RuntimeError("sanitizer scope already active; scopes do not nest")
         _active_scope = self
-        self._subscriptions = [
-            subscribe_everywhere("simulate_call", self._simulate_call),
-            subscribe_everywhere("simulate_return", self._simulate_return),
-        ]
+        self._subscriptions = [subscribe_everywhere("simulate", self._simulate)]
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -56,16 +51,11 @@ class SanitizerScope:
         for subscription in self._subscriptions:
             subscription.cancel()
         self._subscriptions.clear()
-        self._granted.clear()
         _active_scope = None
 
     # -- SAN004: quantum-budget violations ------------------------------------------
-    def _simulate_call(self, cpu, cycles: int) -> None:
-        self._granted[cpu] = cycles
-
-    def _simulate_return(self, cpu, result) -> None:
-        granted = self._granted.pop(cpu, None)
-        if granted is None or result.cycles <= granted:
+    def _simulate(self, cpu, granted: int, result) -> None:
+        if result.cycles <= granted:
             return
         finding = self.collector.add(Finding(
             rule="SAN004", severity=Severity.ERROR, path=cpu.name, line=0,

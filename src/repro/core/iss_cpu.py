@@ -137,11 +137,9 @@ class IssCpu(Processor):
         raise RuntimeError(f"{self.name}: ISS error at pc=0x{info.pc:x}: {info.message}")
 
     def _handle_mmio(self, request) -> int:
-        """Device access: an in-process fabric access, no world switch."""
+        """Device access: an in-process fabric access, no world switch, so
+        the ``mmio`` point carries no host round trip."""
         self.num_mmio += 1
-        fire = self.probes.mmio_request
-        if fire is not None:
-            fire(self, request)
         if request.is_write:
             result = self.mem.write(request.address, request.data)
         else:
@@ -157,9 +155,9 @@ class IssCpu(Processor):
             data = bytes(request.size) if not request.is_write else None
         self.executor.complete_mmio(data)
         cycles = self.time_to_cycles(result.delay)
-        fire = self.probes.mmio_response
+        fire = self.probes.mmio
         if fire is not None:
-            fire(self, request, cycles, result.ok)
+            fire(self, request, cycles, result.ok, None)
         return cycles
 
     def _charge(self, mmio_exits: int = 0, wfi_exits: int = 0) -> None:

@@ -181,11 +181,10 @@ class KvmCpu(Processor):
     # -- exit handlers ----------------------------------------------------------------
     def _handle_mmio(self, request, window: Optional[int], lane: int) -> int:
         """Forward the trapped access through the fabric port (main thread);
-        ``window`` and ``lane`` are the leg's (see :meth:`simulate`)."""
+        ``window`` and ``lane`` are the leg's (see :meth:`simulate`).  The
+        ``mmio`` point carries the modeled host time the round trip took."""
         self.num_mmio += 1
-        fire = self.probes.mmio_request
-        if fire is not None:
-            fire(self, request)
+        start_ns = self.host_now_ns
         if request.is_write:
             result = self.mem.write(request.address, request.data)
         else:
@@ -215,9 +214,9 @@ class KvmCpu(Processor):
             fire(self, 1, getattr(self.vcpu.executor, "pc", 0))
         # The transaction's annotated delay advances target time.
         cycles = self.time_to_cycles(result.delay)
-        fire = self.probes.mmio_response
+        fire = self.probes.mmio
         if fire is not None:
-            fire(self, request, cycles, result.ok)
+            fire(self, request, cycles, result.ok, self.host_now_ns - start_ns)
         return cycles
 
     def _handle_emulation(self, window: Optional[int], lane: int) -> int:

@@ -13,6 +13,9 @@ Telemetry and flight may be attached to the same platform in either
 order; each receives the same events.  The guest console and the
 ``SimControl`` device reach flight through the ``console_tx`` and
 ``simctl`` points, so their ``on_*`` slots stay free for harness code.
+Each handler journals one entry from one emission: the processor loop
+emits ``wfi_suspend`` and ``wfi_resume`` (which carries the suspend's
+begin), so no handler keeps state that pairs two events.
 
 Crash-bundle triggers (see ``repro.flight.bundle``):
 
@@ -33,7 +36,6 @@ from typing import List, Optional, Tuple
 from ..obs.scope import ObserverScope
 from ..telemetry import scope_registry
 from ..tlm.payload import Command
-from ..vcml.processor import SimulateAction
 from .bundle import CrashBundler
 from .profiler import GuestProfiler
 from .recorder import FlightRecorder
@@ -51,8 +53,7 @@ CRASH_DIR_ENV = "REPRO_FLIGHT_CRASH_DIR"
 class _Core:
     """Per-core probe state of one attached platform."""
 
-    __slots__ = ("core", "kvm", "track", "base", "executor",
-                 "suspend_begin_ps")
+    __slots__ = ("core", "kvm", "track", "base", "executor")
 
     def __init__(self, platform_key: str, cpu):
         self.core = cpu.core_id
@@ -62,8 +63,6 @@ class _Core:
         self.track = f"{platform_key}.core{self.core}"
         self.base = (platform_key, f"core{self.core}")
         self.executor = vcpu.executor if vcpu is not None else cpu.executor
-        #: where the pending WFI suspend began (ps), None when running
-        self.suspend_begin_ps: Optional[int] = None
 
 
 class Flight(ObserverScope):
@@ -293,22 +292,13 @@ class Flight(ObserverScope):
             add("irq", kernel._now_ps, None, None,
                 (("level", level), ("line", line.name)))
 
-        # WFI suspend/resume pairs on the simulated-time axis.
-        def simulate_call(cpu, cycles: int) -> None:
-            core = cores[cpu]
-            if core.suspend_begin_ps is not None:
-                begin_ps, core.suspend_begin_ps = core.suspend_begin_ps, None
-                now_ps = kernel._now_ps + cpu.keeper.offset_ps
-                add("wfi_resume", now_ps, None, core.core,
-                    (("skipped_ps", max(0, now_ps - begin_ps)),))
+        # WFI suspends and resumes on the simulated-time axis.
+        def wfi_suspend(cpu, begin_ps: int) -> None:
+            add("wfi_suspend", begin_ps, None, cpu.core_id, ())
 
-        def simulate_return(cpu, result) -> None:
-            # Pure observer: only WAIT_IRQ leaves a journal entry.
-            if result.action is SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
-                resume_ps = (kernel._now_ps + cpu.keeper.offset_ps
-                             + cpu.cycles_to_time(result.cycles).picoseconds)
-                add("wfi_suspend", resume_ps, None, cpu.core_id, ())
-                cores[cpu].suspend_begin_ps = resume_ps
+        def wfi_resume(cpu, begin_ps: int, now_ps: int) -> None:
+            add("wfi_resume", now_ps, None, cpu.core_id,
+                (("skipped_ps", max(0, now_ps - begin_ps)),))
 
         def quantum_sync(cpu) -> None:
             add("quantum_sync", kernel._now_ps, None, cpu.core_id,
@@ -347,8 +337,7 @@ class Flight(ObserverScope):
                     payload={"core": core, "kick_id": kick_id})
 
         handlers = {"transport": transport, "irq": irq,
-                    "simulate_call": simulate_call,
-                    "simulate_return": simulate_return,
+                    "wfi_suspend": wfi_suspend, "wfi_resume": wfi_resume,
                     "quantum_sync": quantum_sync, "vcpu_exit": vcpu_exit,
                     "kick": kick, "wedge": wedge}
         if profiler is not None:

@@ -8,9 +8,15 @@ Each point is a plain attribute of the bus that holds ``None`` while the
 point has no subscribers, so an unobserved emission site costs one
 attribute check::
 
-    fire = self.probes.simulate_call
+    fire = self.probes.wfi_suspend
     if fire is not None:
-        fire(self, cycles)
+        fire(self, begin_ps)
+
+A point carries a fact its emitter knows when it emits: the processor
+loop emits ``wfi_resume`` with the time the suspend began, a CPU model
+emits ``mmio`` with the round trip it just timed.  No subscriber pairs
+two emissions to rebuild such a fact, so no subscriber keeps per-core
+state between events.
 
 With one subscriber the attribute *is* that subscriber; with more it is a
 fan-out over them.  Subscribers run in band order (``DIGEST`` <
@@ -49,14 +55,15 @@ POINTS: Dict[str, str] = {
     "kernel_error": "(exc,)",
     "run_return": "(now,)",
     # processor loop
-    "simulate_call": "(cpu, cycles)",
-    "simulate_return": "(cpu, result)",
+    "simulate": "(cpu, granted, result)",
     "quantum_sync": "(cpu,)",
+    "wfi_suspend": "(cpu, begin_ps)",
+    "wfi_resume": "(cpu, begin_ps, now_ps)",
     # execution backends
     # ``info`` is valid during the call only: the next run rewrites it
     "vcpu_exit": "(cpu, info)",
-    "mmio_request": "(cpu, request)",
-    "mmio_response": "(cpu, request, cycles, ok)",
+    # ``roundtrip_ns`` is modeled host time on a KVM core, None on an ISS one
+    "mmio": "(cpu, request, cycles, ok, roundtrip_ns)",
     "host_bill": "(cpu, window, lane, nanoseconds, category, main_thread)",
     "retire": "(cpu, instructions, pc)",
     # software watchdog

@@ -19,15 +19,14 @@ Probes installed per platform:
 =====================  ========================================================
 ``KvmCpu`` / ``Vcpu``  per-core exit-reason counters, per-reason wall-time and
                        cycle histograms, MMIO round-trip latency on the
-                       modeled host axis (``vcpu_exit``, ``mmio_request``/
-                       ``mmio_response``)
+                       modeled host axis (``vcpu_exit``, ``mmio``)
 ``Watchdog``           timers armed/fired, kick-id stale-vs-delivered counts,
                        fire-margin histogram (how late past the deadline the
                        software watchdog thread fires) (``watchdog_arm``,
                        ``watchdog_fire``, ``kick``)
-WFI / ``WAIT_IRQ``     suspend counter, idle cycles skipped, suspend→resume
-                       span pairs on the simulated-time axis
-                       (``simulate_call``/``simulate_return``)
+WFI / ``WAIT_IRQ``     suspend counter, idle cycles skipped, one
+                       suspend→resume span per resume on the simulated-time
+                       axis (``wfi_suspend``, ``wfi_resume``)
 ``QuantumKeeper``      sync counter and quantum-utilization histogram (local
                        offset at sync / global quantum) (``quantum_sync``)
 ``MemoryPort``         fabric access counters keyed by the path that served
@@ -47,7 +46,9 @@ Each handler resolves a series once: it keeps its instruments in a
 ``_Slots`` dict keyed by core (or by core and exit reason, fabric path or
 kick outcome), asks the registry the first time a key occurs and updates
 the instrument directly after that.  No event builds or sorts a label set,
-and a series that no event touches is never created.
+and a series that no event touches is never created.  Every point carries
+the whole fact a handler records (a resume carries its suspend's begin, an
+MMIO exit its round trip), so no handler keeps state between events.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..obs.scope import ObserverScope, innermost, opened
-from ..vcml.processor import SimulateAction
 from .metrics import MetricsRegistry
 from .spans import SpanRecorder
 
@@ -66,16 +66,13 @@ FRACTION_BUCKETS = tuple(i / 10 for i in range(1, 11)) + (1.5, 2.0)
 class _Core:
     """Per-core probe state of one attached platform."""
 
-    __slots__ = ("core", "kvm", "track", "suspend_begin_ps", "mmio_begin_ns")
+    __slots__ = ("core", "kvm", "track")
 
     def __init__(self, platform_key: str, cpu):
         self.core = cpu.core_id
         #: KVM-backed (has a vcpu and a host clock) rather than an ISS core
         self.kvm = getattr(cpu, "vcpu", None) is not None
         self.track = f"{platform_key}.core{self.core}"
-        #: where the pending WFI suspend began (ps), None when running
-        self.suspend_begin_ps: Optional[int] = None
-        self.mmio_begin_ns = 0.0
 
 
 class _Slots(dict):
@@ -181,31 +178,18 @@ class Telemetry(ObserverScope):
             utilization.observe(keeper.offset_ps
                                 / keeper.global_quantum.quantum_ps)
 
-        # WFI / WAIT_IRQ: suspend counter, skipped idle cycles, span pairs.
-        def simulate_call(cpu, cycles) -> None:
+        # WFI / WAIT_IRQ: suspend counter, skipped idle cycles, one span
+        # per resume.
+        def wfi_suspend(cpu, begin_ps: int) -> None:
+            suspends[cpu.core_id].value += 1
+
+        def wfi_resume(cpu, begin_ps: int, now_ps: int) -> None:
             state = cores[cpu]
-            if state.suspend_begin_ps is None:
-                return
-            begin_ps, state.suspend_begin_ps = state.suspend_begin_ps, None
-            now_ps = cpu.keeper.current_time().picoseconds
             skipped_ps = max(0, now_ps - begin_ps)
             skipped_cycles = int(round(skipped_ps * 1e-12 * cpu.clock_hz))
             skipped[state.core].inc(skipped_cycles)
             self.sim_spans.complete(state.track, "wfi_suspend", begin_ps,
                                     skipped_ps, core=state.core)
-
-        def simulate_return(cpu, result) -> None:
-            # Pure observer: WAIT_IRQ is the only action with a metric;
-            # every other action passes through untouched by design.
-            if result.action is not SimulateAction.WAIT_IRQ:  # repro: ignore[RPR004]
-                return
-            state = cores[cpu]
-            suspends[state.core].value += 1
-            # The core will realize `result.cycles` of local time, sync,
-            # then sleep: the suspend begins there.
-            resume_base = (cpu.keeper.current_time()
-                           + cpu.cycles_to_time(result.cycles))
-            state.suspend_begin_ps = resume_base.picoseconds
 
         # Fabric port: which path (dmi / transport / debug) served each access.
         def fabric_access(port, path: str, ok: bool) -> None:
@@ -229,26 +213,16 @@ class Telemetry(ObserverScope):
             if info.blocked_in_wfi:
                 blocked[core].value += 1
 
-        def mmio_request(cpu, request) -> None:
-            state = cores[cpu]
-            if state.kvm:
-                state.mmio_begin_ns = cpu.host_now_ns
-
-        def mmio_response(cpu, request, cycles, ok) -> None:
-            state = cores[cpu]
-            if not state.kvm:
-                return
-            roundtrips[state.core].observe(cpu.host_now_ns
-                                           - state.mmio_begin_ns)
+        def mmio(cpu, request, cycles, ok, roundtrip_ns) -> None:
+            if roundtrip_ns is not None:
+                roundtrips[cpu.core_id].observe(roundtrip_ns)
 
         def kick(guard, kick_id, delivered) -> None:
             kicks[guards[guard], bool(delivered)].value += 1
 
-        return {"quantum_sync": quantum_sync, "simulate_call": simulate_call,
-                "simulate_return": simulate_return,
-                "fabric_access": fabric_access, "vcpu_exit": vcpu_exit,
-                "mmio_request": mmio_request, "mmio_response": mmio_response,
-                "kick": kick}
+        return {"quantum_sync": quantum_sync, "wfi_suspend": wfi_suspend,
+                "wfi_resume": wfi_resume, "fabric_access": fabric_access,
+                "vcpu_exit": vcpu_exit, "mmio": mmio, "kick": kick}
 
     # -- results ---------------------------------------------------------------
     def report(self) -> str:

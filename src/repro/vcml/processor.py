@@ -15,6 +15,8 @@ The backend (ISS or KVM) reports what stopped it through
   keep looping.
 * ``WAIT_IRQ``  — the core executed WFI (annotated); the thread synchronizes
   and then suspends on the interrupt event, skipping idle time entirely.
+  It emits ``wfi_suspend`` before the sync and ``wfi_resume`` once it
+  continues, whether or not it slept.
 * ``HALT``      — the core is done (test finished / powered off).
 
 Parallel execution (the DAC'24 parallelization scheme the paper reuses) is
@@ -188,21 +190,18 @@ class Processor(Component):
         raise NotImplementedError
 
     def _invoke_simulate(self, cycles: int) -> SimulateResult:
-        """One counted backend call, emitted as ``simulate_call``/``_return``.
+        """One counted backend call, emitted as ``simulate``.
 
-        Single funnel between the loop and ``simulate()``: the point pair
-        carries the granted budget and then the consumed cycles, which is
-        what the quantum sanitizer (SAN004, :mod:`repro.analysis.sanitize`)
+        Single funnel between the loop and ``simulate()``: the point
+        carries the granted budget and the result together, which is what
+        the quantum sanitizer (SAN004, :mod:`repro.analysis.sanitize`)
         subscribes to.
         """
         self.num_simulate_calls += 1
-        fire = self.probes.simulate_call
-        if fire is not None:
-            fire(self, cycles)
         result = self.simulate(cycles)
-        fire = self.probes.simulate_return
+        fire = self.probes.simulate
         if fire is not None:
-            fire(self, result)
+            fire(self, cycles, result)
         return result
 
     def _exited(self, info) -> None:
@@ -273,6 +272,11 @@ class Processor(Component):
                 continue
             if action is _WAIT_IRQ:
                 # Realize local time, then sleep until an interrupt arrives.
+                # The suspend begins at the local time the leg reached.
+                begin_ps = self._kernel._now_ps + keeper.offset_ps
+                fire = self.probes.wfi_suspend
+                if fire is not None:
+                    fire(self, begin_ps)
                 self._park = "wait_irq_sync"
                 yield self._sync_wait()
                 if not self.irq_pending():
@@ -280,6 +284,9 @@ class Processor(Component):
                     self._park = "wait_irq"
                     yield self.irq_event
                     self.waiting_for_irq = False
+                fire = self.probes.wfi_resume
+                if fire is not None:
+                    fire(self, begin_ps, self._kernel._now_ps + keeper.offset_ps)
         self.on_halt()
         if self.halt_callback is not None:
             self.halt_callback(self)
@@ -296,6 +303,8 @@ class Processor(Component):
         after which control folds back into the normal loop, whose
         top-of-iteration is behaviorally identical for every other site
         (``sync_wait`` already zeroed the keeper offset before the yield).
+        A WFI site's suspend began before the snapshot, so it emits no
+        ``wfi_resume``.
         """
         if site == "wait_irq_sync":
             # Original continuation: after realizing local time, check for

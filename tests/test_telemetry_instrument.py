@@ -320,9 +320,8 @@ class TestTransparency:
         telemetry = enable_telemetry(vp)
         assert subscribed_points(vp) == {
             "dispatch", "watchdog_arm", "watchdog_fire", "quantum_sync",
-            "simulate_call", "simulate_return", "fabric_access", "vcpu_exit",
-            "mmio_request", "mmio_response", "kick", "host_bill",
-            "time_advance", "run_return"}
+            "wfi_suspend", "wfi_resume", "fabric_access", "vcpu_exit",
+            "mmio", "kick", "host_bill", "time_advance", "run_return"}
         telemetry.detach()
         assert subscribed_points(vp) == set()
         assert vp.telemetry is None
