@@ -1,7 +1,8 @@
 """Functional A64-lite interpreter.
 
-Executes guest instructions one at a time against a :class:`CpuState`, a
-stage-1 :class:`Mmu` and a :class:`GuestMemoryMap`.  Control returns to the
+Executes guest instructions against a :class:`CpuState`, a stage-1
+:class:`Mmu` and a :class:`GuestMemoryMap`, a cached straight-line chunk
+at a time with the MMU off and one instruction at a time otherwise.  Control returns to the
 caller through :class:`ExitInfo` — the same exit protocol the simulated KVM
 uses — so the ISS-based and KVM-based CPU models can share all plumbing
 above this layer.
@@ -15,7 +16,8 @@ and lets the next ``run`` continue.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+import struct
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..arch.exceptions import (
     ExceptionClass,
@@ -38,6 +40,22 @@ _Handler = Callable[["Interpreter", Instruction, int], Optional[int]]
 #: A decode-cache entry: the instruction, its handler, and whether it ends
 #: a basic block.
 _Decoded = Tuple[Instruction, _Handler, bool]
+
+#: A chunk-cache entry: a callable returning the chunk's current RAM bytes,
+#: the bytes it was decoded from, its ``(inst, handler, pc)`` body, the
+#: body's length, and whether its last instruction ends a basic block.
+_Chunk = Tuple[Callable[[], bytes], bytes, Tuple[Tuple[Instruction, _Handler, int], ...],
+               int, bool]
+
+#: Opcodes after which a chunk ends although they do not end a block:
+#: stores (so a store into its own chunk is seen at the next entry) and
+#: system-register writes (an IRQ may unmask, the MMU may turn on).
+_ENDS_CHUNK = frozenset({Op.STR, Op.STRW, Op.STRB, Op.STXR, Op.MSR, Op.MSRI})
+
+#: The longest chunk, in instructions.
+_CHUNK_MAX = 64
+
+_WORD = struct.Struct("<I").unpack_from
 
 #: System registers EL0 is allowed to touch.
 _EL0_SYSREGS = {
@@ -114,6 +132,9 @@ class Interpreter:
         self.irq_line = False
         self._pending_mmio: Optional[MmioRequest] = None
         self._decode_cache: Dict[int, _Decoded] = {}     # keyed by instruction word
+        self._chunks: Dict[int, _Chunk] = {}              # keyed by start PC
+        self._chunk_bounds = memory._bounds
+        self._chunk_unsupported: FrozenSet[Op] = frozenset()
         self._skip_breakpoint_pc: Optional[int] = None
         self._fault_streak = 0
         # Event counters (monotonic; cost models sample deltas).
@@ -131,6 +152,7 @@ class Interpreter:
     # -- debug interface (KVM_SET_GUEST_DEBUG analogue) -------------------------
     def set_breakpoint(self, address: int) -> None:
         self.breakpoints.add(address)
+        self._drop_chunks()     # a cached chunk may run through ``address``
 
     def clear_breakpoint(self, address: int) -> None:
         self.breakpoints.discard(address)
@@ -159,8 +181,10 @@ class Interpreter:
         post-resume miss counts and thus DBT cost attribution).  The decode
         cache is *not* captured: it is keyed by the instruction word and
         holds nothing that depends on memory, so a cold cache rebuilds to
-        identical decisions.  Sets are emitted sorted for deterministic
-        bytes.
+        identical decisions.  Nor is the chunk cache: a chunk is checked
+        against RAM at every entry, so a restored core rebuilds its chunks
+        from the restored RAM and runs them as the cached ones would.  Sets
+        are emitted sorted for deterministic bytes.
         """
         request = self._pending_mmio
         return {
@@ -225,54 +249,92 @@ class Interpreter:
         tlb.hits = state["tlb"]["hits"]
         tlb.misses = state["tlb"]["misses"]
         self.mmu.walks = state["mmu_walks"]
+        self._drop_chunks()
 
     # -- main run loop ---------------------------------------------------------------
     def run(self, max_instructions: int) -> ExitInfo:
-        """Execute until budget exhaustion or an exit event (KVM_RUN analogue)."""
+        """Execute until budget exhaustion or an exit event (KVM_RUN analogue).
+
+        With the MMU off the loop enters one cached chunk at a time (see
+        :meth:`_chunk_at`).  With the MMU on, while stepping off a
+        breakpoint, or when the chunk would overrun the budget, the body is
+        the one instruction :meth:`_fetch` returns.  Either body goes
+        through the same block accounting and exception delivery.
+        """
         if self._pending_mmio is not None:
             raise RuntimeError("MMIO in flight; call complete_mmio() before run()")
         state = self.state
         if state.halted:
             return ExitInfo(ExitReason.HALT, 0, state.pc)
+        unsupported = self.unsupported_ops
+        if (self.memory._bounds is not self._chunk_bounds
+                or unsupported != self._chunk_unsupported):
+            self._drop_chunks()
+        chunks = self._chunks
+        breakpoints = self.breakpoints
+        irq_line = self.irq_line
+        sysregs = state.sysregs
         executed = 0
         while executed < max_instructions:
+            pc = state.pc
+            skip = self._skip_breakpoint_pc
             # Interrupts are delivered between instructions — but not while
             # stepping over a just-hit breakpoint: the stepped instruction
             # (e.g. the annotated WFI) retires first, so the IRQ's return
-            # address lands *after* it, as on real hardware.
-            if (self.irq_line and not state.daif & DAIF_IRQ_BIT
-                    and state.pc != self._skip_breakpoint_pc):
-                take_irq(state, return_pc=state.pc)
+            # address lands *after* it, as on real hardware.  Inside a
+            # chunk neither the line nor PSTATE.I can change, so one check
+            # per entry is one check per instruction.
+            if irq_line and not state.daif & DAIF_IRQ_BIT and pc != skip:
+                take_irq(state, return_pc=pc)
                 self.exceptions += 1
                 self._block_start = True
-            pc = state.pc
-            if pc in self.breakpoints and pc != self._skip_breakpoint_pc:
+                pc = state.pc
+            if pc in breakpoints and pc != skip:
                 self._skip_breakpoint_pc = pc
                 return ExitInfo(ExitReason.BREAKPOINT, executed, pc)
+            body = None
+            mmu_on = sysregs.get(_SCTLR_EL1, 0) & 1
+            if skip is None and not mmu_on:
+                chunk = chunks.get(pc)
+                if chunk is None or chunk[0]() != chunk[1]:
+                    chunk = self._chunk_at(pc)
+                if chunk is not None and chunk[3] <= max_instructions - executed:
+                    _, _, body, count, terminator = chunk
+            at = pc     # the PC of the instruction being executed
             try:
-                inst, handler, terminator = self._fetch(pc)
-                if inst.op in self.unsupported_ops:
-                    # The host CPU traps this instruction (illegal-opcode
-                    # exit); the hypervisor's user space must emulate it.
-                    return ExitInfo(ExitReason.EMULATION, executed, pc)
+                if body is None:
+                    inst, handler, terminator = self._fetch(
+                        pc, self.mmu.translate(pc, False, True) if mmu_on else pc)
+                    if inst.op in unsupported:
+                        # The host CPU traps this instruction (illegal-opcode
+                        # exit); the hypervisor's user space must emulate it.
+                        return ExitInfo(ExitReason.EMULATION, executed, pc)
+                    count = 1
                 if self._block_start:
                     self.blocks_entered += 1
                     if pc not in self._known_blocks:
                         self._known_blocks.add(pc)
                         self.new_blocks += 1
                     self._block_start = False
-                next_pc = handler(self, inst, pc)
-                state.pc = (pc + 4) & MASK64 if next_pc is None else next_pc
+                if body is None:
+                    next_pc = handler(self, inst, pc)
+                else:
+                    for inst, handler, at in body:
+                        next_pc = handler(self, inst, at)
             except GuestFault as fault:
+                state.pc = at
+                executed += self._retire_before(at, pc)
                 try:
-                    self._deliver_fault(fault, pc)
+                    self._deliver_fault(fault, at)
                 except _ExitErrorLoop as loop:
-                    return ExitInfo(ExitReason.ERROR, executed, pc, message=str(loop))
+                    return ExitInfo(ExitReason.ERROR, executed, at, message=str(loop))
                 continue
             except _Exit as exit_signal:
+                executed += self._retire_before(at, pc)
                 if exit_signal.reason is ExitReason.MMIO:
+                    state.pc = at
                     self._pending_mmio = exit_signal.mmio
-                    return ExitInfo(ExitReason.MMIO, executed, pc, mmio=exit_signal.mmio)
+                    return ExitInfo(ExitReason.MMIO, executed, at, mmio=exit_signal.mmio)
                 if exit_signal.reason is ExitReason.HALT:
                     state.halted = True
                     executed += 1
@@ -285,14 +347,74 @@ class Interpreter:
                     return ExitInfo(ExitReason.WFI, executed, state.pc)
                 return ExitInfo(exit_signal.reason, executed, state.pc,
                                 message=exit_signal.message)
-            if pc == self._skip_breakpoint_pc:
+            state.pc = (at + 4) & MASK64 if next_pc is None else next_pc
+            if pc == skip:
                 self._skip_breakpoint_pc = None
             self._fault_streak = 0
-            executed += 1
-            state.instret += 1
-            if terminator:
-                self._block_start = True
+            self._block_start = terminator
+            executed += count
+            state.instret += count
         return ExitInfo(ExitReason.BUDGET, executed, state.pc)
+
+    def _retire_before(self, at: int, start: int) -> int:
+        """Retire the chunk's instructions from ``start`` up to (not
+        including) the one at ``at`` that raised; return how many."""
+        done = (at - start) >> 2
+        if done:
+            self.state.instret += done
+            self._fault_streak = 0
+        return done
+
+    # -- chunk cache ----------------------------------------------------------------
+    def _drop_chunks(self) -> None:
+        self._chunks = {}
+        self._chunk_bounds = self.memory._bounds
+        self._chunk_unsupported = frozenset(self.unsupported_ops)
+
+    def _chunk_at(self, pc: int) -> Optional[_Chunk]:
+        """Decode and cache the chunk starting at ``pc``; None if its first
+        instruction cannot run from a chunk (outside RAM, undecodable or
+        unsupported), so the one-instruction path raises or exits for it.
+
+        A chunk ends at a block terminator, after a store (a store into the
+        chunk is seen at its next entry), after ``MSR``/``MSRI`` (an IRQ
+        may unmask, the MMU may turn on), before any ``MRS`` but its first
+        instruction (``MRS CNTVCT`` reads ``instret``, which a chunk adds
+        up at its end), before a breakpoint or an unsupported op, and at
+        the end of its RAM slot.
+        """
+        for base, end, view in self.memory._bounds:
+            if base <= pc and pc + 4 <= end:
+                break
+        else:
+            return None
+        breakpoints = self.breakpoints
+        unsupported = self.unsupported_ops
+        body = []
+        terminator = False
+        at = pc
+        limit = min(end, pc + 4 * _CHUNK_MAX)
+        while at + 4 <= limit:
+            if body and at in breakpoints:
+                break
+            decoded = self._decode_word(_WORD(view, at - base)[0])
+            if decoded is None:
+                break
+            inst, handler, terminator = decoded
+            op = inst.op
+            if op in unsupported or (op is Op.MRS and body):
+                terminator = False
+                break
+            body.append((inst, handler, at))
+            at += 4
+            if terminator or op in _ENDS_CHUNK:
+                break
+        if not body:
+            return None
+        words = view[pc - base:at - base]
+        chunk = (words.tobytes, words.tobytes(), tuple(body), len(body), terminator)
+        self._chunks[pc] = chunk
+        return chunk
 
     def emulate_one(self) -> ExitInfo:
         """Execute exactly one instruction, ignoring ``unsupported_ops``.
@@ -306,7 +428,7 @@ class Interpreter:
         state = self.state
         pc = state.pc
         try:
-            inst = self._fetch(pc)[0]
+            inst = self._fetch(pc, self._translate(pc, fetch=True))[0]
             self._exec(inst, pc)
         except GuestFault as fault:
             self._deliver_fault(fault, pc)
@@ -358,25 +480,34 @@ class Interpreter:
                             return_pc=return_pc)
 
     # -- fetch ------------------------------------------------------------------------
-    def _fetch(self, pc: int) -> _Decoded:
-        """Read the word at ``pc`` and return its (inst, handler, terminator).
+    def _fetch(self, pc: int, pa: int) -> _Decoded:
+        """Read the word at ``pc`` (physical address ``pa``) and return its
+        (inst, handler, terminator).
 
         The word is read from guest RAM on every fetch; only its decoding
         is cached, keyed by the word itself, so code rewritten by any agent
         (a guest store, a DMA, a debugger poke, a snapshot restore) runs as
-        the new instruction without any invalidation.
+        the new instruction without any invalidation.  A chunk gets the same
+        guarantee by comparing its bytes with RAM at every entry.
         """
-        word = self.memory.load(self._translate(pc, fetch=True), 4)
+        word = self.memory.load(pa, 4)
         if word is None:
             raise GuestFault(ExceptionClass.INSTRUCTION_ABORT, iss=0x10, fault_address=pc,
                              message=f"instruction fetch from MMIO at 0x{pc:x}")
+        decoded = self._decode_cache.get(word) or self._decode_word(word)
+        if decoded is None:
+            raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
+                             message=f"undecodable word {word:#010x} at 0x{pc:x}")
+        return decoded
+
+    def _decode_word(self, word: int) -> Optional[_Decoded]:
+        """The decode-cache entry for ``word``, or None if it does not decode."""
         decoded = self._decode_cache.get(word)
         if decoded is None:
             try:
                 inst = decode(word)
             except DecodeError:
-                raise GuestFault(ExceptionClass.UNKNOWN, fault_address=pc,
-                                 message=f"undecodable word {word:#010x} at 0x{pc:x}") from None
+                return None
             decoded = (inst, _HANDLERS[inst.op], inst.op in BLOCK_TERMINATORS)
             self._decode_cache[word] = decoded
         return decoded
@@ -390,9 +521,11 @@ class Interpreter:
 
     # -- data memory ----------------------------------------------------------------------
 
+    # ``_load`` and ``_store`` inline ``_translate``: they run once per
+    # memory instruction.
     def _load(self, va: int, size: int, register: int) -> int:
         self.memory_ops += 1
-        pa = self._translate(va)
+        pa = self.mmu.translate(va) if self.state.sysregs.get(_SCTLR_EL1, 0) & 1 else va
         value = self.memory.load(pa, size)
         if value is None:
             raise _Exit(ExitReason.MMIO,
@@ -401,7 +534,7 @@ class Interpreter:
 
     def _store(self, va: int, size: int, value: int) -> None:
         self.memory_ops += 1
-        pa = self._translate(va, write=True)
+        pa = self.mmu.translate(va, True) if self.state.sysregs.get(_SCTLR_EL1, 0) & 1 else va
         data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         if self.memory.store(pa, data):
             self.monitor.on_store(pa, size, self.state.core_id)

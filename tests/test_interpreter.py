@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.arch.assembler import assemble
 from repro.arch.isa import Instruction, Op, SysReg, encode
 from repro.arch.mmu import PageTableBuilder
+from repro.arch.registers import CpuState
 from repro.iss.executor import ExitReason
-from repro.iss.interpreter import _HANDLERS, GlobalMonitor
+from repro.iss.interpreter import _HANDLERS, GlobalMonitor, Interpreter
+from repro.snapshot import Snapshot
+from repro.systemc.time import SimTime
+from repro.vp import GuestSoftware, VpConfig, build_platform
 
 MMIO_BASE = 0x9000_0000
 
@@ -707,3 +712,188 @@ patched:
         assert harness.reg(1) == 2
         assert harness.reg(4) == 3
         assert harness.interp.mmu.tlb.hits > 0
+
+
+def _chunk_cached(interp, pc):
+    """True if the interpreter holds a chunk that starts at ``pc``."""
+    return pc in interp._chunks
+
+
+class TestChunkRewrite:
+    """A cached chunk whose code is rewritten runs the new instruction at
+    its next entry, whoever wrote the word; a breakpoint set inside a built
+    chunk still stops there."""
+
+    NEW_WORD = encode(Instruction(Op.MOVZ, rd=1, imm=2))     # movz x1, #2
+
+    LOOP = """
+_start:
+    movz x4, #0
+loop:
+patched:
+    movz x1, #1
+    add x4, x4, x1
+    b loop
+"""
+
+    def test_own_store_after_two_passes(self, guest):
+        harness = run_to_halt(guest, f"""
+_start:
+    adr x5, patched
+    movz x6, #{self.NEW_WORD & 0xFFFF}
+    movk x6, #{self.NEW_WORD >> 16}, lsl #16
+    movz x3, #0
+    movz x4, #0
+loop:
+patched:
+    movz x1, #1
+    add x4, x4, x1
+    add x3, x3, #1
+    cmp x3, #2
+    b.ne check
+    strw x6, [x5]           // after the second pass
+check:
+    cmp x3, #4
+    b.ne loop
+    hlt #0
+""")
+        assert _chunk_cached(harness.interp, harness.image.find_symbol("patched"))
+        assert harness.reg(1) == 2
+        assert harness.reg(4) == 1 + 1 + 2 + 2
+
+    def test_store_by_a_second_core(self, guest):
+        harness = guest(self.LOOP + f"""
+writer:
+    adr x5, patched
+    movz x6, #{self.NEW_WORD & 0xFFFF}
+    movk x6, #{self.NEW_WORD >> 16}, lsl #16
+    strw x6, [x5]
+    hlt #0
+""")
+        patched = harness.image.find_symbol("patched")
+        assert harness.run(1 + 3 * 3).reason is ExitReason.BUDGET
+        assert _chunk_cached(harness.interp, patched)
+        assert harness.reg(4) == 3
+        other = CpuState(core_id=1)
+        other.pc = harness.image.find_symbol("writer")
+        writer = Interpreter(other, harness.memory, harness.interp.monitor)
+        assert writer.run(100).reason is ExitReason.HALT
+        assert harness.run(2 * 3).reason is ExitReason.BUDGET
+        assert harness.reg(1) == 2
+        assert harness.reg(4) == 3 + 2 + 2
+
+    def _avp64(self):
+        image = assemble(self.LOOP, base_address=0x1000)
+        software = GuestSoftware(image=image, mode="interpreter", name="chunk-rewrite")
+        config = VpConfig(num_cores=1, quantum=SimTime.us(10), parallel=False)
+        vp = build_platform("avp64", config, software)
+        vp.run(SimTime.us(30))
+        interp = vp.cpus[0].executor
+        patched = image.find_symbol("patched")
+        assert _chunk_cached(interp, patched)
+        assert interp.state.regs[1] == 1
+        return vp, software, patched
+
+    def test_host_write_to_platform_ram(self):
+        vp, _, patched = self._avp64()
+        state = vp.cpus[0].executor.state
+        count = state.regs[4]
+        vp.ram.data[patched:patched + 4] = self.NEW_WORD.to_bytes(4, "little")
+        vp.run(SimTime.us(30))
+        assert state.regs[1] == 2
+        assert state.regs[4] > count + 2
+
+    def test_snapshot_restore_with_other_code(self):
+        vp, software, patched = self._avp64()
+        child = Snapshot.capture(vp).fork(1)[0]
+        child.poke_ram(patched, self.NEW_WORD.to_bytes(4, "little"))
+        restored = child.restore(software)
+        restored.run(SimTime.us(30))
+        assert restored.cpus[0].executor.state.regs[1] == 2
+        vp.run(SimTime.us(30))     # the snapshot's poke is its own
+        assert vp.cpus[0].executor.state.regs[1] == 1
+
+    def test_breakpoint_set_inside_a_built_chunk(self, guest):
+        harness = guest("""
+_start:
+    movz x4, #0
+loop:
+    add x4, x4, #1
+target:
+    add x4, x4, #1
+    b loop
+""")
+        assert harness.run(1 + 3 * 2).reason is ExitReason.BUDGET
+        assert _chunk_cached(harness.interp, harness.image.find_symbol("loop"))
+        target = harness.image.find_symbol("target")
+        harness.interp.set_breakpoint(target)
+        info = harness.run(100)
+        assert info.reason is ExitReason.BREAKPOINT
+        assert info.pc == target
+        assert harness.reg(4) == 2 * 2 + 1
+
+
+class TestChunkExitParity:
+    """An exit or fault at the third instruction of a chunk leaves the core
+    as the stepped run, one instruction per entry, does."""
+
+    @staticmethod
+    def _observe(harness, info):
+        interp = harness.interp
+        return (info.reason, info.pc, harness.state.pc, harness.state.instret,
+                interp.memory_ops, interp.blocks_entered, interp.new_blocks,
+                interp.exceptions)
+
+    def _until_exit(self, harness, budget):
+        while True:
+            info = harness.run(budget)
+            if info.reason is not ExitReason.BUDGET:
+                return self._observe(harness, info)
+
+    MMIO_SOURCE = f"""
+_start:
+    movz x9, #{MMIO_BASE >> 16}, lsl #16
+    movz x4, #0
+    b loop
+loop:
+    add x4, x4, #1
+    add x4, x4, #1
+    ldr x5, [x9]            // MMIO exit
+    b loop
+"""
+
+    ABORT_SOURCE = f"""
+.equ VBAR, 0x4000
+_start:
+    movz x1, #VBAR
+    msr VBAR_EL1, x1
+    movz x9, #{MMIO_BASE >> 16}, lsl #16
+    movz x4, #0
+    b loop
+loop:
+    add x4, x4, #1
+    add x4, x4, #1
+    ldxr x5, [x9]           // exclusive load from MMIO: data abort
+    b loop
+
+.org VBAR
+    mrs x2, ELR_EL1
+    hlt #0
+"""
+
+    def test_mmio_exits_match(self, guest):
+        stepped, chunked = guest(self.MMIO_SOURCE), guest(self.MMIO_SOURCE)
+        for round_ in range(3):
+            assert self._until_exit(chunked, 100) == self._until_exit(stepped, 1)
+            for harness in (stepped, chunked):
+                harness.interp.complete_mmio(round_.to_bytes(8, "little"))
+        assert _chunk_cached(chunked.interp, chunked.image.find_symbol("loop"))
+
+    def test_data_abort_matches(self, guest):
+        stepped, chunked = guest(self.ABORT_SOURCE), guest(self.ABORT_SOURCE)
+        outcome = self._until_exit(chunked, 100)
+        assert outcome[0] is ExitReason.HALT
+        assert outcome == self._until_exit(stepped, 1)
+        assert chunked.state.snapshot() == stepped.state.snapshot()
+        assert chunked.reg(2) == chunked.image.find_symbol("loop") + 8
+        assert _chunk_cached(chunked.interp, chunked.image.find_symbol("loop"))
