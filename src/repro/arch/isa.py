@@ -266,7 +266,11 @@ def decode(word: int) -> Instruction:
     if op in (Op.B, Op.BL):
         return Instruction(op, imm=_signed(word & 0x3FFFFFF, 26))
     if op is Op.BCOND:
-        cond = Cond((word >> 22) & 0xF)
+        try:
+            cond = Cond((word >> 22) & 0xF)
+        except ValueError:
+            raise DecodeError(
+                f"unknown condition {(word >> 22) & 0xF} in word {word:#010x}") from None
         return Instruction(op, cond=cond, imm=_signed(word & 0x3FFFFF, 22))
     if op in (Op.CBZ, Op.CBNZ):
         return Instruction(op, rd=rd, imm=_signed(word & 0x1FFFFF, 21))

@@ -70,6 +70,11 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             decode(-1)
 
+    def test_bcond_unknown_condition(self):
+        # Condition field 15 names no Cond; it is undecodable, not a ValueError.
+        with pytest.raises(DecodeError):
+            decode((Op.BCOND << 26) | (0xF << 22))
+
     def test_movz_imm_out_of_range_rejected_on_encode(self):
         with pytest.raises(DecodeError):
             encode(Instruction(Op.MOVZ, rd=0, imm=0x10000))
