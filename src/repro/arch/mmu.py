@@ -42,6 +42,8 @@ DESC_ADDR_MASK = ((1 << 48) - 1) & ~PAGE_MASK
 _LEVEL_SHIFTS = (30, 21, 12)
 _INDEX_MASK = 0x1FF
 
+_SCTLR_EL1 = int(SysReg.SCTLR_EL1)
+
 
 class Tlb:
     """A software model of a translation lookaside buffer."""
@@ -85,23 +87,32 @@ class Mmu:
 
     @property
     def enabled(self) -> bool:
-        return bool(self.state.read_sysreg(SysReg.SCTLR_EL1) & 1)
+        return bool(self.state.sysregs.get(_SCTLR_EL1, 0) & 1)
 
     def flush_tlb(self) -> None:
         self.tlb.flush()
 
     # -- translation ---------------------------------------------------------
     def translate(self, va: int, write: bool = False, fetch: bool = False) -> int:
-        """Translate ``va`` to a physical address or raise :class:`GuestFault`."""
-        if not self.enabled:
+        """Translate ``va`` to a physical address or raise :class:`GuestFault`.
+
+        A TLB hit at EL1 that is not a write to a read-only page costs one
+        dict lookup: it is the path every data access with the MMU on takes.
+        """
+        state = self.state
+        if not state.sysregs.get(_SCTLR_EL1, 0) & 1:
             return va
-        el = self.state.el
+        el = state.el
         vpage = va >> PAGE_SHIFT
-        cached = self.tlb.lookup(vpage, el)
+        tlb = self.tlb
+        cached = tlb._entries.get((vpage, el))
         if cached is not None:
+            tlb.hits += 1
             ppage, flags = cached
-            self._check_permissions(va, flags, write, fetch)
+            if not el or (write and flags & DESC_AP_RO):
+                self._check_permissions(va, flags, write, fetch)
             return (ppage << PAGE_SHIFT) | (va & PAGE_MASK)
+        tlb.misses += 1
         ppage, flags, page_shift = self._walk(va, fetch)
         # Cache at 4 KiB granularity regardless of the mapping's block size.
         block_base_vpage = (va >> page_shift) << (page_shift - PAGE_SHIFT)

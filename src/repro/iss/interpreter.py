@@ -2,10 +2,11 @@
 
 Executes guest instructions against a :class:`CpuState`, a stage-1
 :class:`Mmu` and a :class:`GuestMemoryMap`, a cached straight-line chunk
-at a time with the MMU off and one instruction at a time otherwise.  Control returns to the
-caller through :class:`ExitInfo` — the same exit protocol the simulated KVM
-uses — so the ISS-based and KVM-based CPU models can share all plumbing
-above this layer.
+at a time; with the MMU on the chunks are keyed by virtual PC and checked
+against the code page's TLB entry.  Control returns to the caller through
+:class:`ExitInfo` — the same exit protocol the simulated KVM uses — so the
+ISS-based and KVM-based CPU models can share all plumbing above this
+layer.
 
 MMIO follows the KVM two-phase protocol: an access to a non-RAM physical
 address stops execution *before* retiring the instruction and surfaces an
@@ -26,8 +27,17 @@ from ..arch.exceptions import (
     take_irq,
     take_sync_exception,
 )
-from ..arch.isa import BLOCK_TERMINATORS, Cond, DecodeError, Instruction, Op, SysReg, decode
-from ..arch.mmu import Mmu
+from ..arch.isa import (
+    BLOCK_TERMINATORS,
+    MEMORY_OPS,
+    Cond,
+    DecodeError,
+    Instruction,
+    Op,
+    SysReg,
+    decode,
+)
+from ..arch.mmu import DESC_AP_EL0, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Mmu
 from ..arch.registers import DAIF_IRQ_BIT, MASK64, CpuState
 from .executor import ExitInfo, ExitReason, GuestMemoryMap, MmioRequest, RunStats
 
@@ -43,9 +53,11 @@ _Decoded = Tuple[Instruction, _Handler, bool]
 
 #: A chunk-cache entry: a callable returning the chunk's current RAM bytes,
 #: the bytes it was decoded from, its ``(inst, handler, pc)`` body, the
-#: body's length, and whether its last instruction ends a basic block.
+#: body's length, whether its last instruction ends a basic block, the
+#: code page's TLB entry (None with the MMU off) and how many data accesses
+#: the body makes.
 _Chunk = Tuple[Callable[[], bytes], bytes, Tuple[Tuple[Instruction, _Handler, int], ...],
-               int, bool]
+               int, bool, Optional[Tuple[int, int]], int]
 
 #: Opcodes after which a chunk ends although they do not end a block:
 #: stores (so a store into its own chunk is seen at the next entry) and
@@ -132,7 +144,8 @@ class Interpreter:
         self.irq_line = False
         self._pending_mmio: Optional[MmioRequest] = None
         self._decode_cache: Dict[int, _Decoded] = {}     # keyed by instruction word
-        self._chunks: Dict[int, _Chunk] = {}              # keyed by start PC
+        self._chunks: Dict[int, _Chunk] = {}              # MMU off, keyed by start PC
+        self._va_chunks: Dict[int, _Chunk] = {}           # MMU on, keyed by start VA
         self._chunk_bounds = memory._bounds
         self._chunk_unsupported: FrozenSet[Op] = frozenset()
         self._skip_breakpoint_pc: Optional[int] = None
@@ -255,11 +268,16 @@ class Interpreter:
     def run(self, max_instructions: int) -> ExitInfo:
         """Execute until budget exhaustion or an exit event (KVM_RUN analogue).
 
-        With the MMU off the loop enters one cached chunk at a time (see
-        :meth:`_chunk_at`).  With the MMU on, while stepping off a
-        breakpoint, or when the chunk would overrun the budget, the body is
-        the one instruction :meth:`_fetch` returns.  Either body goes
-        through the same block accounting and exception delivery.
+        The loop enters one cached chunk at a time (see :meth:`_chunk_at`).
+        With the MMU on a chunk is keyed by virtual PC and runs only while
+        its code page's TLB entry is the one it was built from; its
+        instruction fetches are counted as TLB hits at entry, and those it
+        never made are taken back when it stops early.  While stepping off
+        a breakpoint, when the code page is not in the TLB (or EL0 may not
+        fetch from it), when the chunk would overrun the budget, or when
+        its data accesses could evict the code page from a full TLB, the
+        body is the one instruction :meth:`_fetch` returns.  Either body
+        goes through the same block accounting and exception delivery.
         """
         if self._pending_mmio is not None:
             raise RuntimeError("MMIO in flight; call complete_mmio() before run()")
@@ -271,6 +289,9 @@ class Interpreter:
                 or unsupported != self._chunk_unsupported):
             self._drop_chunks()
         chunks = self._chunks
+        va_chunks = self._va_chunks
+        tlb = self.mmu.tlb
+        tlb_entries = tlb._entries
         breakpoints = self.breakpoints
         irq_line = self.irq_line
         sysregs = state.sysregs
@@ -297,9 +318,25 @@ class Interpreter:
             if skip is None and not mmu_on:
                 chunk = chunks.get(pc)
                 if chunk is None or chunk[0]() != chunk[1]:
-                    chunk = self._chunk_at(pc)
+                    chunk = self._chunk_at(pc, pc)
                 if chunk is not None and chunk[3] <= max_instructions - executed:
-                    _, _, body, count, terminator = chunk
+                    _, _, body, count, terminator, _, _ = chunk
+            elif skip is None:
+                # A chunk is only as good as the TLB entry it was built
+                # from: a flush, a refill or a restore makes a new one.
+                entry = tlb_entries.get((pc >> PAGE_SHIFT, state.el))
+                if entry is not None and (state.el or entry[1] & DESC_AP_EL0):
+                    chunk = va_chunks.get(pc)
+                    if chunk is None or chunk[5] is not entry or chunk[0]() != chunk[1]:
+                        chunk = self._chunk_at(
+                            pc, (entry[0] << PAGE_SHIFT) | (pc & PAGE_MASK), entry)
+                    # Each data miss inserts one entry; with that many free
+                    # slots none evicts the code page, so every stepped
+                    # fetch of the chunk would have hit.
+                    if (chunk is not None and chunk[3] <= max_instructions - executed
+                            and tlb.capacity - len(tlb_entries) >= chunk[6]):
+                        _, _, body, count, terminator, _, _ = chunk
+                        tlb.hits += count
             at = pc     # the PC of the instruction being executed
             try:
                 if body is None:
@@ -324,6 +361,10 @@ class Interpreter:
             except GuestFault as fault:
                 state.pc = at
                 executed += self._retire_before(at, pc)
+                if body is not None and mmu_on:
+                    tlb.hits -= count - ((at - pc) >> 2) - 1
+                if pc == skip:
+                    self._skip_breakpoint_pc = None
                 try:
                     self._deliver_fault(fault, at)
                 except _ExitErrorLoop as loop:
@@ -331,10 +372,15 @@ class Interpreter:
                 continue
             except _Exit as exit_signal:
                 executed += self._retire_before(at, pc)
+                if body is not None and mmu_on:
+                    tlb.hits -= count - ((at - pc) >> 2) - 1
                 if exit_signal.reason is ExitReason.MMIO:
+                    # complete_mmio retires the instruction and clears the skip.
                     state.pc = at
                     self._pending_mmio = exit_signal.mmio
                     return ExitInfo(ExitReason.MMIO, executed, at, mmio=exit_signal.mmio)
+                if pc == skip:
+                    self._skip_breakpoint_pc = None
                 if exit_signal.reason is ExitReason.HALT:
                     state.halted = True
                     executed += 1
@@ -368,23 +414,28 @@ class Interpreter:
     # -- chunk cache ----------------------------------------------------------------
     def _drop_chunks(self) -> None:
         self._chunks = {}
+        self._va_chunks = {}
         self._chunk_bounds = self.memory._bounds
         self._chunk_unsupported = frozenset(self.unsupported_ops)
 
-    def _chunk_at(self, pc: int) -> Optional[_Chunk]:
-        """Decode and cache the chunk starting at ``pc``; None if its first
-        instruction cannot run from a chunk (outside RAM, undecodable or
-        unsupported), so the one-instruction path raises or exits for it.
+    def _chunk_at(self, pc: int, pa: int,
+                  entry: Optional[Tuple[int, int]] = None) -> Optional[_Chunk]:
+        """Decode and cache the chunk starting at ``pc``, reading its words
+        from the physical address ``pa``; None if its first instruction
+        cannot run from a chunk (outside RAM, undecodable or unsupported),
+        so the one-instruction path raises or exits for it.  ``entry`` is
+        the code page's TLB entry with the MMU on, None with it off.
 
         A chunk ends at a block terminator, after a store (a store into the
         chunk is seen at its next entry), after ``MSR``/``MSRI`` (an IRQ
         may unmask, the MMU may turn on), before any ``MRS`` but its first
         instruction (``MRS CNTVCT`` reads ``instret``, which a chunk adds
-        up at its end), before a breakpoint or an unsupported op, and at
-        the end of its RAM slot.
+        up at its end), before a breakpoint (by virtual PC) or an
+        unsupported op, at the end of its RAM slot and, with the MMU on, at
+        the end of its 4 KiB page.
         """
         for base, end, view in self.memory._bounds:
-            if base <= pc and pc + 4 <= end:
+            if base <= pa and pa + 4 <= end:
                 break
         else:
             return None
@@ -392,12 +443,16 @@ class Interpreter:
         unsupported = self.unsupported_ops
         body = []
         terminator = False
+        accesses = 0
         at = pc
-        limit = min(end, pc + 4 * _CHUNK_MAX)
+        offset = pa - base - pc     # the word at ``at`` sits at ``view[at + offset]``
+        limit = pc + min(end - pa, 4 * _CHUNK_MAX)
+        if entry is not None:
+            limit = min(limit, pc + PAGE_SIZE - (pc & PAGE_MASK))
         while at + 4 <= limit:
             if body and at in breakpoints:
                 break
-            decoded = self._decode_word(_WORD(view, at - base)[0])
+            decoded = self._decode_word(_WORD(view, at + offset)[0])
             if decoded is None:
                 break
             inst, handler, terminator = decoded
@@ -406,14 +461,16 @@ class Interpreter:
                 terminator = False
                 break
             body.append((inst, handler, at))
+            accesses += op in MEMORY_OPS
             at += 4
             if terminator or op in _ENDS_CHUNK:
                 break
         if not body:
             return None
-        words = view[pc - base:at - base]
-        chunk = (words.tobytes, words.tobytes(), tuple(body), len(body), terminator)
-        self._chunks[pc] = chunk
+        words = view[pc + offset:at + offset]
+        chunk = (words.tobytes, words.tobytes(), tuple(body), len(body), terminator,
+                 entry, accesses)
+        (self._chunks if entry is None else self._va_chunks)[pc] = chunk
         return chunk
 
     def emulate_one(self) -> ExitInfo:
@@ -427,6 +484,9 @@ class Interpreter:
             raise RuntimeError("MMIO in flight; complete it before emulating")
         state = self.state
         pc = state.pc
+        if pc == self._skip_breakpoint_pc:
+            # The instruction a breakpoint stopped at runs here, not in run().
+            self._skip_breakpoint_pc = None
         try:
             inst = self._fetch(pc, self._translate(pc, fetch=True))[0]
             self._exec(inst, pc)

@@ -175,20 +175,25 @@ class Gic400(Component):
             self.pending_banked[cpu].add(irq)
         else:
             self.pending_banked[cpu].discard(irq)
-        self._update_lines()
+        self._update_line(cpu)
 
     # -- host-side helpers ---------------------------------------------------------
     def send_sgi(self, irq: int, target_mask: int) -> None:
         """Raise SGI ``irq`` on every core in ``target_mask`` (testing hook)."""
         if not 0 <= irq < 16:
             raise ValueError(f"SGI id must be in [0, 16), got {irq}")
-        for cpu in range(self.num_cpus):
-            if target_mask & (1 << cpu):
-                self.pending_banked[cpu].add(irq)
+        targets = [cpu for cpu in range(self.num_cpus) if target_mask & (1 << cpu)]
+        for cpu in targets:
+            self.pending_banked[cpu].add(irq)
         self.num_sgis_sent += 1
-        self._update_lines()
+        for cpu in targets:
+            self._update_line(cpu)
 
     # -- line computation --------------------------------------------------------------
+    # A change to one core's banked state (its SGIs and PPIs, its active
+    # set, its CPU-interface enable) can only move that core's line, so it
+    # recomputes that line alone; a change to distributor state (enables,
+    # SPI pending state, SPI targets) recomputes every line, in core order.
     def _routed_pending(self, cpu: int) -> Iterator[int]:
         """Enabled pending interrupts routed to ``cpu`` (not yet active)."""
         if not self.dist_enabled or not self.cpu_enabled[cpu]:
@@ -202,11 +207,29 @@ class Gic400(Component):
                     and irq not in active:
                 yield irq
 
+    def _line_pending(self, cpu: int) -> bool:
+        """Whether :meth:`_routed_pending` would yield anything; a plain
+        loop, not a generator, since it runs on every line update."""
+        if not self.dist_enabled or not self.cpu_enabled[cpu]:
+            return False
+        enabled = self.enabled
+        active = self.active[cpu]
+        for irq in self.pending_banked[cpu]:
+            if (irq < 16 or irq in enabled) and irq not in active:
+                return True
+        bit = 1 << cpu
+        targets = self.spi_targets
+        for irq in self.pending_spi:
+            if irq in enabled and targets.get(irq, 0) & bit and irq not in active:
+                return True
+        return False
+
+    def _update_line(self, cpu: int) -> None:
+        self.irq_out[cpu].write(self._line_pending(cpu))
+
     def _update_lines(self) -> None:
         for cpu in range(self.num_cpus):
-            # not any(ids): SGI 0 is a pending interrupt too
-            pending = next(self._routed_pending(cpu), None) is not None
-            self.irq_out[cpu].write(pending)
+            self.irq_out[cpu].write(self._line_pending(cpu))
 
     # -- acknowledge / EOI --------------------------------------------------------------
     def acknowledge(self, cpu: int) -> int:
@@ -216,12 +239,13 @@ class Gic400(Component):
         if irq == SPURIOUS_IRQ:
             return irq
         self.num_acks += 1
+        self.active[cpu].add(irq)
         if irq < 32:
             self.pending_banked[cpu].discard(irq)
+            self._update_line(cpu)
         else:
             self.pending_spi.discard(irq)
-        self.active[cpu].add(irq)
-        self._update_lines()
+            self._update_lines()
         return irq
 
     def end_of_interrupt(self, cpu: int, irq: int) -> None:
@@ -230,7 +254,9 @@ class Gic400(Component):
         self.num_eois += 1
         if irq >= 32 and self.spi_levels.get(irq):
             self.pending_spi.add(irq)
-        self._update_lines()
+            self._update_lines()
+        else:
+            self._update_line(cpu)
 
     # -- snapshot support ---------------------------------------------------------------
     def snapshot_state(self) -> dict:
@@ -429,7 +455,7 @@ class Gic400(Component):
                 value = payload.data_as_int()
                 if offset == GICC_CTLR:
                     self.cpu_enabled[cpu] = bool(value & 1)
-                    self._update_lines()
+                    self._update_line(cpu)
                 elif offset == GICC_PMR:
                     self.priority_mask[cpu] = value & 0xFF
                 elif offset == GICC_EOIR:

@@ -601,6 +601,79 @@ target:
         harness.interp.clear_breakpoint(target)
         assert harness.run(10).reason is ExitReason.HALT
 
+    def test_breakpoint_on_trapping_instruction_rehits(self, guest):
+        # Stepping off the breakpoint faults into the vector; the next pass
+        # through the loop must stop there again.
+        harness = guest("""
+.equ VBAR, 0x4000
+_start:
+    movz x1, #VBAR
+    msr VBAR_EL1, x1
+    movz x2, #0
+loop:
+    add x2, x2, #1
+target:
+    svc #0
+    cmp x2, #3
+    b.ne loop
+    hlt #0
+
+.org VBAR
+    eret
+""")
+        target = harness.image.find_symbol("target")
+        harness.interp.set_breakpoint(target)
+        hits = 0
+        while True:
+            info = harness.run(100)
+            if info.reason is ExitReason.HALT:
+                break
+            assert info.reason is ExitReason.BREAKPOINT
+            assert info.pc == target
+            hits += 1
+        assert hits == 3
+        assert harness.interp.exceptions == 3
+
+    def test_breakpoint_on_emulated_instruction_rehits(self, guest):
+        harness = guest("""
+_start:
+    movz x2, #0
+loop:
+    add x2, x2, #1
+target:
+    mul x3, x2, x2
+    cmp x2, #3
+    b.ne loop
+    hlt #0
+""")
+        target = harness.image.find_symbol("target")
+        harness.interp.unsupported_ops = {Op.MUL}
+        harness.interp.set_breakpoint(target)
+        hits = 0
+        while True:
+            info = harness.run(100)
+            if info.reason is ExitReason.HALT:
+                break
+            if info.reason is ExitReason.EMULATION:
+                harness.interp.emulate_one()
+                continue
+            assert info.reason is ExitReason.BREAKPOINT
+            hits += 1
+        assert hits == 3
+        assert harness.reg(3) == 9
+
+    def test_breakpoint_on_hlt_leaves_no_skip(self, guest):
+        harness = guest("""
+_start:
+target:
+    hlt #0
+""")
+        target = harness.image.find_symbol("target")
+        harness.interp.set_breakpoint(target)
+        assert harness.run(10).reason is ExitReason.BREAKPOINT
+        assert harness.run(10).reason is ExitReason.HALT
+        assert harness.interp._skip_breakpoint_pc is None
+
 
 class TestBudgetAndStats:
     def test_budget_exit(self, guest):

@@ -326,6 +326,55 @@ class TestTrapsAndCsrs:
         assert info.reason is ExitReason.HALT and info.halt_code == 1
         assert state.read_reg(8) != 0   # handler saw a valid mepc
 
+    @staticmethod
+    def _interp(build):
+        rv = Rv64Builder(base=0x1000)
+        build(rv)
+        memory = GuestMemoryMap()
+        memory.add_slot(0, memoryview(bytearray(0x10000)))
+        memory.write(0x1000, rv.build())
+        state = Rv64State()
+        state.pc = 0x1000
+        return Rv64Interpreter(state, memory), rv.labels
+
+    def test_breakpoint_on_trapping_instruction_rehits(self):
+        # Stepping off the breakpoint traps into mtvec; the next pass
+        # through the loop must stop there again.
+        def build(rv):
+            rv.li(5, 0x1100)
+            rv.csrrw(0, CSR_MTVEC, 5)
+            rv.li(6, 0)
+            rv.li(7, 3)
+            rv.label("loop")
+            rv.addi(6, 6, 1)
+            rv.label("target")
+            rv.ecall()
+            rv.bne(6, 7, "loop")
+            rv.halt()
+            while rv.pc < 0x1100:
+                rv.nop()
+            rv.mret()
+
+        interp, labels = self._interp(build)
+        interp.set_breakpoint(labels["target"])
+        hits = 0
+        while True:
+            info = interp.run(100)
+            if info.reason is ExitReason.HALT:
+                break
+            assert info.reason is ExitReason.BREAKPOINT
+            assert info.pc == labels["target"]
+            hits += 1
+        assert hits == 3
+        assert interp.exceptions == 3
+
+    def test_breakpoint_on_halt_leaves_no_skip(self):
+        interp, _ = self._interp(lambda rv: rv.halt())
+        interp.set_breakpoint(0x1000)
+        assert interp.run(10).reason is ExitReason.BREAKPOINT
+        assert interp.run(10).reason is ExitReason.HALT
+        assert interp._skip_breakpoint_pc is None
+
 
 class TestKvmIntegration:
     """The same simulated KVM runs a RISC-V guest unmodified (§VI)."""

@@ -37,6 +37,8 @@ from repro.vp.guestlib import idle_forever
 from repro.vp.linux import LinuxBootParams, linux_boot_software
 from repro.vp.platform import build_platform
 from repro.vp.software import IDLE_IMAGE_BASE, GuestSoftware
+from repro.workloads.guest_programs import functional_dhrystone
+from tests.test_golden_counters import core_counters, enable_identity_mmu
 
 
 CORES = 2
@@ -270,6 +272,25 @@ class TestColdVsResumed:
         warm_trace = trace_run(resume)
         assert warm_trace.digest() == cold_trace.digest()
         assert len(warm_trace) == len(cold_trace)
+
+    def test_mmu_on_guest_resumes_with_exact_tlb_counters(self):
+        """An MMU-on Dhrystone captured between quanta resumes to the
+        golden counters (instret, blocks, new blocks, memory ops, TLB hits,
+        misses, walks) and to the cold run's modeled wall time.  With
+        100 us quanta the program ends inside its first quantum, so it runs
+        with 10 us quanta here and is captured after two of them."""
+        software_, _ = functional_dhrystone(100)
+        config = VpConfig(num_cores=1, quantum=SimTime.us(10), parallel=False)
+        vp = build_platform("avp64", config, software_)
+        enable_identity_mmu(vp)
+        vp.run(SimTime.us(15))
+        assert not vp.simctl.shutdown_requested
+        assert 0 < core_counters(vp)[0][0] < 32617
+        restored = restore_platform(capture_platform(vp), software_)
+        restored.run(SimTime.ms(2000))
+        assert restored.simctl.shutdown_requested
+        assert core_counters(restored) == [(32617, 10302, 16, 7106, 39719, 4, 4)]
+        assert restored.ledger.wall_time_ns() == 438442.25
 
 
 # -- capture preconditions ------------------------------------------------------------
